@@ -10,6 +10,7 @@ implementations satisfy.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Protocol, Sequence
@@ -42,6 +43,23 @@ class Key(NamedTuple):
 
 
 MIN_KEY = Key(MIN_RAW, -1)
+
+
+def check_raw(raw) -> int:
+    """Return `raw` as an int if it is a storable key, else raise ValueError.
+
+    Keys are integers in [MIN_RAW, RAW_MAX].  The structures' search trees
+    mark empty subtrees with a value above RAW_MAX, and a float (NaN above
+    all) compares in ways sorted order cannot survive, so both are rejected
+    before anything is stored.
+    """
+    try:
+        raw = operator.index(raw)
+    except TypeError:
+        raise ValueError(f"key must be an integer, not {raw!r}") from None
+    if not MIN_RAW <= raw <= RAW_MAX:
+        raise ValueError(f"key {raw} outside [{MIN_RAW}, {RAW_MAX}]")
+    return raw
 
 
 class ParseError(ValueError):

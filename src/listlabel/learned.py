@@ -12,21 +12,22 @@ An insert is routed by its predicted rank, corrected by the actuals that hold
 the key's predecessor and successor so stored order is never violated: the
 element goes to the predecessor's actual if that lies right of the predicted
 one, to the successor's actual if that lies left of it, and to the predicted
-actual otherwise.  When an actual exceeds half density its parent's whole
-range is rebuilt into one fresh box — possibly cascading upward — which is
-where prediction error turns into movement cost: a merge only happens when
-some element's prediction missed by at least half the merged rank width.
+actual otherwise.  Both neighbors are found by root-to-leaf descents over a
+heap-order min/max tree on the n rank leaves, the same tree and descents
+`Pma` uses over its slot leaves: an actual's minimum and maximum key sit at
+its first leaf, every other leaf holds the empty markers.  When an actual
+exceeds half density its parent's whole range is rebuilt into one fresh box
+-- possibly cascading upward -- which is where prediction error turns into
+movement cost: a merge only happens when some element's prediction missed by
+at least half the merged rank width.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable
 
-import numpy as np
-from sortedcontainers import SortedKeyList
-
-from .core import CapacityError, MovementLedger, clamp
-from .pma import Pma
+from .core import CapacityError, MovementLedger, check_raw, clamp
+from .pma import INF_RAW, NEG_INF_RAW, Pma, pred_leaf, succ_leaf
 
 BoxFactory = Callable[[int, MovementLedger | None], Pma]
 
@@ -39,7 +40,7 @@ class ActualRecord:
     """One actual: a tree node that currently owns a black-box array."""
 
     __slots__ = ("height", "node", "rank_start", "rank_end", "slot_start",
-                 "box", "count", "min_raw", "max_raw")
+                 "box", "count")
 
     def __init__(self, height: int, node: int):
         self.height = height
@@ -49,8 +50,6 @@ class ActualRecord:
         self.slot_start = 6 * (node << height) + 1
         self.box: Pma | None = None
         self.count = 0
-        self.min_raw = 0
-        self.max_raw = 0
 
     def rank_width(self) -> int:
         return 1 << self.height
@@ -89,57 +88,30 @@ class LearnedLLA:
         self.merges = 0
         # Height of the owning actual, per leaf. Initially every leaf is its
         # own actual; merges coarsen whole aligned ranges at once.
-        self._heights = np.zeros(self.n, dtype=np.int8)
-        self._records: dict[tuple[int, int], ActualRecord] = {}
-        # Non-empty actuals ordered by rank interval. Their min and max keys
-        # are monotone along this order (stored keys never straddle actual
-        # boundaries out of order), which is what the neighbor searches use.
-        self._order: SortedKeyList = SortedKeyList(key=lambda r: r.rank_start)
+        self._heights = [0] * self.n
+        # Non-empty actuals, indexed by their first leaf.
+        self._records: list[ActualRecord | None] = [None] * self.n
+        # Heap-order key minima and maxima over the rank leaves (node 1 is
+        # the root, leaf i is node n + i).  A non-empty actual's min and max
+        # sit at its first leaf; its other leaves and every empty actual hold
+        # INF_RAW / NEG_INF_RAW.  Stored keys never straddle actual boundaries
+        # out of order, so pred_leaf and succ_leaf land on the first leaf of
+        # the actual holding the predecessor and the successor.
+        self._min = [INF_RAW] * (2 * self.n)
+        self._max = [NEG_INF_RAW] * (2 * self.n)
         self.predicted_rank: dict[int, int] = {}  # seq -> clamped prediction
 
     # ------------------------------------------------------------------
     # neighbor and routing queries
 
-    def _pred_record(self, raw: int) -> ActualRecord | None:
-        """Rightmost non-empty actual whose minimum key is <= raw: the one
-        holding the predecessor (last stored key <= raw)."""
-        order = self._order
-        lo, hi = 0, len(order)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if order[mid].min_raw <= raw:
-                lo = mid + 1
-            else:
-                hi = mid
-        return order[lo - 1] if lo else None
-
-    def _succ_record(self, raw: int) -> ActualRecord | None:
-        """Leftmost non-empty actual whose maximum key is > raw: the one
-        holding the successor (first stored key strictly greater)."""
-        order = self._order
-        lo, hi = 0, len(order)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if order[mid].max_raw > raw:
-                hi = mid
-            else:
-                lo = mid + 1
-        return order[lo] if lo < len(order) else None
-
     def neighbor_actuals(self, raw: int) -> tuple[ActualRecord | None, ActualRecord | None]:
-        """Actuals holding the predecessor and successor of `raw` (None when
-        the neighbor does not exist; callers fall back to the first/last
-        actual per the routing rule)."""
-        return self._pred_record(raw), self._succ_record(raw)
-
-    def _node_at_rank(self, rank: int) -> tuple[int, int]:
-        leaf = rank - 1
-        h = int(self._heights[leaf])
-        return h, leaf >> h
-
-    def _last_rank_start(self) -> int:
-        h = int(self._heights[self.n - 1])
-        return (((self.n - 1) >> h) << h) + 1
+        """Actuals holding the predecessor (last stored key <= raw) and the
+        successor (first stored key > raw) of `raw`, None when the neighbor
+        does not exist."""
+        p = pred_leaf(self._min, raw)
+        s = succ_leaf(self._max, raw)
+        return (None if p is None else self._records[p],
+                None if s is None else self._records[s])
 
     def route(self, raw: int, predicted_rank: int) -> tuple[int, int]:
         """Pick the destination actual for a key, as (height, node index).
@@ -148,45 +120,61 @@ class LearnedLLA:
         (insert there) or the successor lies left of it (insert there) —
         otherwise sorted order inside the boxes would break.
         """
-        r = clamp(predicted_rank, 1, self.capacity)
-        hx, nx = self._node_at_rank(r)
-        x_start = (nx << hx) + 1
-        p_rec, s_rec = self.neighbor_actuals(raw)
-        p_start = p_rec.rank_start if p_rec is not None else 1
-        s_start = s_rec.rank_start if s_rec is not None else self._last_rank_start()
-        if p_start > x_start:
-            return p_rec.height, p_rec.node
-        if s_start < x_start:
-            return s_rec.height, s_rec.node
-        return hx, nx
+        leaf = clamp(predicted_rank, 1, self.capacity) - 1
+        h = self._heights[leaf]
+        first = leaf >> h << h
+        v = self.n + first
+        if self._min[v] <= raw < self._max[v]:
+            # The predicted actual holds keys on both sides of raw, so it
+            # holds both neighbors: no descent can override it.
+            return h, leaf >> h
+        p = pred_leaf(self._min, raw)
+        if p is not None and p > first:
+            hp = self._heights[p]
+            return hp, p >> hp
+        s = succ_leaf(self._max, raw)
+        if s is not None and s < first:
+            hs = self._heights[s]
+            return hs, s >> hs
+        return h, leaf >> h
 
     # ------------------------------------------------------------------
     # mutation
 
     def insert(self, raw: int, seq: int, predicted_rank: int) -> int:
-        """Insert a key with its predicted rank; returns movements charged."""
+        """Insert a key with its predicted rank; returns movements charged.
+
+        Raises ValueError, before anything changes, for a key check_raw
+        rejects or a `seq` already inserted.
+        """
+        raw = check_raw(raw)
+        if seq in self.predicted_rank:
+            raise ValueError(f"seq {seq} already inserted")
         if self.count >= self.capacity:
             raise CapacityError(f"structure already holds {self.capacity} elements")
         before = self.ledger.total_movements
         h, node = self.route(raw, predicted_rank)
-        key = (h, node)
-        rec = self._records.get(key)
+        first = node << h
+        rec = self._records[first]
         if rec is None:
             rec = ActualRecord(h, node)
             rec.box = self.factory(6 << h, self.ledger)
-            self._records[key] = rec
-            self._order.add(rec)
+            self._records[first] = rec
         rec.box.insert(raw, seq)
-        if rec.count == 0:
-            rec.min_raw = rec.max_raw = raw
-        else:
-            if raw < rec.min_raw:
-                rec.min_raw = raw
-            if raw > rec.max_raw:
-                rec.max_raw = raw
         rec.count += 1
         self.count += 1
         self.predicted_rank[seq] = clamp(predicted_rank, 1, self.capacity)
+        # Push the new key up the tree; an ancestor that does not change
+        # proves every higher one unchanged too.
+        mins, maxs = self._min, self._max
+        v = self.n + first
+        while v and raw < mins[v]:
+            mins[v] = raw
+            v >>= 1
+        v = self.n + first
+        while v and raw > maxs[v]:
+            maxs[v] = raw
+            v >>= 1
         # Half-density rule: a box sized 6r rebuilds into its parent once it
         # holds 3r+1 elements. The rebuild can push the parent over in turn.
         while rec.count * 2 > 6 * rec.rank_width():
@@ -205,7 +193,16 @@ class LearnedLLA:
         ph = rec.height + 1
         pnode = rec.node >> 1
         parent = ActualRecord(ph, pnode)
-        children = list(self._order.irange_key(parent.rank_start, parent.rank_end))
+        first = pnode << ph
+        end = first + (1 << ph)
+        heights, records = self._heights, self._records
+        children = []
+        leaf = first
+        while leaf < end:
+            child = records[leaf]
+            if child is not None:
+                children.append(child)
+            leaf += 1 << heights[leaf]
         raws: list[int] = []
         seqs: list[int] = []
         old_globals: list[int] = []
@@ -225,17 +222,28 @@ class LearnedLLA:
                 moved += 1
         self.ledger.record_moves(moved)
 
+        # Below the parent's subtree root only the children's paths held
+        # keys: clear them, then write the parent's min and max down its
+        # leftmost path.  The subtree root, and so every node above it, keeps
+        # the same min and max.
+        mins, maxs = self._min, self._max
+        top = (self.n + first) >> ph
         for child in children:
-            del self._records[(child.height, child.node)]
-            self._order.remove(child)
-        first_leaf = pnode << ph
-        self._heights[first_leaf:first_leaf + (1 << ph)] = ph
+            records[child.rank_start - 1] = None
+            v = self.n + child.rank_start - 1
+            while v > top:
+                mins[v] = INF_RAW
+                maxs[v] = NEG_INF_RAW
+                v >>= 1
+        v = self.n + first
+        while v > top:
+            mins[v] = raws[0]
+            maxs[v] = raws[-1]
+            v >>= 1
+        heights[first:end] = [ph] * (end - first)
         parent.box = box
         parent.count = len(raws)
-        parent.min_raw = raws[0]
-        parent.max_raw = raws[-1]
-        self._records[(ph, pnode)] = parent
-        self._order.add(parent)
+        records[first] = parent
         self.merges += 1
         if self.merge_listener is not None:
             self.merge_listener(self, parent)
@@ -247,7 +255,7 @@ class LearnedLLA:
     def global_labels(self) -> list[tuple[int, int, int]]:
         """Every element as (raw, seq, global label), in label order."""
         out = []
-        for rec in self._order:
+        for rec in self.actuals():
             off = rec.slot_start - 1
             for raw, seq, label in rec.box.labels():
                 out.append((raw, seq, off + label))
@@ -255,7 +263,7 @@ class LearnedLLA:
 
     def actuals(self) -> list[ActualRecord]:
         """Non-empty actuals in rank order (empty ones are implicit)."""
-        return list(self._order)
+        return [rec for rec in self._records if rec is not None]
 
     def partition(self) -> list[tuple[int, int]]:
         """The full actual partition as (height, node) pairs, left to right,
@@ -263,7 +271,7 @@ class LearnedLLA:
         out = []
         leaf = 0
         while leaf < self.n:
-            h = int(self._heights[leaf])
+            h = self._heights[leaf]
             out.append((h, leaf >> h))
             leaf += 1 << h
         return out

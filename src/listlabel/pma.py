@@ -18,10 +18,45 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CapacityError, Key, LabeledArray, MovementLedger
+from .core import CapacityError, Key, LabeledArray, MovementLedger, check_raw
 
+# Empty-subtree markers of the heap-order min/max trees.  Every key stored or
+# searched lies in [MIN_RAW, RAW_MAX] (see check_raw): below INF_RAW and not
+# below NEG_INF_RAW, so an empty subtree never passes the descents' tests
+# below and they need no per-node counts.
 INF_RAW = 2**63 - 1
 NEG_INF_RAW = -(2**63)
+
+
+def pred_leaf(mins: list[int], raw: int) -> int | None:
+    """Rightmost leaf holding a key <= raw, or None.
+
+    `mins` is a heap-order tree (node 1 is the root, the leaves sit at
+    [len // 2, len)) of subtree key minima, INF_RAW where a subtree is empty.
+    """
+    if mins[1] > raw:
+        return None
+    n = len(mins) >> 1
+    v = 1
+    while v < n:
+        v <<= 1
+        if mins[v | 1] <= raw:
+            v |= 1
+    return v - n
+
+
+def succ_leaf(maxs: list[int], raw: int) -> int | None:
+    """Leftmost leaf holding a key > raw, or None; `maxs` is the heap-order
+    tree of subtree key maxima, NEG_INF_RAW where a subtree is empty."""
+    if maxs[1] <= raw:
+        return None
+    n = len(maxs) >> 1
+    v = 1
+    while v < n:
+        v <<= 1
+        if maxs[v] <= raw:
+            v |= 1
+    return v - n
 
 
 @dataclass(frozen=True)
@@ -169,8 +204,10 @@ class Pma:
         """Insert a key, returning the movements of already-present elements.
 
         Raises CapacityError when even the root is above threshold (callers
-        that want growth must rebuild into a bigger array themselves).
+        that want growth must rebuild into a bigger array themselves), and
+        ValueError for a key check_raw rejects.
         """
+        raw = check_raw(raw)
         pos, moved = self._insert_impl(raw, seq)
         self._after_insert(pos)
         if self.ledger is not None:
@@ -197,17 +234,10 @@ class Pma:
 
     def _pred_slot(self, raw: int) -> int | None:
         """Rightmost occupied slot with key <= raw, or None."""
-        if self.count == 0 or self._min[1] > raw:
+        leaf = pred_leaf(self._min, raw)
+        if leaf is None:
             return None
-        v = 1
-        n = self.num_leaves
-        while v < n:
-            r = 2 * v + 1
-            if self._cnt[r] > 0 and self._min[r] <= raw:
-                v = r
-            else:
-                v = 2 * v
-        lo = (v - n) * self.leaf_size
+        lo = leaf * self.leaf_size
         for pos in range(lo + self.leaf_size - 1, lo - 1, -1):
             e = self.slots[pos]
             if e is not None and e[0] <= raw:

@@ -17,6 +17,7 @@ from listlabel.core import MIN_RAW, MovementLedger
 from listlabel.harness import DatasetSpec, load_dataset, run_robustness, run_synthetic, run_table
 from listlabel.learned import LearnedLLA
 from listlabel.pma import Pma
+from listlabel.predictors import PredictionVector, corrupt
 from listlabel.apma import Apma
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -113,21 +114,33 @@ def test_criterion_3_error_scaling_monotone():
 
 
 def test_criterion_4_worst_case_safety():
-    n = 65536
+    n = 2**14
     raws = random.Random(9).sample(range(1, 10**12), n)
+    true = [0] * n
+    for rank, i in enumerate(sorted(range(n), key=raws.__getitem__), start=1):
+        true[i] = rank
+    rng = random.Random(4)
+    adversaries = {
+        "reversed": [n + 1 - r for r in true],
+        "uniform": [rng.randint(1, n) for _ in range(n)],
+        "alternating": [1 if i % 2 == 0 else n for i in range(n)],
+        "corrupt-100": corrupt(PredictionVector(true), 100, n, rng_seed=4).ranks,
+    }
 
-    def run(predicted):
+    def run(ranks):
+        # the harness protocol: sentinel first, ranks shifted past it
         led = MovementLedger(first_placement_excluded=True)
         lla = LearnedLLA(n + 1, ledger=led)
         lla.insert(MIN_RAW, 0, 1)
         led.reset()
         for i, raw in enumerate(raws):
-            lla.insert(raw, i + 1, predicted)
+            lla.insert(raw, i + 1, 1 if ranks is None else ranks[i] + 1)
         return led.amortized_cost()
 
-    all_ones = run(1)  # every prediction pinned to rank 1
-    baseline = run(1)  # the blind configuration routes identically
-    assert all_ones <= 2 * baseline
+    baseline = run(None)  # blind routing: every prediction is rank 1
+    costs = {name: run(ranks) for name, ranks in adversaries.items()}
+    for name, cost in costs.items():
+        assert cost <= 2 * baseline, (name, cost, baseline)
 
 
 # ----------------------------------------------------------------------
@@ -235,7 +248,7 @@ def _check_structure(lla):
         assert rec.slot_start == 6 * (rec.rank_start - 1) + 1
 
 
-def _fuzz_one_seed(seed, n, adaptive):
+def _fuzz_one_seed(seed, n, adaptive, key_range=None):
     rng = random.Random(seed)
     state = {"in_merge": False, "events": []}
     spied_pma, spied_apma = _spied_classes(state)
@@ -257,7 +270,10 @@ def _fuzz_one_seed(seed, n, adaptive):
 
     lla.merge_parent = spying
 
-    raws = rng.sample(range(10**12), n)
+    if key_range is None:
+        raws = rng.sample(range(10**12), n)
+    else:
+        raws = [rng.randrange(key_range) for _ in range(n)]
     for i, raw in enumerate(raws):
         state["events"].clear()
         merge_diffs.clear()
@@ -276,6 +292,12 @@ def test_criterion_7_invariant_fuzz():
     for seed in range(1, 21):
         _fuzz_one_seed(seed, per_seed, adaptive=seed % 5 == 0)
     assert time.time() - t0 < 120
+
+
+def test_criterion_7_invariant_fuzz_duplicate_keys():
+    # real ID streams repeat keys heavily; distinct samples never do
+    for seed in range(1, 6):
+        _fuzz_one_seed(seed, 5000, adaptive=seed % 5 == 0, key_range=64)
 
 
 # ----------------------------------------------------------------------

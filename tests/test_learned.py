@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from listlabel.core import CapacityError, MovementLedger
+from listlabel.core import MIN_RAW, RAW_MAX, CapacityError, MovementLedger
 from listlabel.learned import LearnedLLA, witness_error_check
 from listlabel.pma import Pma
 
@@ -36,6 +36,39 @@ class TestCapacityShape:
         assert lla.predicted_rank[0] == 5
         with pytest.raises(CapacityError):
             lla.insert(60, 5, 1)
+
+
+class TestBoundary:
+    @pytest.mark.parametrize(
+        "raw", [float("nan"), 1.5, "7", 2**63 - 1, 2**64, RAW_MAX + 1, MIN_RAW - 1]
+    )
+    def test_rejects_bad_key_before_any_change(self, raw):
+        led = MovementLedger()
+        lla = LearnedLLA(8, ledger=led)
+        lla.insert(100, 0, 1)
+        with pytest.raises(ValueError):
+            lla.insert(raw, 1, 2)
+        assert lla.count == 1 and lla.predicted_rank == {0: 1}
+        assert lla.global_labels() == [(100, 0, 1)]
+        assert (led.total_inserts, led.total_movements) == (1, 1)
+
+    def test_accepts_both_ends_of_the_key_range(self):
+        lla = LearnedLLA(8)
+        for seq, raw in enumerate([0, RAW_MAX, MIN_RAW, RAW_MAX, MIN_RAW]):
+            lla.insert(raw, seq, 4)
+        assert [r for r, _, _ in lla.global_labels()] == [
+            MIN_RAW, MIN_RAW, 0, RAW_MAX, RAW_MAX
+        ]
+        assert lla.neighbor_actuals(MIN_RAW)[0] is lla.actuals()[0]
+        assert lla.neighbor_actuals(RAW_MAX)[1] is None
+
+    def test_rejects_reused_seq(self):
+        lla = LearnedLLA(8)
+        lla.insert(100, 7, 1)
+        with pytest.raises(ValueError):
+            lla.insert(200, 7, 8)
+        assert lla.count == 1 and lla.predicted_rank == {7: 1}
+        assert lla.global_labels() == [(100, 7, 1)]
 
 
 class TestRouting:
@@ -213,6 +246,32 @@ def test_witness_boundary_at_half_width():
 
 # ----------------------------------------------------------------------
 # invariants under fuzz
+
+
+def test_tree_searches_match_linear_scan_on_duplicates():
+    """neighbor_actuals and route agree with a scan of actuals() after every
+    insert, on a duplicate-heavy stream whose random predictions merge."""
+    rng = random.Random(5)
+    n = 256
+    lla = LearnedLLA(n)
+    for seq in range(n):
+        lla.insert(rng.randrange(24), seq, rng.randint(1, n))
+        spans = [(rec, min(r for r, _, _ in rec.box.labels()),
+                  max(r for r, _, _ in rec.box.labels())) for rec in lla.actuals()]
+        for raw in range(-1, 26):
+            pred = next((rec for rec, lo, _ in reversed(spans) if lo <= raw), None)
+            succ = next((rec for rec, _, hi in spans if hi > raw), None)
+            assert lla.neighbor_actuals(raw) == (pred, succ), (seq, raw)
+
+            rank = rng.randint(1, n)
+            h, node = next((h, node) for h, node in lla.partition()
+                           if (node << h) < rank <= ((node + 1) << h))
+            if pred is not None and pred.rank_start > (node << h) + 1:
+                h, node = pred.height, pred.node
+            elif succ is not None and succ.rank_start < (node << h) + 1:
+                h, node = succ.height, succ.node
+            assert lla.route(raw, rank) == (h, node), (seq, raw, rank)
+    assert lla.merges > 0
 
 
 def test_invariants_and_ledger_match_shadow_diff():

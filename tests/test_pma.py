@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from listlabel.core import CapacityError, Key, MovementLedger, verify_sorted
+from listlabel.core import MIN_RAW, RAW_MAX, CapacityError, Key, MovementLedger, verify_sorted
 from listlabel.pma import DEFAULT_THRESHOLDS, Pma, plan_layout, rho_at_depth, tau_at_depth
 
 
@@ -282,3 +282,26 @@ def test_labels_present_and_strictly_increasing():
         pma.insert(raw, seq)
     stored = [e[0] for e in pma.slots if e is not None]
     assert stored == sorted(raws)
+
+
+@pytest.mark.parametrize(
+    "raw", [float("nan"), 1.5, "7", 2**63 - 1, 2**64, RAW_MAX + 1, MIN_RAW - 1]
+)
+def test_rejects_bad_key_before_any_change(raw):
+    led = MovementLedger()
+    pma = Pma(64, ledger=led)
+    pma.insert(5, 0)
+    slots = list(pma.slots)
+    with pytest.raises(ValueError):
+        pma.insert(raw, 1)
+    assert pma.slots == slots and pma.count == 1
+    assert (led.total_inserts, led.total_movements) == (1, 1)
+
+
+def test_accepts_both_ends_of_the_key_range():
+    pma = Pma(64)
+    for seq, raw in enumerate([0, RAW_MAX, MIN_RAW, RAW_MAX, MIN_RAW]):
+        pma.insert(raw, seq)
+    assert [e[0] for e in pma.slots if e is not None] == [
+        MIN_RAW, MIN_RAW, 0, RAW_MAX, RAW_MAX
+    ]
