@@ -19,7 +19,7 @@ def show(lla, ledger):
         f"{cells[s] // 100:>3}" if s in cells else "  ." for s in range(1, 49)
     )
     boxes = " ".join(
-        f"[ranks {rec.rank_start}-{rec.rank_end}: {rec.count} elems]"
+        f"[ranks {rec.rank_start}-{rec.rank_end}: {rec.box.count} elems]"
         for rec in lla.actuals()
     )
     print(f"  slots: {row}")

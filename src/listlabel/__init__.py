@@ -9,19 +9,16 @@ from .core import (
     SCALE,
     MIN_KEY,
     MIN_RAW,
-    BlackBoxLLA,
     CapacityError,
     Key,
-    LabeledArray,
     MovementLedger,
     ParseError,
     UndefinedCostError,
     fixed_point_parse,
     format_raw,
-    record_movements,
     verify_sorted,
 )
-from .pma import DEFAULT_THRESHOLDS, Pma, PmaThresholds, plan_layout, rho_at_depth, tau_at_depth
+from .pma import Pma, plan_layout, tau_at_depth
 from .apma import Apma
 from .learned import LearnedLLA, witness_error_check
 from .predictors import (
@@ -53,22 +50,16 @@ __all__ = [
     "SCALE",
     "MIN_KEY",
     "MIN_RAW",
-    "BlackBoxLLA",
     "CapacityError",
     "Key",
-    "LabeledArray",
     "MovementLedger",
     "ParseError",
     "UndefinedCostError",
     "fixed_point_parse",
     "format_raw",
-    "record_movements",
     "verify_sorted",
-    "DEFAULT_THRESHOLDS",
     "Pma",
-    "PmaThresholds",
     "plan_layout",
-    "rho_at_depth",
     "tau_at_depth",
     "Apma",
     "LearnedLLA",

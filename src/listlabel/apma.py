@@ -34,17 +34,12 @@ from __future__ import annotations
 from bisect import bisect_right
 
 from .core import MovementLedger
-from .pma import DEFAULT_THRESHOLDS, Pma, PmaThresholds
+from .pma import Pma
 
 
 class Apma(Pma):
-    def __init__(
-        self,
-        slot_count: int,
-        thresholds: PmaThresholds = DEFAULT_THRESHOLDS,
-        ledger: MovementLedger | None = None,
-    ):
-        super().__init__(slot_count, thresholds, ledger)
+    def __init__(self, slot_count: int, ledger: MovementLedger | None = None):
+        super().__init__(slot_count, ledger)
         self.histogram = [0] * self.num_leaves
         self.decay_period = self.leaf_size * 4
         self._since_decay = 0

@@ -4,16 +4,15 @@ A list-labeling structure stores n keys in a sparse array of m slots so that
 occupied slots read in sorted order.  The slot index of an element is its
 *label*; the cost of the structure is the number of times elements are
 assigned new labels ("movements").  Everything here is deliberately small:
-keys, the movement ledger, parse helpers, and the protocol the array
-implementations satisfy.
+keys, the movement ledger and parse helpers.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Protocol, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 # Keys are signed 64-bit fixed-point values with 7 fractional decimal digits.
 # That is enough to hold GPS coordinates exactly as they appear in check-in
@@ -37,9 +36,6 @@ class Key(NamedTuple):
 
     raw: int
     seq: int = 0
-
-    def value(self) -> float:
-        return self.raw / SCALE
 
 
 MIN_KEY = Key(MIN_RAW, -1)
@@ -154,48 +150,12 @@ class MovementLedger:
         self.total_inserts = 0
 
 
-def record_movements(
-    ledger: MovementLedger,
-    moved: Iterable[tuple[Key, int | None, int]],
-    new_keys: Iterable[Key] = (),
-) -> int:
-    """Charge a batch of (key, old_label, new_label) relabels to the ledger.
-
-    Entries in `moved` must genuinely change label (old != new); `new_keys`
-    are first placements and follow the ledger's exclusion convention.
-    Returns the number of movements actually charged.
-    """
-    before = ledger.total_movements
-    n_moved = 0
-    for _key, old, new in moved:
-        if old == new:
-            raise ValueError("moved entry with unchanged label")
-        n_moved += 1
-    ledger.record_moves(n_moved)
-    n_new = sum(1 for _ in new_keys)
-    if n_new:
-        ledger.record_init(n_new)
-    return ledger.total_movements - before
-
-
-@dataclass
-class LabeledArray:
-    """A sparse sorted array view: slot i holds a key or None."""
-
-    slots: list[Key | None]
-
-    @property
-    def count(self) -> int:
-        return sum(1 for s in self.slots if s is not None)
-
-
-def verify_sorted(arr: LabeledArray | Sequence[Key | None]) -> bool:
+def verify_sorted(slots: Sequence[tuple[int, int] | None]) -> bool:
     """True iff occupied slots are non-decreasing left to right.
 
     Accepts Key entries or plain (raw, seq) tuples, as stored by the
     arrays themselves.
     """
-    slots = arr.slots if isinstance(arr, LabeledArray) else arr
     prev = None
     for entry in slots:
         if entry is None:
@@ -204,29 +164,6 @@ def verify_sorted(arr: LabeledArray | Sequence[Key | None]) -> bool:
             return False
         prev = entry[0]
     return True
-
-
-class BlackBoxLLA(Protocol):
-    """What the learned wrapper needs from an array implementation.
-
-    Labels are 1-based slot indices local to the box.  `insert` and `init`
-    return the movement count charged for the operation (init counts each
-    placement only under the inclusive convention).
-    """
-
-    slot_count: int
-    count: int
-    ledger: MovementLedger | None
-
-    def insert(self, raw: int, seq: int) -> int: ...
-
-    def init(self, raws: Sequence[int], seqs: Sequence[int]) -> int: ...
-
-    def labels(self) -> list[tuple[int, int, int]]:
-        """All elements as (raw, seq, label), ordered by label."""
-        ...
-
-    def density(self) -> float: ...
 
 
 def clamp(value: int, lo: int, hi: int) -> int:

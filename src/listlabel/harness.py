@@ -74,19 +74,19 @@ class ConfigError(ValueError):
 class DatasetSpec:
     """Where a dataset lives and how to read a key stream out of it.
 
-    Columns are 0-based.  With `delimiter=None` the first data line decides:
-    comma if one appears, otherwise any whitespace.  Blank lines and lines
-    starting with '#' are skipped.  If `timestamp_column` is given, rows are
-    stably sorted by that column before use (numerically when every value
-    parses as a number, lexicographically otherwise -- ISO-8601 strings
-    order correctly either way); otherwise file order is kept.  `max_rows`
-    truncates after ordering.  Duplicate values are retained.
+    Columns are 0-based.  The delimiter is always detected from the first
+    data line: comma if one appears, otherwise any whitespace.  Blank lines
+    and lines starting with '#' are skipped.  If `timestamp_column` is
+    given, rows are stably sorted by that column before use (numerically
+    when every value parses as a number, lexicographically otherwise --
+    ISO-8601 strings order correctly either way); otherwise file order is
+    kept.  `max_rows` truncates after ordering.  Duplicate values are
+    retained.
     """
 
     path: str | Path
     value_column: int = 0
     timestamp_column: int | None = None
-    delimiter: str | None = None
     max_rows: int | None = None
     name: str | None = None
 
@@ -109,7 +109,7 @@ def load_dataset(spec: DatasetSpec) -> SequenceSlice:
 
     raws: list[int] = []
     stamps: list[str] = []
-    delim = spec.delimiter
+    comma = None  # decided by the first data line
     # Without a timestamp column the file order is the arrival order, so we
     # can stop reading as soon as max_rows values are in hand.
     stream_limit = spec.max_rows if spec.timestamp_column is None else None
@@ -118,9 +118,9 @@ def load_dataset(spec: DatasetSpec) -> SequenceSlice:
             text = line.strip()
             if not text or text.startswith("#"):
                 continue
-            if delim is None:
-                delim = "," if "," in text else " "
-            if delim == ",":
+            if comma is None:
+                comma = "," in text
+            if comma:
                 cells = [c.strip() for c in text.split(",")]
             else:
                 cells = text.split()
@@ -217,7 +217,6 @@ def _run_config(
     true_ranks: list[int] | None = None,
     check_witness: bool = False,
     seed: int | None = None,
-    label: str | None = None,
 ) -> ExperimentResult:
     """Load one structure with the test slice and account its movements.
 
@@ -266,7 +265,7 @@ def _run_config(
         )
 
     return ExperimentResult(
-        structure=label if label is not None else structure,
+        structure=structure,
         dataset=dataset,
         train=train,
         test=t,
@@ -288,20 +287,33 @@ def _predict(train: SequenceSlice, test: SequenceSlice) -> list[int]:
         raise ConfigError(f"training slice of {len(train)}: {exc}") from None
 
 
-def _split(spec: DatasetSpec, k: int) -> tuple[SequenceSlice, SequenceSlice]:
-    """First 2^k rows to train on, next 2^k to insert."""
-    need = 2 ** (k + 1)
+def _load(spec: DatasetSpec, need: int, what: str) -> list[Key]:
+    """The first `need` keys of the dataset in arrival order; ConfigError
+    naming `what` the rows are for if there are fewer."""
     if spec.max_rows is None and spec.timestamp_column is None:
         spec = replace(spec, max_rows=need)
     data = load_dataset(spec)
     if len(data) < need:
         raise ConfigError(
-            f"{spec.label()}: need {need} rows for k={k} "
-            f"(train and test of {2 ** k} each), found {len(data)}"
+            f"{spec.label()}: need {need} rows for {what}, found {len(data)}"
         )
-    train = SequenceSlice(data.keys[: 2**k], start_offset=0)
-    test = SequenceSlice(data.keys[2**k : need], start_offset=2**k)
-    return train, test
+    return data.keys[:need]
+
+
+def _split(spec: DatasetSpec, k: int) -> tuple[SequenceSlice, SequenceSlice]:
+    """First 2^k rows to train on, next 2^k to insert."""
+    t = 2**k
+    keys = _load(spec, 2 * t, f"k={k} (train and test of {t} each)")
+    return SequenceSlice(keys[:t]), SequenceSlice(keys[t:], start_offset=t)
+
+
+def _rows(structures, dataset, keys, preds, **kw) -> list[ExperimentResult]:
+    """One run per structure over the same keys: learned rows get the
+    predictions `preds`, baselines None (rank-1 routing)."""
+    return [
+        _run_config(s, dataset, keys, preds if s.startswith("learned") else None, **kw)
+        for s in structures
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -314,22 +326,8 @@ def run_table(
     """Train on the first 2^k rows, insert the next 2^k, one row per
     structure."""
     train, test = _split(spec, k)
-    predictions = _predict(train, test)
-    true_ranks = _true_ranks(test.keys)
-    results = []
-    for structure in structures:
-        preds = predictions if structure.startswith("learned") else None
-        results.append(
-            _run_config(
-                structure,
-                spec.label(),
-                test.keys,
-                preds,
-                train=len(train),
-                true_ranks=true_ranks,
-            )
-        )
-    return results
+    return _rows(structures, spec.label(), test.keys, _predict(train, test),
+                 train=len(train), true_ranks=_true_ranks(test.keys))
 
 
 def run_scaling(
@@ -358,15 +356,8 @@ def run_learning_curve(
     column distinguishes sweep points.
     """
     t = 2**test_k
-    if spec.max_rows is None and spec.timestamp_column is None:
-        spec = replace(spec, max_rows=2 * t)
-    data = load_dataset(spec)
-    if len(data) < 2 * t:
-        raise ConfigError(
-            f"{spec.label()}: need {2 * t} rows for test_k={test_k}, "
-            f"found {len(data)}"
-        )
-    test = SequenceSlice(data.keys[t : 2 * t], start_offset=t)
+    keys = _load(spec, 2 * t, f"test_k={test_k}")
+    test = SequenceSlice(keys[t:], start_offset=t)
     true_ranks = _true_ranks(test.keys)
 
     results = []
@@ -382,20 +373,10 @@ def run_learning_curve(
         if span == 0:
             predictions = None
         else:
-            train = SequenceSlice(data.keys[t - span : t], start_offset=t - span)
+            train = SequenceSlice(keys[t - span : t], start_offset=t - span)
             predictions = _predict(train, test)
-        for structure in structures:
-            preds = predictions if structure.startswith("learned") else None
-            results.append(
-                _run_config(
-                    structure,
-                    spec.label(),
-                    test.keys,
-                    preds,
-                    train=span,
-                    true_ranks=true_ranks,
-                )
-            )
+        results += _rows(structures, spec.label(), test.keys, predictions,
+                         train=span, true_ranks=true_ranks)
     return results
 
 
@@ -413,8 +394,14 @@ def run_robustness(
     Learned rows run `repeats` times with corruption seeds base_seed+1 ..
     base_seed+repeats and carry the corruption level in the structure name
     (e.g. learned-pma:t=25); amortized_cost holds the mean, merges the
-    rounded mean, eta_max the worst across seeds.
+    rounded mean, eta_max the worst across seeds.  A corruption level outside
+    [0, 100] or fewer than one repeat is a ConfigError, raised before any run.
     """
+    for t_pct in t_values:
+        if not 0 <= t_pct <= 100:
+            raise ConfigError(f"corruption percentage {t_pct} outside [0, 100]")
+    if repeats < 1:
+        raise ConfigError(f"repeats must be at least 1, got {repeats}")
     train, test = _split(spec, k)
     n = len(test)
     predictions = _predict(train, test)
@@ -535,22 +522,8 @@ def run_synthetic(
     if n < 2 or n & (n - 1):
         raise ConfigError(f"n must be a power of two >= 2, got {n}")
     keys, predictions, true_ranks, label = _synthesize(kind, n, seed, eta, mu, s)
-    results = []
-    for structure in structures:
-        preds = predictions if structure.startswith("learned") else None
-        results.append(
-            _run_config(
-                structure,
-                label,
-                keys,
-                preds,
-                train=0,
-                true_ranks=true_ranks,
-                check_witness=True,
-                seed=seed,
-            )
-        )
-    return results
+    return _rows(structures, label, keys, predictions, train=0, true_ranks=true_ranks,
+                 check_witness=True, seed=seed)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Prediction-routed list labeling over pluggable sorted-array black boxes.
+"""Prediction-routed list labeling over sorted-array black boxes.
 
 Capacity n (rounded up to a power of two) defines an implicit complete binary
 tree: the node at height h with index i owns the 2^h ranks
@@ -13,8 +13,8 @@ the key's predecessor and successor so stored order is never violated: the
 element goes to the predecessor's actual if that lies right of the predicted
 one, to the successor's actual if that lies left of it, and to the predicted
 actual otherwise.  Both neighbors are found by root-to-leaf descents over a
-heap-order min/max tree on the n rank leaves, the same tree and descents
-`Pma` uses over its slot leaves: an actual's minimum and maximum key sit at
+heap-order min/max tree on the n rank leaves, laid out and searched like
+the min tree `Pma` keeps over its slot leaves: an actual's min and max sit at
 its first leaf, every other leaf holds the empty markers.  When an actual
 exceeds half density its parent's whole range is rebuilt into one fresh box
 -- possibly cascading upward -- which is where prediction error turns into
@@ -39,8 +39,7 @@ def _default_factory(slot_count: int, ledger: MovementLedger | None) -> Pma:
 class ActualRecord:
     """One actual: a tree node that currently owns a black-box array."""
 
-    __slots__ = ("height", "node", "rank_start", "rank_end", "slot_start",
-                 "box", "count")
+    __slots__ = ("height", "node", "rank_start", "rank_end", "slot_start", "box")
 
     def __init__(self, height: int, node: int):
         self.height = height
@@ -49,14 +48,13 @@ class ActualRecord:
         self.rank_end = (node + 1) << height
         self.slot_start = 6 * (node << height) + 1
         self.box: Pma | None = None
-        self.count = 0
 
     def rank_width(self) -> int:
         return 1 << self.height
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return (f"Actual(h={self.height}, node={self.node}, "
-                f"ranks=[{self.rank_start},{self.rank_end}], count={self.count})")
+                f"ranks=[{self.rank_start},{self.rank_end}], count={self.box.count})")
 
 
 class LearnedLLA:
@@ -79,7 +77,6 @@ class LearnedLLA:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self.n = 1 << (capacity - 1).bit_length()  # leaves in the rank tree
-        self.tree_height = self.n.bit_length() - 1
         self.slot_count = 6 * self.n
         self.factory = factory
         self.ledger = ledger if ledger is not None else MovementLedger()
@@ -161,7 +158,6 @@ class LearnedLLA:
             rec.box = self.factory(6 << h, self.ledger)
             self._records[first] = rec
         rec.box.insert(raw, seq)
-        rec.count += 1
         self.count += 1
         self.predicted_rank[seq] = clamp(predicted_rank, 1, self.capacity)
         # Push the new key up the tree; an ancestor that does not change
@@ -177,7 +173,7 @@ class LearnedLLA:
             v >>= 1
         # Half-density rule: a box sized 6r rebuilds into its parent once it
         # holds 3r+1 elements. The rebuild can push the parent over in turn.
-        while rec.count * 2 > 6 * rec.rank_width():
+        while rec.box.count * 2 > 6 * rec.rank_width():
             rec = self.merge_parent(rec)
         return self.ledger.total_movements - before
 
@@ -242,7 +238,6 @@ class LearnedLLA:
             v >>= 1
         heights[first:end] = [ph] * (end - first)
         parent.box = box
-        parent.count = len(raws)
         records[first] = parent
         self.merges += 1
         if self.merge_listener is not None:
@@ -275,9 +270,6 @@ class LearnedLLA:
             out.append((h, leaf >> h))
             leaf += 1 << h
         return out
-
-    def amortized_cost(self) -> float:
-        return self.ledger.amortized_cost()
 
 
 def witness_error_check(

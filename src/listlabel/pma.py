@@ -16,9 +16,7 @@ element that a rebalance happens to leave in place costs nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import CapacityError, Key, LabeledArray, MovementLedger, check_raw
+from .core import CapacityError, MovementLedger, check_raw
 
 # Empty-subtree markers of the heap-order min/max trees.  Every key stored or
 # searched lies in [MIN_RAW, RAW_MAX] (see check_raw): below INF_RAW and not
@@ -59,41 +57,17 @@ def succ_leaf(maxs: list[int], raw: int) -> int | None:
     return v - n
 
 
-@dataclass(frozen=True)
-class PmaThresholds:
-    """Density bounds: upper (tau) interpolates root->leaf, lower (rho) too.
-
-    The lower bounds only matter for structures that shrink; they are kept so
-    configurations round-trip, and validated for sanity.
-    """
-
-    rho_leaf: float = 0.1
-    rho_root: float = 0.2
-    tau_root: float = 0.5
-    tau_leaf: float = 0.9
-
-    def __post_init__(self):
-        if not (self.rho_leaf <= self.rho_root < self.tau_root < self.tau_leaf):
-            raise ValueError(f"thresholds out of order: {self}")
+# Upper density thresholds at the root and at the leaves (see tau_at_depth).
+TAU_ROOT = 0.5
+TAU_LEAF = 0.9
 
 
-DEFAULT_THRESHOLDS = PmaThresholds()
-
-
-def tau_at_depth(k: int, depth: int, t: PmaThresholds = DEFAULT_THRESHOLDS) -> float:
+def tau_at_depth(k: int, depth: int) -> float:
     """Upper density threshold for a node at depth k (root is depth 0)."""
     if not 0 <= k <= max(depth, 0):
         raise ValueError(f"depth {k} outside [0, {depth}]")
     ratio = k / depth if depth else 0.0
-    return t.tau_root + (t.tau_leaf - t.tau_root) * ratio
-
-
-def rho_at_depth(k: int, depth: int, t: PmaThresholds = DEFAULT_THRESHOLDS) -> float:
-    """Lower density threshold for a node at depth k."""
-    if not 0 <= k <= max(depth, 0):
-        raise ValueError(f"depth {k} outside [0, {depth}]")
-    ratio = k / depth if depth else 0.0
-    return t.rho_root - (t.rho_root - t.rho_leaf) * ratio
+    return TAU_ROOT + (TAU_LEAF - TAU_ROOT) * ratio
 
 
 def plan_layout(slot_count: int) -> tuple[int, int, int]:
@@ -132,42 +106,29 @@ class Pma:
     accounting passes ledger=None).
     """
 
-    def __init__(
-        self,
-        slot_count: int,
-        thresholds: PmaThresholds = DEFAULT_THRESHOLDS,
-        ledger: MovementLedger | None = None,
-    ):
+    def __init__(self, slot_count: int, ledger: MovementLedger | None = None):
         leaf, depth, total = plan_layout(slot_count)
         self.leaf_size = leaf
         self.depth = depth
         self.slot_count = total
-        self.thresholds = thresholds
         self.ledger = ledger
         self.num_leaves = 1 << depth
         self.slots: list[tuple[int, int] | None] = [None] * total
         self.count = 0
         # Implicit binary tree in heap order: node 1 is the root, leaves sit
         # at indices [num_leaves, 2 * num_leaves).  Per node we track element
-        # count and min/max raw key of the subtree, so predecessor/successor
-        # searches and threshold walks never scan more than one leaf.
+        # count and min raw key of the subtree, so predecessor searches and
+        # threshold walks never scan more than one leaf.
         n = self.num_leaves
         self._cnt = [0] * (2 * n)
         self._min = [INF_RAW] * (2 * n)
-        self._max = [NEG_INF_RAW] * (2 * n)
-        self._tau = [
-            tau_at_depth(k, depth, thresholds) for k in range(depth + 1)
-        ]
+        self._tau = [tau_at_depth(k, depth) for k in range(depth + 1)]
 
     # ------------------------------------------------------------------
     # public surface
 
     def density(self) -> float:
         return self.count / self.slot_count
-
-    def node_density(self, node: int) -> float:
-        """Density of a heap-order node (1 = root)."""
-        return self._cnt[node] / self._node_size(node)
 
     def labels(self) -> list[tuple[int, int, int]]:
         return [
@@ -176,19 +137,21 @@ class Pma:
             if entry is not None
         ]
 
-    @property
-    def array(self) -> LabeledArray:
-        return LabeledArray(
-            [Key(e[0], e[1]) if e is not None else None for e in self.slots]
-        )
-
     def init(self, raws, seqs) -> int:
-        """Bulk-load sorted keys, evenly spread across the whole array."""
+        """Bulk-load sorted keys, evenly spread across the whole array.
+
+        Everything is checked before the first slot is written: CapacityError
+        if the keys do not fit, ValueError on a non-empty array, for a `seqs`
+        of another length, for a key check_raw rejects, or for unsorted keys.
+        """
         c = len(raws)
         if c > self.slot_count:
             raise CapacityError(f"{c} keys into {self.slot_count} slots")
         if self.count:
             raise ValueError("init on a non-empty array")
+        if len(seqs) != c:
+            raise ValueError(f"{c} keys but {len(seqs)} sequence numbers")
+        raws = [check_raw(raw) for raw in raws]
         if any(raws[i] > raws[i + 1] for i in range(c - 1)):
             raise ValueError("init expects sorted keys")
         m = self.slot_count
@@ -242,7 +205,7 @@ class Pma:
             e = self.slots[pos]
             if e is not None and e[0] <= raw:
                 return pos
-        raise AssertionError("tree min/max counters out of sync")
+        raise AssertionError("tree minima out of sync")
 
     def _leftmost_occupied(self, v: int) -> int:
         n = self.num_leaves
@@ -306,8 +269,6 @@ class Pma:
             self._cnt[v] += 1
             if raw < self._min[v]:
                 self._min[v] = raw
-            if raw > self._max[v]:
-                self._max[v] = raw
             v >>= 1
         self.count += 1
         return pos, moved
@@ -401,8 +362,8 @@ class Pma:
         return moved
 
     def _rebuild_tree(self, node: int) -> None:
-        """Recompute cnt/min/max for the subtree under `node` (inclusive),
-        then fix the ancestors."""
+        """Recompute cnt/min for the subtree under `node` (inclusive), then
+        fix the ancestors."""
         n = self.num_leaves
         k = self._node_depth(node)
         first_leaf = (node << (self.depth - k)) - n
@@ -411,22 +372,19 @@ class Pma:
         for leaf in range(first_leaf, first_leaf + width):
             lo = leaf * L
             cnt = 0
-            mn, mx = INF_RAW, NEG_INF_RAW
+            mn = INF_RAW
             for p in range(lo, lo + L):
                 e = self.slots[p]
                 if e is not None:
                     cnt += 1
                     if e[0] < mn:
                         mn = e[0]
-                    if e[0] > mx:
-                        mx = e[0]
             v = n + leaf
-            self._cnt[v], self._min[v], self._max[v] = cnt, mn, mx
+            self._cnt[v], self._min[v] = cnt, mn
         level_lo, level_hi = (n + first_leaf) >> 1, (n + first_leaf + width) >> 1
         while level_lo >= 1:
             for v in range(level_lo, max(level_hi, level_lo + 1)):
                 l, r = 2 * v, 2 * v + 1
                 self._cnt[v] = self._cnt[l] + self._cnt[r]
                 self._min[v] = min(self._min[l], self._min[r])
-                self._max[v] = max(self._max[l], self._max[r])
             level_lo, level_hi = level_lo >> 1, level_hi >> 1

@@ -22,13 +22,13 @@ any comparison, so repeated runs are bit-identical.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .core import Key, MovementLedger
-from .learned import BoxFactory, LearnedLLA
+from .learned import LearnedLLA
 
 __all__ = [
     "SequenceSlice",
@@ -60,14 +60,9 @@ class SequenceSlice:
 
 @dataclass
 class PredictionVector:
-    """Predicted final ranks, aligned 1:1 with a test slice.
-
-    eta_max (the largest |predicted − true| rank error) is filled in by the
-    harness once true ranks are known; predictors leave it None.
-    """
+    """Predicted final ranks, aligned 1:1 with a test slice."""
 
     ranks: list[int]
-    eta_max: int | None = field(default=None)
 
     def __len__(self) -> int:
         return len(self.ranks)
@@ -131,7 +126,7 @@ def predictor2(train: SequenceSlice, test: SequenceSlice) -> PredictionVector:
     return predictor1(SequenceSlice(shifted, train.start_offset), test)
 
 
-def select_predictor(train: SequenceSlice, lla_factory: BoxFactory | None = None) -> str:
+def select_predictor(train: SequenceSlice) -> str:
     """Pick 'predictor1' or 'predictor2' by simulated cost.
 
     The training slice is split in half; each predictor trains on the first
@@ -147,8 +142,7 @@ def select_predictor(train: SequenceSlice, lla_factory: BoxFactory | None = None
 
     def cost(pred: PredictionVector) -> int:
         ledger = MovementLedger(first_placement_excluded=True)
-        kwargs = {"factory": lla_factory} if lla_factory is not None else {}
-        lla = LearnedLLA(len(second.keys), ledger=ledger, **kwargs)
+        lla = LearnedLLA(len(second.keys), ledger=ledger)
         for seq, (key, rank) in enumerate(zip(second.keys, pred.ranks)):
             lla.insert(key.raw, seq, rank)
         return ledger.total_movements

@@ -244,7 +244,7 @@ def _check_structure(lla):
             assert (h2, node >> (h2 - h)) not in active, "nested active nodes"
 
     for rec in lla.actuals():
-        assert rec.count * 2 <= 6 * rec.rank_width(), "density above one half"
+        assert rec.box.count * 2 <= 6 * rec.rank_width(), "density above one half"
         assert rec.slot_start == 6 * (rec.rank_start - 1) + 1
 
 

@@ -13,7 +13,6 @@ from listlabel.core import (
     clamp,
     fixed_point_parse,
     format_raw,
-    record_movements,
     verify_sorted,
 )
 
@@ -104,19 +103,6 @@ class TestMovementLedger:
         led.record_insert(moved_existing=4)
         led.reset()
         assert led.total_inserts == 0 and led.total_movements == 0
-
-    def test_record_movements_rejects_unchanged_labels(self):
-        led = MovementLedger()
-        with pytest.raises(ValueError):
-            record_movements(led, [(Key(1, 0), 4, 4)])
-
-    def test_record_movements_charges_batch(self):
-        led = MovementLedger()
-        n = record_movements(
-            led, [(Key(1, 0), 4, 7), (Key(2, 1), 5, 8)], new_keys=[Key(3, 2)]
-        )
-        assert n == 3  # two relabels + one counted placement
-        assert led.total_movements == 3
 
 
 class TestHelpers:

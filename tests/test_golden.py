@@ -1,0 +1,46 @@
+"""`llabench` CSV output pinned byte for byte.
+
+The expected files under data/expected/ were written by the CLI before the
+library surface was pruned; any change to relabel counts, merge counts,
+predictions, corruption sampling or CSV formatting shows up here as a byte
+difference.  To regenerate after an intended change, run this file as a
+script (`PYTHONPATH=src python tests/test_golden.py`) and review the diff.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from listlabel.cli import main as cli_main
+
+DATA = Path(__file__).resolve().parent / "data"
+EXPECTED = DATA / "expected"
+ACTIONS = ["--dataset", str(DATA / "actions_sample.tsv"), "--value-col", "1", "--ts-col", "3"]
+
+CASES = {
+    "table": ["table", *ACTIONS, "--k", "8"],
+    "scaling": ["scaling", *ACTIONS, "--k-min", "4", "--k-max", "8"],
+    "curve": ["curve", *ACTIONS, "--test-k", "8", "--fractions", "0,10,50,100"],
+    "robustness": [
+        "robustness", *ACTIONS, "--k", "8", "--t", "0,25,100", "--repeats", "3", "--seed", "4",
+    ],
+    "synth-noisy-eta": ["synth", "--kind", "noisy-eta", "--n", "4096", "--eta", "64", "--seed", "3"],
+    "synth-stochastic": [
+        "synth", "--kind", "stochastic", "--n", "4096", "--mu", "0", "--s", "16", "--seed", "2",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_csv_bytes_unchanged(name, tmp_path):
+    out = tmp_path / f"{name}.csv"
+    assert cli_main([*CASES[name], "--out", str(out)]) == 0
+    assert out.read_bytes() == (EXPECTED / f"{name}.csv").read_bytes()
+
+
+if __name__ == "__main__":
+    EXPECTED.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        if cli_main([*argv, "--out", str(EXPECTED / f"{name}.csv")]) != 0:
+            sys.exit(f"{name}: llabench failed")

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from listlabel import harness
 from listlabel.cli import main as cli_main
 from listlabel.core import MIN_RAW, SCALE, MovementLedger
 from listlabel.harness import (
@@ -181,6 +182,17 @@ class TestRobustness:
         assert rows[0].structure == "pma"
         assert rows[0].stddev == 0.0 and rows[0].mean == rows[0].amortized_cost
 
+    @pytest.mark.parametrize("t_values, repeats", [([0, 150], 3), ([-5], 3), ([0], 0)])
+    def test_bad_flags_rejected_before_any_run(
+        self, tmp_path, monkeypatch, t_values, repeats
+    ):
+        spec = write_drift(tmp_path / "d.txt")
+        runs = []
+        monkeypatch.setattr(harness, "_run_config", lambda *a, **kw: runs.append(a))
+        with pytest.raises(ConfigError):
+            run_robustness(spec, 9, t_values, repeats=repeats)
+        assert runs == []
+
 
 class TestSynthetic:
     def test_bad_parameters_rejected(self):
@@ -328,6 +340,20 @@ class TestCli:
              "--out", str(tmp_path / "o.csv")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags", [["--t", "150"], ["--t", "-5"], ["--repeats", "0"]]
+    )
+    def test_bad_robustness_flags_exit_2(self, tmp_path, capsys, flags):
+        spec = write_drift(tmp_path / "d.txt")
+        code = cli_main(
+            ["robustness", "--dataset", str(spec.path), "--value-col", "1",
+             "--k", "9", *flags]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("llabench: ")
 
     def test_data_error_exits_3(self, tmp_path):
         code = cli_main(

@@ -134,7 +134,7 @@ class TestMergeAccounting:
         assert lla.merges == 2
         assert lla.partition()[0] == (2, 0)
         for rec in lla.actuals():
-            assert rec.count * 2 <= 6 * rec.rank_width()
+            assert rec.box.count * 2 <= 6 * rec.rank_width()
 
     def test_global_labels_add_slot_offset(self):
         lla = LearnedLLA(8)
@@ -159,7 +159,7 @@ class TestPerfectPredictions:
         assert lla.merges == 0
         assert led.total_movements == 0
         # every element alone in its own leaf
-        assert all(rec.count == 1 for rec in lla.actuals())
+        assert all(rec.box.count == 1 for rec in lla.actuals())
 
     def test_theory_ledger_counts_placements_only(self):
         raws = random.Random(3).sample(range(10**6), 32)
@@ -333,5 +333,5 @@ def test_invariants_and_ledger_match_shadow_diff():
             assert covered == lla.n
             for rec in lla.actuals():
                 assert (rec.node << rec.height) + 1 in starts
-                assert rec.count * 2 <= 6 * rec.rank_width()
+                assert rec.box.count * 2 <= 6 * rec.rank_width()
     assert lla.count == n

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from listlabel.core import MIN_RAW, RAW_MAX, CapacityError, Key, MovementLedger, verify_sorted
-from listlabel.pma import DEFAULT_THRESHOLDS, Pma, plan_layout, rho_at_depth, tau_at_depth
+from listlabel.pma import TAU_LEAF, TAU_ROOT, Pma, plan_layout, tau_at_depth
 
 
 # ----------------------------------------------------------------------
@@ -52,15 +52,10 @@ class TestPlanLayout:
 
 class TestThresholds:
     def test_tau_interpolates_root_to_leaf(self):
-        assert tau_at_depth(0, 4) == DEFAULT_THRESHOLDS.tau_root
-        assert tau_at_depth(4, 4) == DEFAULT_THRESHOLDS.tau_leaf
+        assert tau_at_depth(0, 4) == TAU_ROOT
+        assert tau_at_depth(4, 4) == TAU_LEAF
         taus = [tau_at_depth(k, 4) for k in range(5)]
         assert taus == sorted(taus)
-
-    def test_rho_stays_below_tau(self):
-        for depth in (0, 1, 3, 7):
-            for k in range(depth + 1):
-                assert rho_at_depth(k, depth) < tau_at_depth(k, depth)
 
     def test_depth_bounds_checked(self):
         with pytest.raises(ValueError):
@@ -305,3 +300,25 @@ def test_accepts_both_ends_of_the_key_range():
     assert [e[0] for e in pma.slots if e is not None] == [
         MIN_RAW, MIN_RAW, 0, RAW_MAX, RAW_MAX
     ]
+
+
+@pytest.mark.parametrize(
+    "raws, seqs",
+    [
+        ([1, 2, 3], [0, 1]),
+        ([1, 2], [0, 1, 2]),
+        ([1, float("nan"), 2.5, 3], [0, 1, 2, 3]),
+        ([1, 2.5, 3], [0, 1, 2]),
+        ([MIN_RAW - 1, 0], [0, 1]),
+        ([0, RAW_MAX + 1], [0, 1]),
+    ],
+)
+def test_init_rejects_bad_input_before_any_change(raws, seqs):
+    led = MovementLedger()
+    pma = Pma(12, ledger=led)
+    with pytest.raises(ValueError):
+        pma.init(raws, seqs)
+    assert pma.slots == [None] * pma.slot_count and pma.count == 0
+    assert led.total_movements == 0
+    pma.init([1, 2, 3], [0, 1, 2])  # the array is still empty and usable
+    assert [e for e in pma.slots if e is not None] == [(1, 0), (2, 1), (3, 2)]
