@@ -277,8 +277,16 @@ def _run_config(
     )
 
 
-def _predict(train: SequenceSlice, test: SequenceSlice) -> list[int]:
-    """Pick a predictor on the training slice and predict the test ranks."""
+def _learned(structure: str) -> bool:
+    """Whether a structure row routes by predictions (baselines use rank 1)."""
+    return structure.startswith("learned")
+
+
+def _predict(structures, train: SequenceSlice, test: SequenceSlice) -> list[int] | None:
+    """Pick a predictor on the training slice and predict the test ranks;
+    None, with neither run, when no row of `structures` reads predictions."""
+    if not any(map(_learned, structures)):
+        return None
     try:
         chosen = select_predictor(train)
         fn = predictor2 if chosen == "predictor2" else predictor1
@@ -311,7 +319,7 @@ def _rows(structures, dataset, keys, preds, **kw) -> list[ExperimentResult]:
     """One run per structure over the same keys: learned rows get the
     predictions `preds`, baselines None (rank-1 routing)."""
     return [
-        _run_config(s, dataset, keys, preds if s.startswith("learned") else None, **kw)
+        _run_config(s, dataset, keys, preds if _learned(s) else None, **kw)
         for s in structures
     ]
 
@@ -326,7 +334,7 @@ def run_table(
     """Train on the first 2^k rows, insert the next 2^k, one row per
     structure."""
     train, test = _split(spec, k)
-    return _rows(structures, spec.label(), test.keys, _predict(train, test),
+    return _rows(structures, spec.label(), test.keys, _predict(structures, train, test),
                  train=len(train), true_ranks=_true_ranks(test.keys))
 
 
@@ -353,14 +361,12 @@ def run_learning_curve(
     The test slice is rows [2^test_k, 2^{test_k+1}); a fraction f trains on
     the f% of 2^test_k rows immediately before it.  f=0 skips prediction
     entirely, so the learned rows degenerate to rank-1 routing.  The train
-    column distinguishes sweep points.
+    column distinguishes sweep points.  A negative fraction, or one whose
+    span exceeds 2^test_k rows, is a ConfigError raised before any load or
+    run.
     """
     t = 2**test_k
-    keys = _load(spec, 2 * t, f"test_k={test_k}")
-    test = SequenceSlice(keys[t:], start_offset=t)
-    true_ranks = _true_ranks(test.keys)
-
-    results = []
+    spans = []
     for fraction in train_fractions:
         if fraction < 0:
             raise ConfigError(f"negative train fraction {fraction}")
@@ -370,11 +376,18 @@ def run_learning_curve(
                 f"train fraction {fraction}% wants {span} rows before the "
                 f"test slice; only {t} exist"
             )
+        spans.append(span)
+    keys = _load(spec, 2 * t, f"test_k={test_k}")
+    test = SequenceSlice(keys[t:], start_offset=t)
+    true_ranks = _true_ranks(test.keys)
+
+    results = []
+    for span in spans:
         if span == 0:
             predictions = None
         else:
             train = SequenceSlice(keys[t - span : t], start_offset=t - span)
-            predictions = _predict(train, test)
+            predictions = _predict(structures, train, test)
         results += _rows(structures, spec.label(), test.keys, predictions,
                          train=span, true_ranks=true_ranks)
     return results
@@ -404,12 +417,12 @@ def run_robustness(
         raise ConfigError(f"repeats must be at least 1, got {repeats}")
     train, test = _split(spec, k)
     n = len(test)
-    predictions = _predict(train, test)
+    predictions = _predict(structures, train, test)
     true_ranks = _true_ranks(test.keys)
 
     results = []
     for structure in structures:
-        if not structure.startswith("learned"):
+        if not _learned(structure):
             res = _run_config(
                 structure,
                 spec.label(),

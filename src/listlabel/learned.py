@@ -12,14 +12,22 @@ An insert is routed by its predicted rank, corrected by the actuals that hold
 the key's predecessor and successor so stored order is never violated: the
 element goes to the predecessor's actual if that lies right of the predicted
 one, to the successor's actual if that lies left of it, and to the predicted
-actual otherwise.  Both neighbors are found by root-to-leaf descents over a
-heap-order min/max tree on the n rank leaves, laid out and searched like
-the min tree `Pma` keeps over its slot leaves: an actual's min and max sit at
-its first leaf, every other leaf holds the empty markers.  When an actual
-exceeds half density its parent's whole range is rebuilt into one fresh box
--- possibly cascading upward -- which is where prediction error turns into
-movement cost: a merge only happens when some element's prediction missed by
-at least half the merged rank width.
+actual otherwise.  The keys live in a heap-order min/max tree on the n rank
+leaves, laid out and searched like the min tree `Pma` keeps over its slot
+leaves: an actual's min and max sit at its first leaf, every other leaf
+holds the empty markers.  Routing first climbs from the predicted actual's
+subtree root toward the tree root: the right siblings on that path cover
+every leaf right of the actual, the left siblings every leaf left of it, so
+a right sibling with min <= key or a left sibling with max > key is the only
+way an override can arise.  Stored keys ascend with the leaves, so the
+nearest non-empty sibling on a side decides that side and the climb stops
+once both sides are decided.  If it finds no override, the prediction
+stands; otherwise root-to-leaf descents find the neighbors' actuals.
+
+When an actual exceeds half density its parent's whole range is rebuilt into
+one fresh box -- possibly cascading upward -- which is where prediction error
+turns into movement cost: a merge only happens when some element's
+prediction missed by at least half the merged rank width.
 """
 
 from __future__ import annotations
@@ -120,16 +128,32 @@ class LearnedLLA:
         leaf = clamp(predicted_rank, 1, self.capacity) - 1
         h = self._heights[leaf]
         first = leaf >> h << h
+        mins, maxs = self._min, self._max
+        # The climb (see the module docstring).  The actual's own keys decide
+        # a side first: when it holds keys on both sides of raw, it holds
+        # both neighbors and the prediction stands at once.
         v = self.n + first
-        if self._min[v] <= raw < self._max[v]:
-            # The predicted actual holds keys on both sides of raw, so it
-            # holds both neighbors: no descent can override it.
+        left = mins[v] > raw  # the successor may lie left of the actual
+        right = maxs[v] <= raw  # the predecessor may lie right of it
+        u = v >> h
+        while (left or right) and u > 1:
+            if u & 1:
+                if left and maxs[u - 1] != NEG_INF_RAW:
+                    if maxs[u - 1] > raw:
+                        break
+                    left = False
+            elif right and mins[u + 1] != INF_RAW:
+                if mins[u + 1] <= raw:
+                    break
+                right = False
+            u >>= 1
+        else:
             return h, leaf >> h
-        p = pred_leaf(self._min, raw)
+        p = pred_leaf(mins, raw)
         if p is not None and p > first:
             hp = self._heights[p]
             return hp, p >> hp
-        s = succ_leaf(self._max, raw)
+        s = succ_leaf(maxs, raw)
         if s is not None and s < first:
             hs = self._heights[s]
             return hs, s >> hs
@@ -173,7 +197,7 @@ class LearnedLLA:
             v >>= 1
         # Half-density rule: a box sized 6r rebuilds into its parent once it
         # holds 3r+1 elements. The rebuild can push the parent over in turn.
-        while rec.box.count * 2 > 6 * rec.rank_width():
+        while rec.box.count > 3 << rec.height:
             rec = self.merge_parent(rec)
         return self.ledger.total_movements - before
 

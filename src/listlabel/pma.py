@@ -16,6 +16,8 @@ element that a rebalance happens to leave in place costs nothing.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .core import CapacityError, MovementLedger, check_raw
 
 # Empty-subtree markers of the heap-order min/max trees.  Every key stored or
@@ -98,6 +100,21 @@ def plan_layout(slot_count: int) -> tuple[int, int, int]:
     return leaf, depth, leaf << depth
 
 
+@cache
+def geometry(slot_count: int) -> tuple[int, int, int, int, tuple[float, ...], tuple[float, ...]]:
+    """(leaf_size, depth, slot_count, num_leaves, tau, cap) for a requested
+    slot count, computed once and shared by every box of that size.
+
+    tau[k] is the density threshold at depth k, cap[k] = tau[k] times the
+    slot count of a depth-k node: the element count a node may hold before
+    it must push an insert up to its parent.  Both are immutable tuples.
+    """
+    leaf, depth, total = plan_layout(slot_count)
+    tau = tuple(tau_at_depth(k, depth) for k in range(depth + 1))
+    cap = tuple(tau[k] * ((1 << depth - k) * leaf) for k in range(depth + 1))
+    return leaf, depth, total, 1 << depth, tau, cap
+
+
 class Pma:
     """The array itself.  Entries are (raw, seq) int pairs; labels are 1-based.
 
@@ -107,22 +124,17 @@ class Pma:
     """
 
     def __init__(self, slot_count: int, ledger: MovementLedger | None = None):
-        leaf, depth, total = plan_layout(slot_count)
-        self.leaf_size = leaf
-        self.depth = depth
-        self.slot_count = total
+        (self.leaf_size, self.depth, self.slot_count, self.num_leaves,
+         self._tau, self._cap) = geometry(slot_count)
         self.ledger = ledger
-        self.num_leaves = 1 << depth
-        self.slots: list[tuple[int, int] | None] = [None] * total
+        self.slots: list[tuple[int, int] | None] = [None] * self.slot_count
         self.count = 0
         # Implicit binary tree in heap order: node 1 is the root, leaves sit
         # at indices [num_leaves, 2 * num_leaves).  Per node we track element
         # count and min raw key of the subtree, so predecessor searches and
         # threshold walks never scan more than one leaf.
-        n = self.num_leaves
-        self._cnt = [0] * (2 * n)
-        self._min = [INF_RAW] * (2 * n)
-        self._tau = [tau_at_depth(k, depth) for k in range(depth + 1)]
+        self._cnt = [0] * (2 * self.num_leaves)
+        self._min = [INF_RAW] * (2 * self.num_leaves)
 
     # ------------------------------------------------------------------
     # public surface
@@ -182,9 +194,6 @@ class Pma:
 
     def _node_depth(self, node: int) -> int:
         return node.bit_length() - 1
-
-    def _node_size(self, node: int) -> int:
-        return (self.num_leaves >> self._node_depth(node)) * self.leaf_size
 
     def _node_slot_range(self, node: int) -> tuple[int, int]:
         k = self._node_depth(node)
@@ -248,7 +257,8 @@ class Pma:
         n = self.num_leaves
         node = n + leaf
         k = self.depth
-        while self._cnt[node] > self._tau[k] * self._node_size(node):
+        cnt, cap = self._cnt, self._cap
+        while cnt[node] > cap[k]:
             node >>= 1
             k -= 1
             if node == 0:

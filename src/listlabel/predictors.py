@@ -118,11 +118,12 @@ def predictor2(train: SequenceSlice, test: SequenceSlice) -> PredictionVector:
     a = best_fit_slope(train)
     r, t = len(train.keys), len(test.keys)
     d = test.start_offset - train.start_offset
-    stretch = Fraction(t - r, r)
-    shifted = []
-    for i, k in enumerate(train.keys, start=1):
-        shift = a * (d + i * stretch)
-        shifted.append(Key(k.raw + _round_half_up(shift.numerator, shift.denominator), k.seq))
+    # a·(d + i·(t − r)/r) = N·(d·r + i·(t − r)) / (D·r) with a = N/D, D > 0.
+    num, den = a.numerator, a.denominator * r
+    shifted = [
+        Key(k.raw + _round_half_up(num * (d * r + i * (t - r)), den), k.seq)
+        for i, k in enumerate(train.keys, start=1)
+    ]
     return predictor1(SequenceSlice(shifted, train.start_offset), test)
 
 

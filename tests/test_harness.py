@@ -96,6 +96,27 @@ class TestLoadDataset:
 # protocols
 
 
+ACTIONS = DatasetSpec(
+    Path(__file__).resolve().parent / "data" / "actions_sample.tsv",
+    value_column=1,
+    timestamp_column=3,
+)
+
+
+@pytest.fixture
+def selections(monkeypatch):
+    """The training slices of every select_predictor call the harness makes."""
+    calls = []
+    inner = harness.select_predictor
+
+    def spy(train):
+        calls.append(train)
+        return inner(train)
+
+    monkeypatch.setattr(harness, "select_predictor", spy)
+    return calls
+
+
 def write_drift(path, rows=3000, seed=7):
     rng = random.Random(seed)
     with open(path, "w") as fh:
@@ -159,6 +180,45 @@ class TestLearningCurve:
         spec = write_drift(tmp_path / "d.txt")
         with pytest.raises(ConfigError):
             run_learning_curve(spec, 10, [150])
+
+    @pytest.mark.parametrize("fractions", [[100, 150], [100, -1]])
+    def test_bad_fraction_rejected_before_any_run(self, fractions, selections):
+        with pytest.raises(ConfigError):
+            run_learning_curve(ACTIONS, 8, fractions)
+        assert selections == []
+
+    def test_cli_bad_fraction_exits_2(self, capsys, selections):
+        code = cli_main(["curve", "--dataset", str(ACTIONS.path), "--value-col", "1",
+                         "--ts-col", "3", "--test-k", "8", "--fractions", "100,150"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("llabench: ")
+        assert selections == []
+
+
+class TestBaselinesSkipPrediction:
+    """Rows without a learned structure read no predictions, so no protocol
+    selects a predictor for them."""
+
+    def test_table_and_robustness(self, selections):
+        run_table(ACTIONS, 8, ("pma",))
+        run_robustness(ACTIONS, 8, [0, 50], repeats=2, structures=("pma", "apma"))
+        assert selections == []
+        run_table(ACTIONS, 8, ("pma", "learned-pma"))
+        assert len(selections) == 1
+
+    def test_learning_curve(self, selections):
+        run_learning_curve(ACTIONS, 8, [0, 50, 100], structures=("pma",))
+        assert selections == []
+
+    def test_training_slice_too_small_to_select_from(self, tmp_path):
+        # two training keys cannot hold out a validation half; only a
+        # learned row needs them to
+        spec = write_drift(tmp_path / "d.txt", rows=4)
+        assert [r.structure for r in run_table(spec, 1, ("pma",))] == ["pma"]
+        with pytest.raises(ConfigError):
+            run_table(spec, 1, ("learned-pma",))
 
 
 class TestRobustness:

@@ -8,9 +8,11 @@ and demand identical movement totals and identical final labels.
 """
 
 import random
+from bisect import bisect_right
 
 import pytest
 
+from listlabel import learned
 from listlabel.core import MIN_RAW, RAW_MAX, CapacityError, MovementLedger
 from listlabel.learned import LearnedLLA, witness_error_check
 from listlabel.pma import Pma
@@ -272,6 +274,51 @@ def test_tree_searches_match_linear_scan_on_duplicates():
                 h, node = succ.height, succ.node
             assert lla.route(raw, rank) == (h, node), (seq, raw, rank)
     assert lla.merges > 0
+
+
+@pytest.mark.parametrize("noise", [0, 1, 8])
+def test_route_climb_matches_neighbor_rule(noise, monkeypatch):
+    """Exact (noise 0), off-by-one (noise 1) and off-by-eight predictions on
+    2^10 distinct keys: after every insert, route agrees with the
+    neighbor_actuals rule on the next key and on stored keys probed one rank
+    either side of their own, and it descends exactly when the rule
+    overrides the prediction.  Only off-by-eight merges, so only it climbs
+    from actuals above the leaves."""
+    descents = []
+    for name in ("pred_leaf", "succ_leaf"):
+        inner = getattr(learned, name)
+        monkeypatch.setattr(learned, name,
+                            lambda tree, raw, inner=inner: descents.append(raw) or inner(tree, raw))
+    rng = random.Random(10 + noise)
+    n = 1 << 10
+    raws = rng.sample(range(10**9), n)
+    true = {raw: rank for rank, raw in enumerate(sorted(raws), start=1)}
+    preds = [true[raw] + rng.choice((-noise, noise)) for raw in raws]
+    lla = LearnedLLA(n)
+    outcomes = {"override": 0, "kept": 0}
+    for i, raw in enumerate(raws):
+        parts = lla.partition()
+        starts = [(node << h) + 1 for h, node in parts]
+        probes = [(raw, preds[i])]
+        if i:
+            old = raws[rng.randrange(i)]
+            probes += [(old, true[old] + d) for d in (-1, 1)]
+        for key, rank in probes:
+            h, node = parts[bisect_right(starts, min(max(rank, 1), n)) - 1]
+            pred, succ = lla.neighbor_actuals(key)
+            if pred is not None and pred.rank_start > (node << h) + 1:
+                want = pred.height, pred.node
+            elif succ is not None and succ.rank_start < (node << h) + 1:
+                want = succ.height, succ.node
+            else:
+                want = h, node
+            descents.clear()
+            assert lla.route(key, rank) == want, (i, key, rank)
+            assert bool(descents) == (want != (h, node)), (i, key, rank)
+            outcomes["override" if descents else "kept"] += 1
+        lla.insert(raw, i, preds[i])
+    assert outcomes["override"] > 100 and outcomes["kept"] > 100
+    assert (lla.merges > 0) == (noise > 1)
 
 
 def test_invariants_and_ledger_match_shadow_diff():

@@ -11,8 +11,9 @@ import random
 
 import pytest
 
+from listlabel.apma import Apma
 from listlabel.core import MIN_RAW, RAW_MAX, CapacityError, Key, MovementLedger, verify_sorted
-from listlabel.pma import TAU_LEAF, TAU_ROOT, Pma, plan_layout, tau_at_depth
+from listlabel.pma import TAU_LEAF, TAU_ROOT, Pma, geometry, plan_layout, tau_at_depth
 
 
 # ----------------------------------------------------------------------
@@ -60,6 +61,38 @@ class TestThresholds:
     def test_depth_bounds_checked(self):
         with pytest.raises(ValueError):
             tau_at_depth(5, 4)
+
+
+class TestSharedGeometry:
+    def test_cached_geometry_matches_plan(self):
+        for h in range(12):
+            m = 6 << h
+            leaf, depth, total = plan_layout(m)
+            tau = tuple(tau_at_depth(k, depth) for k in range(depth + 1))
+            # a depth-k node spans total >> k slots
+            cap = tuple(tau[k] * (total >> k) for k in range(depth + 1))
+            assert geometry(m) == (leaf, depth, total, 1 << depth, tau, cap)
+            box = Pma(m)
+            assert (box.leaf_size, box.depth, box.slot_count, box.num_leaves) == (
+                leaf, depth, total, 1 << depth)
+            assert box._tau is geometry(m)[4] and box._cap is geometry(m)[5]
+
+    @pytest.mark.parametrize("cls", [Pma, Apma])
+    def test_boxes_of_one_size_share_no_mutable_state(self, cls):
+        def state(box):
+            return (list(box.slots), list(box._cnt), list(box._min), box.count,
+                    list(getattr(box, "histogram", [])))
+
+        a, b = cls(6), cls(6)
+        empty = state(b)
+        for seq, raw in enumerate([50, 10, 30, 20]):
+            a.insert(raw, seq)
+        assert state(b) == empty
+        full = state(a)
+        assert full[3] == 4
+        b.insert(40)
+        assert state(a) == full
+        assert b.count == 1
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from listlabel import predictors
 from listlabel.core import Key
 from listlabel.predictors import (
     PredictionVector,
@@ -88,6 +89,53 @@ class TestPredictor2:
         assert predictor2(train, test).ranks == [1, 2, 3, 4]
         # without the shift the same keys all collapse to the top rank
         assert predictor1(train, test).ranks == [4, 4, 4, 4]
+
+    @staticmethod
+    def fraction_shifted(train, test):
+        """The drift-corrected training keys, computed with Fraction."""
+        a = best_fit_slope(train)
+        r, t = len(train.keys), len(test.keys)
+        d = test.start_offset - train.start_offset
+        out = []
+        for i, k in enumerate(train.keys, start=1):
+            shift = a * (d + i * Fraction(t - r, r))
+            out.append(k.raw + (2 * shift.numerator + shift.denominator)
+                       // (2 * shift.denominator))
+        return out
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """Every training slice predictor2 hands on to predictor1, as raws."""
+        seen = []
+
+        def spy(train, test):
+            seen.append([k.raw for k in train.keys])
+            return predictor1(train, test)
+
+        monkeypatch.setattr(predictors, "predictor1", spy)
+        return seen
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_integer_shift_matches_fraction_formula(self, seed, seen):
+        rng = random.Random(seed)
+        r = rng.choice([2, 3, 7, 64, 200])
+        step = (-1) ** seed * rng.randint(1, 10**9)  # odd seeds slope down
+        raws = [i * step + rng.randint(-10**8, 10**8) for i in range(r)]
+        offset = rng.randint(0, 10**4)
+        for t in (r, r + rng.randint(1, 50), max(1, r // 3)):
+            train = slice_of(raws, offset)
+            test = slice_of(rng.sample(range(-10**12, 10**12), t),
+                            offset + r + rng.randint(0, 500))
+            seen.clear()
+            predictor2(train, test)
+            assert seen == [self.fraction_shifted(train, test)]
+
+    @pytest.mark.parametrize("raws, rounded", [([0, 1], [1, 2]), ([1, 0], [1, -1])])
+    def test_half_shifts_round_up(self, raws, rounded, seen):
+        # slope ±1, r=2, t=3, d=0: the exact shifts are ±1/2 and ±1
+        train, test = slice_of(raws), slice_of([5, 6, 7])
+        predictor2(train, test)
+        assert seen == [rounded] == [self.fraction_shifted(train, test)]
 
 
 class TestSelectPredictor:
