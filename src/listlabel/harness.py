@@ -23,6 +23,7 @@ import statistics
 import sys
 import time
 from dataclasses import dataclass, replace
+from math import isnan
 from pathlib import Path
 
 from .apma import Apma
@@ -81,7 +82,7 @@ class DatasetSpec:
     when every value parses as a number, lexicographically otherwise --
     ISO-8601 strings order correctly either way); otherwise file order is
     kept.  `max_rows` truncates after ordering.  Duplicate values are
-    retained.
+    retained.  A negative column or `max_rows` is a ConfigError.
     """
 
     path: str | Path
@@ -89,6 +90,12 @@ class DatasetSpec:
     timestamp_column: int | None = None
     max_rows: int | None = None
     name: str | None = None
+
+    def __post_init__(self):
+        for name in ("value_column", "timestamp_column", "max_rows"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ConfigError(f"{name} {value} is negative")
 
     def label(self) -> str:
         return self.name if self.name is not None else Path(self.path).stem
@@ -98,8 +105,8 @@ def load_dataset(spec: DatasetSpec) -> SequenceSlice:
     """Read the value column of a text table into an arrival-ordered slice.
 
     Raises DataError with a 1-based line number for anything malformed:
-    unreadable file, missing column, or a value that is not a decimal
-    number.
+    unreadable file, missing column, a value that is not a decimal number,
+    or a NaN among numeric timestamps (it would silently misorder the rows).
     """
     path = Path(spec.path)
     try:
@@ -109,6 +116,7 @@ def load_dataset(spec: DatasetSpec) -> SequenceSlice:
 
     raws: list[int] = []
     stamps: list[str] = []
+    stamp_lines: list[int] = []
     comma = None  # decided by the first data line
     # Without a timestamp column the file order is the arrival order, so we
     # can stop reading as soon as max_rows values are in hand.
@@ -140,6 +148,7 @@ def load_dataset(spec: DatasetSpec) -> SequenceSlice:
                         f"(row has {len(cells)})"
                     )
                 stamps.append(cells[spec.timestamp_column])
+                stamp_lines.append(lineno)
             if stream_limit is not None and len(raws) >= stream_limit:
                 break
 
@@ -148,6 +157,12 @@ def load_dataset(spec: DatasetSpec) -> SequenceSlice:
             order_key: list = [float(s) for s in stamps]
         except ValueError:
             order_key = stamps
+        else:
+            if any(map(isnan, order_key)):
+                i = next(i for i, x in enumerate(order_key) if isnan(x))
+                raise DataError(
+                    f"line {stamp_lines[i]}: timestamp {stamps[i]!r} is not a number"
+                )
         order = sorted(range(len(raws)), key=order_key.__getitem__)
         raws = [raws[i] for i in order]
         if spec.max_rows is not None:
@@ -308,9 +323,16 @@ def _load(spec: DatasetSpec, need: int, what: str) -> list[Key]:
     return data.keys[:need]
 
 
+def _rows_for(k: int, name: str = "k") -> int:
+    """2^k, the row count a size exponent stands for; ConfigError if k < 0."""
+    if k < 0:
+        raise ConfigError(f"{name}={k} is negative")
+    return 1 << k
+
+
 def _split(spec: DatasetSpec, k: int) -> tuple[SequenceSlice, SequenceSlice]:
     """First 2^k rows to train on, next 2^k to insert."""
-    t = 2**k
+    t = _rows_for(k)
     keys = _load(spec, 2 * t, f"k={k} (train and test of {t} each)")
     return SequenceSlice(keys[:t]), SequenceSlice(keys[t:], start_offset=t)
 
@@ -343,7 +365,11 @@ def run_scaling(
     k_range,
     structures: tuple[str, ...] = STRUCTURES,
 ) -> list[ExperimentResult]:
-    """run_table at every k in k_range; the train/test columns carry k."""
+    """run_table at every k in k_range; the train/test columns carry k.
+    A negative k is a ConfigError raised before any load or run."""
+    k_range = list(k_range)
+    for k in k_range:
+        _rows_for(k)
     results = []
     for k in k_range:
         results.extend(run_table(spec, k, structures))
@@ -361,11 +387,11 @@ def run_learning_curve(
     The test slice is rows [2^test_k, 2^{test_k+1}); a fraction f trains on
     the f% of 2^test_k rows immediately before it.  f=0 skips prediction
     entirely, so the learned rows degenerate to rank-1 routing.  The train
-    column distinguishes sweep points.  A negative fraction, or one whose
-    span exceeds 2^test_k rows, is a ConfigError raised before any load or
-    run.
+    column distinguishes sweep points.  A negative test_k or fraction, or a
+    fraction whose span exceeds 2^test_k rows, is a ConfigError raised
+    before any load or run.
     """
-    t = 2**test_k
+    t = _rows_for(test_k, "test_k")
     spans = []
     for fraction in train_fractions:
         if fraction < 0:

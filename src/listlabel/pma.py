@@ -12,11 +12,20 @@ never change.
 
 Movements are counted per element whose slot (label) actually changes; an
 element that a rebalance happens to leave in place costs nothing.
+
+The only per-node state is the heap-order tree of subtree key minima, and an
+insert touches no more of it than its placement needs, relying on three facts:
+INF_RAW marks an empty subtree (so the minima double as occupancy); keys
+ascend with the slots, so a leaf's minimum is its first entry; and a
+redistribution leaves its node's minimum unchanged, so it rebuilds only the
+nodes below.  Densities are counted from the slots of the range at hand.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from itertools import compress, repeat
+from operator import floordiv, ne
 
 from .core import CapacityError, MovementLedger, check_raw
 
@@ -130,10 +139,11 @@ class Pma:
         self.slots: list[tuple[int, int] | None] = [None] * self.slot_count
         self.count = 0
         # Implicit binary tree in heap order: node 1 is the root, leaves sit
-        # at indices [num_leaves, 2 * num_leaves).  Per node we track element
-        # count and min raw key of the subtree, so predecessor searches and
-        # threshold walks never scan more than one leaf.
-        self._cnt = [0] * (2 * self.num_leaves)
+        # at indices [num_leaves, 2 * num_leaves).  Per node we keep the min
+        # raw key of the subtree, INF_RAW exactly when the subtree is empty.
+        # Keys ascend with the slots, so a leaf's min is its first entry, and
+        # a redistribution keeps its node's keys and so the node's min.
+        # Densities are counted from the slots, one aligned range per level.
         self._min = [INF_RAW] * (2 * self.num_leaves)
 
     # ------------------------------------------------------------------
@@ -190,54 +200,45 @@ class Pma:
         return moved
 
     # ------------------------------------------------------------------
-    # geometry helpers
-
-    def _node_depth(self, node: int) -> int:
-        return node.bit_length() - 1
-
-    def _node_slot_range(self, node: int) -> tuple[int, int]:
-        k = self._node_depth(node)
-        width = self.num_leaves >> k  # leaves under this node
-        first_leaf = (node << (self.depth - k)) - self.num_leaves
-        return first_leaf * self.leaf_size, (first_leaf + width) * self.leaf_size
-
-    # ------------------------------------------------------------------
     # searches (heap descents; never scan more than one leaf range)
 
-    def _pred_slot(self, raw: int) -> int | None:
-        """Rightmost occupied slot with key <= raw, or None."""
-        leaf = pred_leaf(self._min, raw)
-        if leaf is None:
-            return None
-        lo = leaf * self.leaf_size
-        for pos in range(lo + self.leaf_size - 1, lo - 1, -1):
-            e = self.slots[pos]
-            if e is not None and e[0] <= raw:
-                return pos
-        raise AssertionError("tree minima out of sync")
-
-    def _leftmost_occupied(self, v: int) -> int:
-        n = self.num_leaves
+    def _leftmost_occupied(self) -> int:
+        mins, n, v = self._min, self.num_leaves, 1
         while v < n:
-            v = 2 * v if self._cnt[2 * v] > 0 else 2 * v + 1
+            v <<= 1
+            if mins[v] == INF_RAW:
+                v |= 1
         lo = (v - n) * self.leaf_size
         for pos in range(lo, lo + self.leaf_size):
             if self.slots[pos] is not None:
                 return pos
-        raise AssertionError("tree counters out of sync")
+        raise AssertionError("tree minima out of sync: an empty leaf has a finite min")
 
-    def _next_occupied(self, slot: int) -> int | None:
-        """First occupied slot strictly after `slot`, or None."""
-        leaf_end = (slot // self.leaf_size + 1) * self.leaf_size
-        for pos in range(slot + 1, leaf_end):
-            if self.slots[pos] is not None:
-                return pos
-        v = self.num_leaves + slot // self.leaf_size
-        while v > 1:
-            if v % 2 == 0 and self._cnt[v + 1] > 0:
-                return self._leftmost_occupied(v + 1)
-            v >>= 1
-        return None
+    def _neighbors(self, raw: int) -> tuple[int, int | None, int | None]:
+        """(leaf, sp, ss): the leaf the key goes into and its neighbors' slots.
+
+        sp is the rightmost occupied slot with key <= raw.  Given sp, ss is
+        the next occupied slot inside the leaf, or None: a successor past the
+        leaf's end places the key exactly as none would.  Without sp, ss is
+        the leftmost occupied slot of the array.
+        """
+        L, slots = self.leaf_size, self.slots
+        p = pred_leaf(self._min, raw)
+        if p is None:
+            if self._min[1] == INF_RAW:
+                return 0, None, None
+            ss = self._leftmost_occupied()
+            return max(ss - 1, 0) // L, None, ss
+        sp = p * L + L - 1
+        e = slots[sp]
+        while e is None or e[0] > raw:
+            sp -= 1
+            e = slots[sp]
+        leaf = min(sp + 1, self.slot_count - 1) // L
+        for ss in range(sp + 1, leaf * L + L):
+            if slots[ss] is not None:
+                return leaf, sp, ss
+        return leaf, sp, None
 
     # ------------------------------------------------------------------
     # insert machinery
@@ -245,50 +246,43 @@ class Pma:
     def _insert_impl(self, raw: int, seq: int) -> tuple[int, int]:
         if self.count >= self.slot_count:
             raise CapacityError("array full")
-        sp = self._pred_slot(raw)
-        ss = self._leftmost_occupied(1) if (sp is None and self.count) else (
-            self._next_occupied(sp) if sp is not None else None
-        )
-        leaf = self._target_leaf(sp, ss)
+        leaf, sp, ss = self._neighbors(raw)
 
         # Walk up until a node tolerates one more element (checked against
         # the pre-insert count, so a box sized 6r admits its (3r+1)-th
-        # element before the owner decides to rebuild).
-        n = self.num_leaves
-        node = n + leaf
+        # element before the owner decides to rebuild).  Each level doubles
+        # the aligned range and counts only the sibling half's slots.
+        slots, cap = self.slots, self._cap
+        width = self.leaf_size
+        lo = leaf * width
+        c = width - slots[lo:lo + width].count(None)
+        node = self.num_leaves + leaf
         k = self.depth
-        cnt, cap = self._cnt, self._cap
-        while cnt[node] > cap[k]:
+        while c > cap[k]:
+            if node == 1:
+                raise CapacityError("root above density threshold")
+            if node & 1:
+                lo -= width
+                c += width - slots[lo:lo + width].count(None)
+            else:
+                c += width - slots[lo + width:lo + 2 * width].count(None)
+            width <<= 1
             node >>= 1
             k -= 1
-            if node == 0:
-                raise CapacityError("root above density threshold")
         moved = 0
-        if node != n + leaf:
+        if k != self.depth:
             moved = self._rebalance(node, raw)
-            sp = self._pred_slot(raw)
-            ss = self._leftmost_occupied(1) if (sp is None and self.count) else (
-                self._next_occupied(sp) if sp is not None else None
-            )
-            leaf = self._target_leaf(sp, ss)
+            leaf, sp, ss = self._neighbors(raw)
 
         pos, shifted = self._place_in_leaf(leaf, raw, seq, sp, ss)
-        moved += shifted
-        v = n + leaf
-        while v >= 1:
-            self._cnt[v] += 1
-            if raw < self._min[v]:
-                self._min[v] = raw
+        # Shifts stay inside the leaf, so only the new key can lower a min.
+        mins = self._min
+        v = self.num_leaves + leaf
+        while v and raw < mins[v]:
+            mins[v] = raw
             v >>= 1
         self.count += 1
-        return pos, moved
-
-    def _target_leaf(self, sp: int | None, ss: int | None) -> int:
-        if sp is not None:
-            return min(sp + 1, self.slot_count - 1) // self.leaf_size
-        if ss is not None:
-            return max(ss - 1, 0) // self.leaf_size
-        return 0
+        return pos, moved + shifted
 
     def _place_in_leaf(
         self, leaf: int, raw: int, seq: int, sp: int | None, ss: int | None
@@ -297,6 +291,7 @@ class Pma:
         L = self.leaf_size
         lo, hi = leaf * L, (leaf + 1) * L
         slots = self.slots
+        entry = (raw, seq)
         a = lo if sp is None else max(sp + 1, lo)
         b = hi if ss is None else min(ss, hi)
         if a < b:
@@ -304,7 +299,7 @@ class Pma:
             # construction; hug the predecessor (duplicates land after their
             # equals), or the successor when there is no predecessor.
             pos = a if sp is not None or ss is None else b - 1
-            slots[pos] = (raw, seq)
+            slots[pos] = entry
             return pos, 0
         # No free slot between the neighbors inside this leaf: shift the
         # shorter run by one toward the nearest gap (ties go right).
@@ -313,15 +308,13 @@ class Pma:
         cost_r = f_r - b if f_r is not None else None
         cost_l = a - 1 - f_l if f_l is not None else None
         if cost_r is not None and (cost_l is None or cost_r <= cost_l):
-            for p in range(f_r, b, -1):
-                slots[p] = slots[p - 1]
-            slots[b] = (raw, seq)
+            slots[b + 1:f_r + 1] = slots[b:f_r]
+            slots[b] = entry
             return b, cost_r
         if cost_l is None:
             raise AssertionError("leaf admitted an insert but has no free slot")
-        for p in range(f_l, a - 1):
-            slots[p] = slots[p + 1]
-        slots[a - 1] = (raw, seq)
+        slots[f_l:a - 1] = slots[f_l + 1:a]
+        slots[a - 1] = entry
         return a - 1, cost_l
 
     def _after_insert(self, pos: int) -> None:
@@ -329,6 +322,11 @@ class Pma:
 
     # ------------------------------------------------------------------
     # rebalancing
+
+    def _node_slot_range(self, node: int) -> tuple[int, int]:
+        shift = self.depth - (node.bit_length() - 1)
+        n, L = self.num_leaves, self.leaf_size
+        return ((node << shift) - n) * L, (((node + 1) << shift) - n) * L
 
     def _layout(
         self,
@@ -346,55 +344,37 @@ class Pma:
         (None when rebalancing for other reasons); the even layout ignores
         it, adaptive variants may aim free space at its gap."""
         c = len(entries)
-        return [lo + i * size // c for i in range(c)]
+        # lo + i * size // c for i < c, as (lo * c + i * size) // c
+        return list(map(floordiv, range(lo * c, (lo + size) * c, size), repeat(c)))
 
     def _rebalance(self, node: int, pending_raw: int | None = None) -> int:
         """Redistribute the node's range; returns how many elements moved."""
         lo, hi = self._node_slot_range(node)
-        slots = self.slots
-        entries = []
-        old_pos = []
-        for p in range(lo, hi):
-            if slots[p] is not None:
-                entries.append(slots[p])
-                old_pos.append(p)
-                slots[p] = None
+        seg = self.slots[lo:hi]
+        entries = list(filter(None, seg))
         if not entries:
             return 0
-        first_leaf = lo // self.leaf_size
-        new_pos = self._layout(entries, lo, hi - lo, first_leaf, old_pos, pending_raw)
-        moved = 0
-        for entry, np_, op in zip(entries, new_pos, old_pos):
-            slots[np_] = entry
-            if np_ != op:
-                moved += 1
+        old_pos = list(compress(range(lo, hi), seg))
+        new_pos = self._layout(entries, lo, hi - lo, lo // self.leaf_size, old_pos, pending_raw)
+        seg = [None] * (hi - lo)
+        for p, entry in zip(new_pos, entries):
+            seg[p - lo] = entry
+        self.slots[lo:hi] = seg
         self._rebuild_tree(node)
-        return moved
+        return sum(map(ne, new_pos, old_pos))
 
     def _rebuild_tree(self, node: int) -> None:
-        """Recompute cnt/min for the subtree under `node` (inclusive), then
-        fix the ancestors."""
-        n = self.num_leaves
-        k = self._node_depth(node)
-        first_leaf = (node << (self.depth - k)) - n
-        width = n >> k
-        L = self.leaf_size
-        for leaf in range(first_leaf, first_leaf + width):
-            lo = leaf * L
-            cnt = 0
-            mn = INF_RAW
-            for p in range(lo, lo + L):
-                e = self.slots[p]
-                if e is not None:
-                    cnt += 1
-                    if e[0] < mn:
-                        mn = e[0]
-            v = n + leaf
-            self._cnt[v], self._min[v] = cnt, mn
-        level_lo, level_hi = (n + first_leaf) >> 1, (n + first_leaf + width) >> 1
-        while level_lo >= 1:
-            for v in range(level_lo, max(level_hi, level_lo + 1)):
-                l, r = 2 * v, 2 * v + 1
-                self._cnt[v] = self._cnt[l] + self._cnt[r]
-                self._min[v] = min(self._min[l], self._min[r])
-            level_lo, level_hi = level_lo >> 1, level_hi >> 1
+        """Recompute _min for the subtree under `node` (inclusive).  Nodes
+        above it keep theirs: init passes the root, and a redistribution
+        leaves the min of its node unchanged."""
+        mins, slots, L = self._min, self.slots, self.leaf_size
+        shift = self.depth - (node.bit_length() - 1)
+        first, end = node << shift, (node + 1) << shift
+        lo = (first - self.num_leaves) * L
+        for v in range(first, end):
+            entry = next(filter(None, slots[lo:lo + L]), None)
+            mins[v] = INF_RAW if entry is None else entry[0]
+            lo += L
+        while first > node:
+            first, end = first >> 1, end >> 1
+            mins[first:end] = map(min, mins[2 * first:2 * end:2], mins[2 * first + 1:2 * end:2])

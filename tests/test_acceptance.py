@@ -186,30 +186,34 @@ def test_criterion_6_stochastic_trend_monotone():
 
 def _spied_classes(state):
     class SpyMixin:
-        """Snapshot slot occupancy around each movement event so the test
-        can recount, element by element, what the ledger was told."""
+        """Copy the slots before each movement event, check that nothing
+        outside the touched range (the node's for a rebalance, the leaf's
+        for a placement) changed, and recount, element by element inside
+        it, what the ledger was told."""
 
-        def _positions(self):
-            return {e[1]: i for i, e in enumerate(self.slots) if e is not None}
+        def _record(self, before, lo, hi):
+            slots = self.slots
+            assert slots[:lo] == before[:lo] and slots[hi:] == before[hi:], (
+                "slots outside the touched range changed")
+            if state["in_merge"]:
+                return
+            old = {e[1]: p for p, e in enumerate(before[lo:hi], lo) if e is not None}
+            state["events"].append(sum(
+                1 for p, e in enumerate(slots[lo:hi], lo)
+                if e is not None and old.get(e[1], p) != p
+            ))
 
         def _rebalance(self, node, pending_raw=None):
-            before = self._positions()
+            before = list(self.slots)
             moved = super()._rebalance(node, pending_raw)
-            if not state["in_merge"]:
-                after = self._positions()
-                state["events"].append(
-                    sum(1 for s, p in after.items() if s in before and before[s] != p)
-                )
+            self._record(before, *self._node_slot_range(node))
             return moved
 
         def _place_in_leaf(self, leaf, raw, seq, sp, ss):
-            before = self._positions()
+            before = list(self.slots)
             out = super()._place_in_leaf(leaf, raw, seq, sp, ss)
-            if not state["in_merge"]:
-                after = self._positions()
-                state["events"].append(
-                    sum(1 for s, p in after.items() if s in before and before[s] != p)
-                )
+            L = self.leaf_size
+            self._record(before, leaf * L, (leaf + 1) * L)
             return out
 
     class SpiedPma(SpyMixin, Pma):

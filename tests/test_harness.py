@@ -91,6 +91,28 @@ class TestLoadDataset:
         with pytest.raises(DataError):
             load_dataset(DatasetSpec(tmp_path / "absent.txt"))
 
+    def test_nan_timestamp_reports_line_number(self, tmp_path):
+        # float("nan") parses, and sorted() would silently misorder the rows
+        p = tmp_path / "d.txt"
+        p.write_text("1 1\n2 nan\n3 2\n4 0\n5 3\n")
+        with pytest.raises(DataError, match="line 2"):
+            load_dataset(DatasetSpec(p, value_column=0, timestamp_column=1))
+
+    def test_cli_nan_timestamp_exits_3(self, tmp_path, capsys):
+        p = tmp_path / "d.txt"
+        p.write_text("".join(f"{i} {i}\n" for i in range(8)) + "9 NaN\n")
+        code = cli_main(["table", "--dataset", str(p), "--ts-col", "1", "--k", "1"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "line 9" in captured.err
+
+    @pytest.mark.parametrize(
+        "field", ["value_column", "timestamp_column", "max_rows"])
+    def test_negative_column_or_row_count_rejected(self, tmp_path, field):
+        with pytest.raises(ConfigError, match=field):
+            DatasetSpec(tmp_path / "d.txt", **{field: -1})
+
 
 # ----------------------------------------------------------------------
 # protocols
@@ -414,6 +436,29 @@ class TestCli:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("llabench: ")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["table", "--k", "-1"],
+            ["curve", "--test-k", "-2"],
+            ["scaling", "--k-min", "-1", "--k-max", "2"],
+            ["robustness", "--k", "-1"],
+            ["table", "--k", "4", "--value-col", "-1"],
+            ["table", "--k", "4", "--ts-col", "-1"],
+        ],
+    )
+    def test_negative_size_or_column_exits_2_before_loading(
+        self, capsys, monkeypatch, args
+    ):
+        loads = []
+        monkeypatch.setattr(harness, "load_dataset", loads.append)
+        code = cli_main([*args, "--dataset", str(ACTIONS.path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("llabench: ")
+        assert loads == []
 
     def test_data_error_exits_3(self, tmp_path):
         code = cli_main(

@@ -13,7 +13,9 @@ import pytest
 
 from listlabel.apma import Apma
 from listlabel.core import MIN_RAW, RAW_MAX, CapacityError, Key, MovementLedger, verify_sorted
-from listlabel.pma import TAU_LEAF, TAU_ROOT, Pma, geometry, plan_layout, tau_at_depth
+from listlabel.pma import (
+    INF_RAW, TAU_LEAF, TAU_ROOT, Pma, geometry, plan_layout, tau_at_depth,
+)
 
 
 # ----------------------------------------------------------------------
@@ -80,7 +82,7 @@ class TestSharedGeometry:
     @pytest.mark.parametrize("cls", [Pma, Apma])
     def test_boxes_of_one_size_share_no_mutable_state(self, cls):
         def state(box):
-            return (list(box.slots), list(box._cnt), list(box._min), box.count,
+            return (list(box.slots), list(box._min), box.count,
                     list(getattr(box, "histogram", [])))
 
         a, b = cls(6), cls(6)
@@ -89,7 +91,7 @@ class TestSharedGeometry:
             a.insert(raw, seq)
         assert state(b) == empty
         full = state(a)
-        assert full[3] == 4
+        assert full[2] == 4
         b.insert(40)
         assert state(a) == full
         assert b.count == 1
@@ -134,6 +136,10 @@ class ReferencePma:
         while leaf << depth < m:
             depth += 1
         return leaf, depth, leaf << depth
+
+    def init(self, raws, seqs) -> None:
+        for i, (raw, seq) in enumerate(zip(raws, seqs)):
+            self.slots[i * self.total // len(raws)] = (raw, seq)
 
     def _tau(self, node_depth: int) -> float:
         if self.depth == 0:
@@ -235,8 +241,39 @@ class ReferencePma:
         return cost_l
 
 
+def _assert_min_tree(real, tag):
+    """Every _min node holds the smallest key in its slot range, INF_RAW
+    when the range is empty."""
+    L, n = real.leaf_size, real.num_leaves
+    want = [INF_RAW] * (2 * n)
+    for leaf in range(n):
+        keys = [e[0] for e in real.slots[leaf * L : (leaf + 1) * L] if e is not None]
+        want[n + leaf] = min(keys, default=INF_RAW)
+    for v in range(n - 1, 0, -1):
+        want[v] = min(want[2 * v], want[2 * v + 1])
+    assert real._min[1:] == want[1:], tag
+
+
+def _drive(real, ref, raws, tag, first_seq=0):
+    """Insert into both arrays until the first CapacityError: the same
+    slots, costs and min tree after each insert."""
+    for seq, raw in enumerate(raws, start=first_seq):
+        try:
+            moved_real = real.insert(raw, seq)
+        except CapacityError:
+            with pytest.raises(CapacityError):
+                ref.insert(raw, seq)
+            return
+        moved_ref = ref.insert(raw, seq)
+        assert moved_real == moved_ref, (tag, seq)
+        assert real.slots == ref.slots, (tag, seq)
+        _assert_min_tree(real, (tag, seq))
+
+
 def test_matches_reference_on_every_insert():
-    """10^3 random small arrays: identical slots and costs after each insert."""
+    """10^3 random small arrays, wrapper-sized arrays under random and
+    hammered keys, and bulk-loaded arrays: identical slots and costs, and an
+    exact min tree, after each insert."""
     rng = random.Random(20260819)
     for trial in range(1000):
         m = rng.randint(2, 64)
@@ -248,17 +285,26 @@ def test_matches_reference_on_every_insert():
             ref.total,
         )
         value_span = rng.choice([4, 32, 10**6])  # heavy ties .. mostly distinct
-        for seq in range(real.slot_count + 1):
-            raw = rng.randint(0, value_span)
-            try:
-                moved_real = real.insert(raw, seq)
-            except CapacityError:
-                with pytest.raises(CapacityError):
-                    ref.insert(raw, seq)
-                break
-            moved_ref = ref.insert(raw, seq)
-            assert moved_real == moved_ref, (trial, seq)
-            assert real.slots == ref.slots, (trial, seq)
+        raws = (rng.randint(0, value_span) for _ in range(real.slot_count + 1))
+        _drive(real, ref, raws, trial)
+
+    for h in range(4, 8):
+        m = 6 << h  # the box sizes the learned wrapper allocates
+        value_span = rng.choice([32, 10**6])
+        _drive(Pma(m), ReferencePma(m),
+               [rng.randint(0, value_span) for _ in range(m + 1)], ("random", m))
+        # largest key first, then ascending keys below it: one hot gap
+        _drive(Pma(m), ReferencePma(m), [m] + list(range(m)), ("hammer", m))
+
+        c = rng.randint(0, m // 2)
+        raws = sorted(rng.randint(0, value_span) for _ in range(c))
+        real, ref = Pma(m), ReferencePma(m)
+        real.init(raws, list(range(c)))
+        ref.init(raws, list(range(c)))
+        assert real.slots == ref.slots
+        _assert_min_tree(real, ("init", m))
+        _drive(real, ref, [rng.randint(0, value_span) for _ in range(m + 1)],
+               ("init", m), first_seq=c)
 
 
 # ----------------------------------------------------------------------
