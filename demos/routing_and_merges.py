@@ -19,7 +19,8 @@ def show(lla, ledger):
         f"{cells[s] // 100:>3}" if s in cells else "  ." for s in range(1, 49)
     )
     boxes = " ".join(
-        f"[ranks {rec.rank_start}-{rec.rank_end}: {rec.box.count} elems]"
+        f"[ranks {(rec.node << rec.height) + 1}-{(rec.node + 1) << rec.height}: "
+        f"{rec.box.count} elems]"
         for rec in lla.actuals()
     )
     print(f"  slots: {row}")
@@ -40,7 +41,7 @@ def main():
     print("\nnow four keys all claiming rank 7")
     for i, raw in enumerate((720, 740, 760, 780)):
         lla.insert(raw, seq=10 + i, predicted_rank=7)
-        width = max(rec.rank_width() for rec in lla.actuals())
+        width = max(1 << rec.height for rec in lla.actuals())
         print(f"  after {raw}: widest box covers {width} rank(s)")
     show(lla, ledger)
 

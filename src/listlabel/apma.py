@@ -51,7 +51,7 @@ class Apma(Pma):
             self.histogram = [h >> 1 for h in self.histogram]
             self._since_decay = 0
 
-    def _layout(self, entries, lo: int, size: int, first_leaf: int, old_pos,
+    def _layout(self, entries, lo: int, size: int, old_pos,
                 pending_raw: int | None = None) -> list[int]:
         """Heat-directed redistribution across the leaves of the range."""
         c = len(entries)
@@ -59,6 +59,7 @@ class Apma(Pma):
             return []
         L = self.leaf_size
         k = size // L
+        first_leaf = lo // L
 
         # Group the gathered elements by the old leaf they came from, keeping
         # that leaf's heat.  old_pos is ascending, so each group is a run.

@@ -23,7 +23,7 @@ import statistics
 import sys
 import time
 from dataclasses import dataclass, replace
-from math import isnan
+from math import isfinite, isnan
 from pathlib import Path
 
 from .apma import Apma
@@ -199,15 +199,6 @@ class ExperimentResult:
     stddev: float | None = None
 
 
-def _box_factory(structure: str):
-    cls = Apma if structure.endswith("apma") else Pma
-
-    def make(slot_count: int, ledger: MovementLedger | None) -> Pma:
-        return cls(slot_count, ledger=ledger)
-
-    return make
-
-
 def _true_ranks(keys: list[Key]) -> list[int]:
     """Final rank of each arrival under the structure's total order.
 
@@ -254,13 +245,14 @@ def _run_config(
             if not witness_error_check(lla, merged, truth):
                 raise AssertionError(
                     f"{structure}/{dataset}: merged rank window at "
-                    f"{merged.rank_start} width {merged.rank_width()} has no "
+                    f"{(merged.node << merged.height) + 1} width "
+                    f"{1 << merged.height} has no "
                     "element with prediction error >= half the window"
                 )
 
     lla = LearnedLLA(
         t + 1,
-        factory=_box_factory(structure),
+        factory=Apma if structure.endswith("apma") else Pma,
         ledger=ledger,
         merge_listener=listener,
     )
@@ -528,9 +520,15 @@ def _synthesize(
     elif kind == "stochastic":
         if mu is None or s is None:
             raise ConfigError("stochastic needs mu and s")
+        if not (isfinite(mu) and isfinite(s)) or s < 0:
+            raise ConfigError(f"stochastic needs a finite mu and a finite s >= 0, "
+                              f"got mu={mu}, s={s}")
         raws = sorted(rng.sample(range(1, 10**12), n))
         true = list(range(1, n + 1))
-        preds = [clamp(r + round(rng.gauss(mu, s)), 1, n) for r in true]
+        # An error beyond +-2n clamps to the same rank as +-2n does; bounding
+        # it first keeps a huge finite mu or s from overflowing to inf.
+        preds = [clamp(r + round(clamp(rng.gauss(mu, s), -2 * n, 2 * n)), 1, n)
+                 for r in true]
         label = f"synth-stochastic:mu={mu};s={s}"
     else:
         raise ConfigError(
@@ -556,7 +554,8 @@ def run_synthetic(
     perturbs each true rank uniformly in [-eta, +eta] (clamped); stochastic
     adds rounded normal(mu, s^2) error and arrives in sorted order.  Keys
     are distinct, so every merge is checked for its error witness and any
-    violation raises.
+    violation raises.  Bad parameters (a non-finite mu or s, a negative s,
+    a missing eta) are a ConfigError raised before any run.
     """
     if n < 2 or n & (n - 1):
         raise ConfigError(f"n must be a power of two >= 2, got {n}")

@@ -28,41 +28,31 @@ When an actual exceeds half density its parent's whole range is rebuilt into
 one fresh box -- possibly cascading upward -- which is where prediction error
 turns into movement cost: a merge only happens when some element's
 prediction missed by at least half the merged rank width.
+
+The box is the only per-actual object.  The wrapper keeps the height of the
+owning actual per leaf and the boxes indexed by their actual's first leaf;
+an actual's ranks and slot offset follow from (height, node).  Every box is
+built as `factory(slot_count, None)`, so boxes charge nothing and the wrapper
+does all the accounting: the moves each box insert returns, and the
+relabels of each merge.  `factory` may be a box class such as `Pma` or
+`Apma`.  Inspection (`actuals`, `neighbor_actuals`, the merge listener)
+returns `Actual(height, node, box)` tuples built on demand.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .core import CapacityError, MovementLedger, check_raw, clamp
 from .pma import INF_RAW, NEG_INF_RAW, Pma, pred_leaf, succ_leaf
 
-BoxFactory = Callable[[int, MovementLedger | None], Pma]
 
+class Actual(NamedTuple):
+    """A non-empty actual as inspection sees it: tree node and its box."""
 
-def _default_factory(slot_count: int, ledger: MovementLedger | None) -> Pma:
-    return Pma(slot_count, ledger=ledger)
-
-
-class ActualRecord:
-    """One actual: a tree node that currently owns a black-box array."""
-
-    __slots__ = ("height", "node", "rank_start", "rank_end", "slot_start", "box")
-
-    def __init__(self, height: int, node: int):
-        self.height = height
-        self.node = node  # 0-based index among nodes at this height
-        self.rank_start = (node << height) + 1
-        self.rank_end = (node + 1) << height
-        self.slot_start = 6 * (node << height) + 1
-        self.box: Pma | None = None
-
-    def rank_width(self) -> int:
-        return 1 << self.height
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return (f"Actual(h={self.height}, node={self.node}, "
-                f"ranks=[{self.rank_start},{self.rank_end}], count={self.box.count})")
+    height: int
+    node: int  # 0-based index among nodes at this height
+    box: Pma
 
 
 class LearnedLLA:
@@ -71,15 +61,16 @@ class LearnedLLA:
     `capacity` is the number of elements the structure must accept; the rank
     tree is sized to the next power of two but predictions clamp to the true
     capacity.  `factory(slot_count, ledger)` builds the black boxes (classic
-    PMA by default).  All movement accounting lands in `ledger`.
+    PMA by default) and is always passed ledger=None: all movement
+    accounting lands in `ledger`, charged by the wrapper.
     """
 
     def __init__(
         self,
         capacity: int,
-        factory: BoxFactory = _default_factory,
+        factory: Callable[[int, MovementLedger | None], Pma] = Pma,
         ledger: MovementLedger | None = None,
-        merge_listener: Callable[["LearnedLLA", ActualRecord], None] | None = None,
+        merge_listener: Callable[["LearnedLLA", Actual], None] | None = None,
     ):
         if capacity < 1:
             raise ValueError("capacity must be positive")
@@ -94,8 +85,8 @@ class LearnedLLA:
         # Height of the owning actual, per leaf. Initially every leaf is its
         # own actual; merges coarsen whole aligned ranges at once.
         self._heights = [0] * self.n
-        # Non-empty actuals, indexed by their first leaf.
-        self._records: list[ActualRecord | None] = [None] * self.n
+        # The boxes of non-empty actuals, indexed by their first leaf.
+        self._boxes: list[Pma | None] = [None] * self.n
         # Heap-order key minima and maxima over the rank leaves (node 1 is
         # the root, leaf i is node n + i).  A non-empty actual's min and max
         # sit at its first leaf; its other leaves and every empty actual hold
@@ -109,14 +100,14 @@ class LearnedLLA:
     # ------------------------------------------------------------------
     # neighbor and routing queries
 
-    def neighbor_actuals(self, raw: int) -> tuple[ActualRecord | None, ActualRecord | None]:
+    def neighbor_actuals(self, raw: int) -> tuple[Actual | None, Actual | None]:
         """Actuals holding the predecessor (last stored key <= raw) and the
         successor (first stored key > raw) of `raw`, None when the neighbor
         does not exist."""
         p = pred_leaf(self._min, raw)
         s = succ_leaf(self._max, raw)
-        return (None if p is None else self._records[p],
-                None if s is None else self._records[s])
+        return (None if p is None else self._actual(p),
+                None if s is None else self._actual(s))
 
     def route(self, raw: int, predicted_rank: int) -> tuple[int, int]:
         """Pick the destination actual for a key, as (height, node index).
@@ -176,12 +167,10 @@ class LearnedLLA:
         before = self.ledger.total_movements
         h, node = self.route(raw, predicted_rank)
         first = node << h
-        rec = self._records[first]
-        if rec is None:
-            rec = ActualRecord(h, node)
-            rec.box = self.factory(6 << h, self.ledger)
-            self._records[first] = rec
-        rec.box.insert(raw, seq)
+        box = self._boxes[first]
+        if box is None:
+            box = self._boxes[first] = self.factory(6 << h, None)
+        self.ledger.record_insert(box.insert(raw, seq))
         self.count += 1
         self.predicted_rank[seq] = clamp(predicted_rank, 1, self.capacity)
         # Push the new key up the tree; an ancestor that does not change
@@ -197,45 +186,45 @@ class LearnedLLA:
             v >>= 1
         # Half-density rule: a box sized 6r rebuilds into its parent once it
         # holds 3r+1 elements. The rebuild can push the parent over in turn.
-        while rec.box.count > 3 << rec.height:
-            rec = self.merge_parent(rec)
+        while box.count > 3 << h:
+            first = self.merge_parent(first)
+            h += 1
+            box = self._boxes[first]
         return self.ledger.total_movements - before
 
-    def merge_parent(self, rec: ActualRecord) -> ActualRecord:
-        """Rebuild the parent of `rec`'s node into a single fresh actual.
+    def merge_parent(self, first: int) -> int:
+        """Rebuild the parent of the actual whose first leaf is `first` into
+        a single fresh actual; returns the parent's first leaf.
 
         Gathers every element stored under the parent (their concatenation in
         actual order is already sorted), bulk-loads a new box, and charges one
         movement per element whose global label actually changed.
         """
-        if rec.rank_width() == self.n:
+        heights, boxes = self._heights, self._boxes
+        ph = heights[first] + 1
+        if 1 << ph > self.n:
             raise AssertionError("root actual exceeded half density")
-        ph = rec.height + 1
-        pnode = rec.node >> 1
-        parent = ActualRecord(ph, pnode)
-        first = pnode << ph
+        first = first >> ph << ph
         end = first + (1 << ph)
-        heights, records = self._heights, self._records
+        # An actual at first leaf f owns the slots after offset 6f.
         children = []
-        leaf = first
-        while leaf < end:
-            child = records[leaf]
-            if child is not None:
-                children.append(child)
-            leaf += 1 << heights[leaf]
         raws: list[int] = []
         seqs: list[int] = []
         old_globals: list[int] = []
-        for child in children:
-            off = child.slot_start - 1
-            for craw, cseq, clabel in child.box.labels():
-                raws.append(craw)
-                seqs.append(cseq)
-                old_globals.append(off + clabel)
-        box = self.factory(6 << ph, None)  # accounting done here, not in init
+        leaf = first
+        while leaf < end:
+            child = boxes[leaf]
+            if child is not None:
+                children.append(leaf)
+                off = 6 * leaf
+                for craw, cseq, clabel in child.labels():
+                    raws.append(craw)
+                    seqs.append(cseq)
+                    old_globals.append(off + clabel)
+            leaf += 1 << heights[leaf]
+        box = self.factory(6 << ph, None)
         box.init(raws, seqs)
-        box.ledger = self.ledger
-        poff = parent.slot_start - 1
+        poff = 6 * first
         moved = 0
         for old, (_r, _s, label) in zip(old_globals, box.labels()):
             if old != poff + label:
@@ -249,8 +238,8 @@ class LearnedLLA:
         mins, maxs = self._min, self._max
         top = (self.n + first) >> ph
         for child in children:
-            records[child.rank_start - 1] = None
-            v = self.n + child.rank_start - 1
+            boxes[child] = None
+            v = self.n + child
             while v > top:
                 mins[v] = INF_RAW
                 maxs[v] = NEG_INF_RAW
@@ -261,12 +250,11 @@ class LearnedLLA:
             maxs[v] = raws[-1]
             v >>= 1
         heights[first:end] = [ph] * (end - first)
-        parent.box = box
-        records[first] = parent
+        boxes[first] = box
         self.merges += 1
         if self.merge_listener is not None:
-            self.merge_listener(self, parent)
-        return parent
+            self.merge_listener(self, Actual(ph, first >> ph, box))
+        return first
 
     # ------------------------------------------------------------------
     # inspection
@@ -274,15 +262,21 @@ class LearnedLLA:
     def global_labels(self) -> list[tuple[int, int, int]]:
         """Every element as (raw, seq, global label), in label order."""
         out = []
-        for rec in self.actuals():
-            off = rec.slot_start - 1
-            for raw, seq, label in rec.box.labels():
-                out.append((raw, seq, off + label))
+        for first, box in enumerate(self._boxes):
+            if box is not None:
+                off = 6 * first
+                for raw, seq, label in box.labels():
+                    out.append((raw, seq, off + label))
         return out
 
-    def actuals(self) -> list[ActualRecord]:
+    def _actual(self, first: int) -> Actual:
+        h = self._heights[first]
+        return Actual(h, first >> h, self._boxes[first])
+
+    def actuals(self) -> list[Actual]:
         """Non-empty actuals in rank order (empty ones are implicit)."""
-        return [rec for rec in self._records if rec is not None]
+        return [self._actual(first) for first, box in enumerate(self._boxes)
+                if box is not None]
 
     def partition(self) -> list[tuple[int, int]]:
         """The full actual partition as (height, node) pairs, left to right,
@@ -298,7 +292,7 @@ class LearnedLLA:
 
 def witness_error_check(
     lla: LearnedLLA,
-    merged: ActualRecord,
+    merged: Actual,
     true_ranks: dict[int, int],
 ) -> bool:
     """Verify the merge witness: some element of a merged actual P carries a
@@ -309,9 +303,7 @@ def witness_error_check(
     must hold for every merge; it is the per-merge certificate that total
     cost stays bounded by total prediction error.
     """
-    if merged.box is None:
-        return False
-    half_width = merged.rank_width() / 2
+    half_width = (1 << merged.height) / 2
     for _raw, seq, _label in merged.box.labels():
         predicted = lla.predicted_rank.get(seq)
         actual = true_ranks.get(seq)

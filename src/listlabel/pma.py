@@ -127,9 +127,9 @@ def geometry(slot_count: int) -> tuple[int, int, int, int, tuple[float, ...], tu
 class Pma:
     """The array itself.  Entries are (raw, seq) int pairs; labels are 1-based.
 
-    If `ledger` is given, inserts and init charge it; otherwise movement
-    counts are only returned to the caller (a wrapper that does its own
-    accounting passes ledger=None).
+    If `ledger` is given, inserts and init charge it; otherwise an insert
+    only returns its movement count (a wrapper that does its own accounting
+    passes ledger=None).
     """
 
     def __init__(self, slot_count: int, ledger: MovementLedger | None = None):
@@ -159,7 +159,7 @@ class Pma:
             if entry is not None
         ]
 
-    def init(self, raws, seqs) -> int:
+    def init(self, raws, seqs) -> None:
         """Bulk-load sorted keys, evenly spread across the whole array.
 
         Everything is checked before the first slot is written: CapacityError
@@ -183,7 +183,6 @@ class Pma:
         self._rebuild_tree(1)
         if self.ledger is not None:
             self.ledger.record_init(c)
-        return 0 if (self.ledger is None or self.ledger.first_placement_excluded) else c
 
     def insert(self, raw: int, seq: int = 0) -> int:
         """Insert a key, returning the movements of already-present elements.
@@ -333,7 +332,6 @@ class Pma:
         entries: list[tuple[int, int]],
         lo: int,
         size: int,
-        first_leaf: int,
         old_pos: list[int],
         pending_raw: int | None = None,
     ) -> list[int]:
@@ -355,7 +353,7 @@ class Pma:
         if not entries:
             return 0
         old_pos = list(compress(range(lo, hi), seg))
-        new_pos = self._layout(entries, lo, hi - lo, lo // self.leaf_size, old_pos, pending_raw)
+        new_pos = self._layout(entries, lo, hi - lo, old_pos, pending_raw)
         seg = [None] * (hi - lo)
         for p, entry in zip(new_pos, entries):
             seg[p - lo] = entry

@@ -25,8 +25,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .core import Key, MovementLedger
 from .learned import LearnedLLA
 
@@ -168,6 +166,8 @@ def corrupt(pred: PredictionVector, t: int, n: int, rng_seed: int) -> Prediction
     ranks = list(pred.ranks)
     count = t * n // 100
     if count:
+        import numpy as np  # only here, so that importing the package stays light
+
         rng = np.random.default_rng(rng_seed)
         for i in rng.choice(n, size=count, replace=False):
             r = ranks[i]

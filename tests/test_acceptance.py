@@ -248,8 +248,7 @@ def _check_structure(lla):
             assert (h2, node >> (h2 - h)) not in active, "nested active nodes"
 
     for rec in lla.actuals():
-        assert rec.box.count * 2 <= 6 * rec.rank_width(), "density above one half"
-        assert rec.slot_start == 6 * (rec.rank_start - 1) + 1
+        assert rec.box.count * 2 <= 6 << rec.height, "density above one half"
 
 
 def _fuzz_one_seed(seed, n, adaptive, key_range=None):

@@ -287,6 +287,17 @@ class TestSynthetic:
         with pytest.raises(ConfigError):
             run_synthetic("色々", 128, seed=1)
 
+    def test_stochastic_zero_spread_is_valid(self):
+        (row,) = run_synthetic("stochastic", 64, seed=1, mu=0.0, s=0.0,
+                               structures=("learned-pma",))
+        assert row.dataset == "synth-stochastic:mu=0.0;s=0.0"
+        assert row.eta_max == 0 and row.merges == 0
+
+    def test_stochastic_huge_finite_spread_clamps(self):
+        (row,) = run_synthetic("stochastic", 64, seed=1, mu=0.0, s=1e308,
+                               structures=("learned-pma",))
+        assert 32 <= row.eta_max <= 63  # every prediction lands on 1 or 64
+
     def test_exact_rank_kinds_cost_nothing_for_learned(self):
         for kind in ("sequential", "hammer", "random"):
             rows = run_synthetic(
@@ -459,6 +470,27 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("llabench: ")
         assert loads == []
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--mu", "nan", "--s", "1"],
+            ["--mu", "inf", "--s", "1"],
+            ["--mu", "0", "--s", "inf"],
+            ["--mu", "0", "--s", "-4"],
+        ],
+    )
+    def test_bad_stochastic_flags_exit_2_before_any_run(
+        self, capsys, monkeypatch, flags
+    ):
+        runs = []
+        monkeypatch.setattr(harness, "_rows", lambda *a, **kw: runs.append(a))
+        code = cli_main(["synth", "--kind", "stochastic", "--n", "64", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("llabench: ")
+        assert runs == []
 
     def test_data_error_exits_3(self, tmp_path):
         code = cli_main(

@@ -61,7 +61,7 @@ class TestBoundary:
         assert [r for r, _, _ in lla.global_labels()] == [
             MIN_RAW, MIN_RAW, 0, RAW_MAX, RAW_MAX
         ]
-        assert lla.neighbor_actuals(MIN_RAW)[0] is lla.actuals()[0]
+        assert lla.neighbor_actuals(MIN_RAW)[0] == lla.actuals()[0]
         assert lla.neighbor_actuals(RAW_MAX)[1] is None
 
     def test_rejects_reused_seq(self):
@@ -136,14 +136,14 @@ class TestMergeAccounting:
         assert lla.merges == 2
         assert lla.partition()[0] == (2, 0)
         for rec in lla.actuals():
-            assert rec.box.count * 2 <= 6 * rec.rank_width()
+            assert rec.box.count * 2 <= 6 << rec.height
 
     def test_global_labels_add_slot_offset(self):
         lla = LearnedLLA(8)
         lla.insert(10, 0, 3)
         lla.insert(20, 1, 3)
         rec = lla.actuals()[0]
-        assert rec.slot_start == 13  # third unit leaf owns slots 13..18
+        assert (rec.height, rec.node) == (0, 2)  # third unit leaf owns slots 13..18
         local = [label for _, _, label in rec.box.labels()]
         assert local == [1, 2]
         assert [g for _, _, g in lla.global_labels()] == [13, 14]
@@ -183,11 +183,11 @@ class GrowingChain:
     def __init__(self, ledger: MovementLedger):
         self.ledger = ledger
         self.width = 1  # rank width the current array stands in for
-        self.box = Pma(6, ledger=ledger)
+        self.box = Pma(6)
         self.rebuilds = 0
 
     def insert(self, raw: int, seq: int) -> None:
-        self.box.insert(raw, seq)
+        self.ledger.record_insert(self.box.insert(raw, seq))
         while self.box.count * 2 > 6 * self.width:
             old = {s: label for _, s, label in self.box.labels()}
             raws = [r for r, _, _ in self.box.labels()]
@@ -199,7 +199,6 @@ class GrowingChain:
                 1 for _, s, label in self.box.labels() if old[s] != label
             )
             self.ledger.record_moves(moved)
-            self.box.ledger = self.ledger
             self.rebuilds += 1
 
     def labels(self):
@@ -239,7 +238,7 @@ def test_witness_boundary_at_half_width():
     for seq, raw in enumerate([100, 200, 300, 400]):
         lla.insert(raw, seq, 1)
     (rec,) = merged_recs
-    assert rec.rank_width() == 2  # |P| = 2, threshold is error >= 1
+    assert rec.height == 1  # |P| = 2, threshold is error >= 1
     truth_with_error = {0: 1, 1: 2, 2: 3, 3: 4}
     assert witness_error_check(lla, rec, truth_with_error)
     truth_equal_to_predictions = {seq: 1 for seq in range(4)}
@@ -268,9 +267,9 @@ def test_tree_searches_match_linear_scan_on_duplicates():
             rank = rng.randint(1, n)
             h, node = next((h, node) for h, node in lla.partition()
                            if (node << h) < rank <= ((node + 1) << h))
-            if pred is not None and pred.rank_start > (node << h) + 1:
+            if pred is not None and pred.node << pred.height > node << h:
                 h, node = pred.height, pred.node
-            elif succ is not None and succ.rank_start < (node << h) + 1:
+            elif succ is not None and succ.node << succ.height < node << h:
                 h, node = succ.height, succ.node
             assert lla.route(raw, rank) == (h, node), (seq, raw, rank)
     assert lla.merges > 0
@@ -306,9 +305,9 @@ def test_route_climb_matches_neighbor_rule(noise, monkeypatch):
         for key, rank in probes:
             h, node = parts[bisect_right(starts, min(max(rank, 1), n)) - 1]
             pred, succ = lla.neighbor_actuals(key)
-            if pred is not None and pred.rank_start > (node << h) + 1:
+            if pred is not None and pred.node << pred.height > node << h:
                 want = pred.height, pred.node
-            elif succ is not None and succ.rank_start < (node << h) + 1:
+            elif succ is not None and succ.node << succ.height < node << h:
                 want = succ.height, succ.node
             else:
                 want = h, node
@@ -380,5 +379,5 @@ def test_invariants_and_ledger_match_shadow_diff():
             assert covered == lla.n
             for rec in lla.actuals():
                 assert (rec.node << rec.height) + 1 in starts
-                assert rec.box.count * 2 <= 6 * rec.rank_width()
+                assert rec.box.count * 2 <= 6 << rec.height
     assert lla.count == n

@@ -1,17 +1,23 @@
-"""The benchmark under perfbench/ only imports names the package exports.
+"""The package surface the benchmark under perfbench/ and plain imports rely on.
 
-Tier-1 does not collect perfbench/selftest.py, so without this check a
-pruned export would break the benchmark unseen.
+Tier-1 does not collect perfbench/selftest.py, so without these checks a
+pruned export or a changed hook would break the benchmark unseen.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import listlabel
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
 
 
 @pytest.mark.parametrize("script", ["run.py", "selftest.py"])
@@ -25,3 +31,26 @@ def test_benchmark_imports_are_exported(script):
     ]
     assert names, f"{script} imports nothing from listlabel"
     assert sorted(set(names) - set(listlabel.__all__)) == []
+
+
+def test_benchmark_selftest_passes():
+    """perfbench's count, trace-attribution, gate and metric-name tests, run
+    as their own pytest session; the two that launch run.py are left out."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "perfbench/selftest.py",
+         "--deselect", "perfbench/selftest.py::test_cli_prints_every_end_to_end_metric",
+         "--deselect", "perfbench/selftest.py::test_fails_without_program_sources"],
+        cwd=ROOT, env={**SRC_ENV, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "8 passed, 2 deselected" in proc.stdout, proc.stdout
+
+
+def test_import_leaves_numpy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, listlabel, listlabel.cli; print('numpy' in sys.modules)"],
+        env=SRC_ENV, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
