@@ -379,11 +379,14 @@ def run_learning_curve(
     The test slice is rows [2^test_k, 2^{test_k+1}); a fraction f trains on
     the f% of 2^test_k rows immediately before it.  f=0 skips prediction
     entirely, so the learned rows degenerate to rank-1 routing.  The train
-    column distinguishes sweep points.  A negative test_k or fraction, or a
-    fraction whose span exceeds 2^test_k rows, is a ConfigError raised
-    before any load or run.
+    column distinguishes sweep points.  An empty fraction list, a negative
+    test_k or fraction, or a fraction whose span exceeds 2^test_k rows, is a
+    ConfigError raised before any load or run.
     """
     t = _rows_for(test_k, "test_k")
+    train_fractions = list(train_fractions)
+    if not train_fractions:
+        raise ConfigError("no train fractions given")
     spans = []
     for fraction in train_fractions:
         if fraction < 0:
@@ -425,9 +428,13 @@ def run_robustness(
     Learned rows run `repeats` times with corruption seeds base_seed+1 ..
     base_seed+repeats and carry the corruption level in the structure name
     (e.g. learned-pma:t=25); amortized_cost holds the mean, merges the
-    rounded mean, eta_max the worst across seeds.  A corruption level outside
-    [0, 100] or fewer than one repeat is a ConfigError, raised before any run.
+    rounded mean, eta_max the worst across seeds.  An empty list of
+    corruption levels, a level outside [0, 100] or fewer than one repeat is
+    a ConfigError, raised before any load or run.
     """
+    t_values = list(t_values)
+    if not t_values:
+        raise ConfigError("no corruption percentages given")
     for t_pct in t_values:
         if not 0 <= t_pct <= 100:
             raise ConfigError(f"corruption percentage {t_pct} outside [0, 100]")

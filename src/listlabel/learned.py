@@ -27,7 +27,10 @@ stands; otherwise root-to-leaf descents find the neighbors' actuals.
 When an actual exceeds half density its parent's whole range is rebuilt into
 one fresh box -- possibly cascading upward -- which is where prediction error
 turns into movement cost: a merge only happens when some element's
-prediction missed by at least half the merged rank width.
+prediction missed by at least half the merged rank width.  A merge works on
+whole lists: `filter` and `compress` pick each child's entries and their old
+global labels out of the child's slot list, the parent's box is bulk-loaded
+from them, and the relabels are one `map(ne)` of new labels against old.
 
 The box is the only per-actual object.  The wrapper keeps the height of the
 owning actual per leaf and the boxes indexed by their actual's first leaf;
@@ -41,6 +44,8 @@ returns `Actual(height, node, box)` tuples built on demand.
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import itemgetter, ne
 from typing import Callable, NamedTuple
 
 from .core import CapacityError, MovementLedger, check_raw, clamp
@@ -197,8 +202,12 @@ class LearnedLLA:
         a single fresh actual; returns the parent's first leaf.
 
         Gathers every element stored under the parent (their concatenation in
-        actual order is already sorted), bulk-loads a new box, and charges one
-        movement per element whose global label actually changed.
+        actual order is already sorted) with each one's old global label,
+        bulk-loads a new box, and charges one movement per element whose
+        global label actually changed.  Gather and count are whole-list
+        passes: `filter` and `compress` pick each child's entries and labels
+        out of its slot list, and the moves are one `map(ne)` of the new
+        labels against the old.
         """
         heights, boxes = self._heights, self._boxes
         ph = heights[first] + 1
@@ -206,30 +215,26 @@ class LearnedLLA:
             raise AssertionError("root actual exceeded half density")
         first = first >> ph << ph
         end = first + (1 << ph)
-        # An actual at first leaf f owns the slots after offset 6f.
+        # An actual at first leaf f owns the slots after offset 6f, so its
+        # slot p (0-based) has global label 6f + p + 1.
         children = []
-        raws: list[int] = []
-        seqs: list[int] = []
-        old_globals: list[int] = []
+        entries: list[tuple[int, int]] = []
+        old: list[int] = []
         leaf = first
         while leaf < end:
             child = boxes[leaf]
             if child is not None:
                 children.append(leaf)
-                off = 6 * leaf
-                for craw, cseq, clabel in child.labels():
-                    raws.append(craw)
-                    seqs.append(cseq)
-                    old_globals.append(off + clabel)
+                slots = child.slots
+                entries += filter(None, slots)
+                off = 6 * leaf + 1
+                old += compress(range(off, off + len(slots)), slots)
             leaf += 1 << heights[leaf]
         box = self.factory(6 << ph, None)
-        box.init(raws, seqs)
-        poff = 6 * first
-        moved = 0
-        for old, (_r, _s, label) in zip(old_globals, box.labels()):
-            if old != poff + label:
-                moved += 1
-        self.ledger.record_moves(moved)
+        box.init(list(map(itemgetter(0), entries)), list(map(itemgetter(1), entries)))
+        slots = box.slots
+        off = 6 * first + 1
+        self.ledger.record_moves(sum(map(ne, compress(range(off, off + len(slots)), slots), old)))
 
         # Below the parent's subtree root only the children's paths held
         # keys: clear them, then write the parent's min and max down its
@@ -244,10 +249,11 @@ class LearnedLLA:
                 mins[v] = INF_RAW
                 maxs[v] = NEG_INF_RAW
                 v >>= 1
+        lo, hi = entries[0][0], entries[-1][0]
         v = self.n + first
         while v > top:
-            mins[v] = raws[0]
-            maxs[v] = raws[-1]
+            mins[v] = lo
+            maxs[v] = hi
             v >>= 1
         heights[first:end] = [ph] * (end - first)
         boxes[first] = box
@@ -304,7 +310,7 @@ def witness_error_check(
     cost stays bounded by total prediction error.
     """
     half_width = (1 << merged.height) / 2
-    for _raw, seq, _label in merged.box.labels():
+    for _raw, seq in filter(None, merged.box.slots):
         predicted = lla.predicted_rank.get(seq)
         actual = true_ranks.get(seq)
         if predicted is None or actual is None:

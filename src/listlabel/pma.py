@@ -24,8 +24,8 @@ nodes below.  Densities are counted from the slots of the range at hand.
 from __future__ import annotations
 
 from functools import cache
-from itertools import compress, repeat
-from operator import floordiv, ne
+from itertools import compress, islice, repeat
+from operator import floordiv, gt, index, ne
 
 from .core import CapacityError, MovementLedger, check_raw
 
@@ -165,6 +165,11 @@ class Pma:
         Everything is checked before the first slot is written: CapacityError
         if the keys do not fit, ValueError on a non-empty array, for a `seqs`
         of another length, for a key check_raw rejects, or for unsorted keys.
+        The checks are whole-list passes: one conversion of every key to
+        int, one pairwise order test, and check_raw on the two ends, which
+        bound every key of a sorted list.  A list that fails the conversion
+        or the order test is checked key by key, so the error names its
+        first bad key.  Entry i of c lands at slot i*m // c.
         """
         c = len(raws)
         if c > self.slot_count:
@@ -173,12 +178,18 @@ class Pma:
             raise ValueError("init on a non-empty array")
         if len(seqs) != c:
             raise ValueError(f"{c} keys but {len(seqs)} sequence numbers")
-        raws = [check_raw(raw) for raw in raws]
-        if any(raws[i] > raws[i + 1] for i in range(c - 1)):
+        try:
+            raws = list(map(index, raws))
+        except TypeError:
+            raws = list(map(check_raw, raws))  # raises, naming the bad key
+        unsorted = any(map(gt, raws, islice(raws, 1, None)))
+        for raw in raws if unsorted else raws[:1] + raws[-1:]:
+            check_raw(raw)
+        if unsorted:
             raise ValueError("init expects sorted keys")
-        m = self.slot_count
-        for i in range(c):
-            self.slots[i * m // c] = (raws[i], seqs[i])
+        m, slots = self.slot_count, self.slots
+        for pos, entry in zip(map(floordiv, range(0, m * c, m), repeat(c)), zip(raws, seqs)):
+            slots[pos] = entry
         self.count = c
         self._rebuild_tree(1)
         if self.ledger is not None:

@@ -209,6 +209,13 @@ class TestLearningCurve:
             run_learning_curve(ACTIONS, 8, fractions)
         assert selections == []
 
+    def test_empty_fraction_list_rejected_before_any_load(self, monkeypatch, selections):
+        loads = []
+        monkeypatch.setattr(harness, "load_dataset", loads.append)
+        with pytest.raises(ConfigError, match="no train fractions"):
+            run_learning_curve(ACTIONS, 8, [])
+        assert loads == [] and selections == []
+
     def test_cli_bad_fraction_exits_2(self, capsys, selections):
         code = cli_main(["curve", "--dataset", str(ACTIONS.path), "--value-col", "1",
                          "--ts-col", "3", "--test-k", "8", "--fractions", "100,150"])
@@ -274,6 +281,14 @@ class TestRobustness:
         with pytest.raises(ConfigError):
             run_robustness(spec, 9, t_values, repeats=repeats)
         assert runs == []
+
+    def test_empty_corruption_list_rejected_before_any_load(self, monkeypatch, selections):
+        loads, runs = [], []
+        monkeypatch.setattr(harness, "load_dataset", loads.append)
+        monkeypatch.setattr(harness, "_run_config", lambda *a, **kw: runs.append(a))
+        with pytest.raises(ConfigError, match="no corruption percentages"):
+            run_robustness(ACTIONS, 8, [], repeats=2)
+        assert loads == [] and selections == [] and runs == []
 
 
 class TestSynthetic:
@@ -491,6 +506,23 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("llabench: ")
         assert runs == []
+
+    @pytest.mark.parametrize(
+        "args",
+        [["robustness", "--k", "8", "--t", ","], ["curve", "--test-k", "8", "--fractions", ","]],
+    )
+    def test_empty_list_flag_exits_2_before_loading(
+        self, capsys, monkeypatch, selections, args
+    ):
+        loads = []
+        monkeypatch.setattr(harness, "load_dataset", loads.append)
+        code = cli_main([*args, "--dataset", str(ACTIONS.path), "--value-col", "1",
+                         "--ts-col", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("llabench: ")
+        assert loads == [] and selections == []
 
     def test_data_error_exits_3(self, tmp_path):
         code = cli_main(

@@ -13,6 +13,7 @@ from bisect import bisect_right
 import pytest
 
 from listlabel import learned
+from listlabel.apma import Apma
 from listlabel.core import MIN_RAW, RAW_MAX, CapacityError, MovementLedger
 from listlabel.learned import LearnedLLA, witness_error_check
 from listlabel.pma import Pma
@@ -180,10 +181,11 @@ class TestPerfectPredictions:
 class GrowingChain:
     """A single array that doubles by even rebuild at half density."""
 
-    def __init__(self, ledger: MovementLedger):
+    def __init__(self, ledger: MovementLedger, cls=Pma):
         self.ledger = ledger
+        self.cls = cls
         self.width = 1  # rank width the current array stands in for
-        self.box = Pma(6)
+        self.box = cls(6)
         self.rebuilds = 0
 
     def insert(self, raw: int, seq: int) -> None:
@@ -193,7 +195,7 @@ class GrowingChain:
             raws = [r for r, _, _ in self.box.labels()]
             seqs = [s for _, s, _ in self.box.labels()]
             self.width *= 2
-            self.box = Pma(6 * self.width)
+            self.box = self.cls(6 * self.width)
             self.box.init(raws, seqs)
             moved = sum(
                 1 for _, s, label in self.box.labels() if old[s] != label
@@ -205,18 +207,28 @@ class GrowingChain:
         return self.box.labels()
 
 
-@pytest.mark.parametrize("stream", ["increasing", "random"])
-def test_rank_one_routing_equals_growing_chain(stream):
-    n = 100
+@pytest.mark.parametrize(
+    "stream, n, cls",
+    [
+        pytest.param("increasing", 100, Pma, id="increasing"),
+        pytest.param("random", 100, Pma, id="random"),
+        *(pytest.param(stream, 4096, cls, id=f"{stream}-4096-{cls.__name__}")
+          for stream in ("increasing", "random") for cls in (Pma, Apma)),
+    ],
+)
+def test_rank_one_routing_equals_growing_chain(stream, n, cls):
+    # The chain counts a rebuild's moves from labels() before and after, so
+    # at n = 4096 it checks the wrapper's whole-list merge count on eleven
+    # cascading rebuilds of up to 3073 entries.
     if stream == "increasing":
         raws = [i * 7 for i in range(n)]
     else:
         raws = random.Random(41).sample(range(10**9), n)
 
     led_a = MovementLedger()
-    lla = LearnedLLA(n, ledger=led_a)
+    lla = LearnedLLA(n, factory=cls, ledger=led_a)
     led_b = MovementLedger()
-    chain = GrowingChain(led_b)
+    chain = GrowingChain(led_b, cls)
     for seq, raw in enumerate(raws):
         lla.insert(raw, seq, 1)
         chain.insert(raw, seq)

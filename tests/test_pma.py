@@ -390,6 +390,14 @@ def test_accepts_both_ends_of_the_key_range():
         ([1, 2.5, 3], [0, 1, 2]),
         ([MIN_RAW - 1, 0], [0, 1]),
         ([0, RAW_MAX + 1], [0, 1]),
+        ([1, 2.0, 3], [0, 1, 2]),
+        ([1, "2", 3], [0, 1, 2]),
+        ([1, float("nan"), 3], [0, 1, 2]),
+        ([3, 1, 2], [0, 1, 2]),
+        ([5, RAW_MAX + 1, 0], [0, 1, 2]),
+        ([5, MIN_RAW - 1, 0], [0, 1, 2]),
+        ([0, RAW_MAX + 1, RAW_MAX + 2], [0, 1, 2]),
+        ([MIN_RAW - 2, MIN_RAW - 1, 0], [0, 1, 2]),
     ],
 )
 def test_init_rejects_bad_input_before_any_change(raws, seqs):
@@ -401,3 +409,31 @@ def test_init_rejects_bad_input_before_any_change(raws, seqs):
     assert led.total_movements == 0
     pma.init([1, 2, 3], [0, 1, 2])  # the array is still empty and usable
     assert [e for e in pma.slots if e is not None] == [(1, 0), (2, 1), (3, 2)]
+
+
+@pytest.mark.parametrize(
+    "raws, bad",
+    [([1, "2", 3], "'2'"), ([1, 2.5, 3], "2.5"), ([0, 4, 2, RAW_MAX + 1], str(RAW_MAX + 1))],
+)
+def test_init_error_names_the_bad_key(raws, bad):
+    with pytest.raises(ValueError, match=bad):
+        Pma(12).init(raws, list(range(len(raws))))
+
+
+def test_init_stores_index_keys_as_plain_ints():
+    np = pytest.importorskip("numpy")
+    pma = Pma(12)
+    pma.init([False, True, np.int64(5), np.int64(RAW_MAX)], [0, 1, 2, 3])
+    stored = [e for e in pma.slots if e is not None]
+    assert stored == [(0, 0), (1, 1), (5, 2), (RAW_MAX, 3)]
+    assert all(type(raw) is int for raw, _ in stored)
+
+
+def test_init_accepts_both_ends_and_nothing():
+    pma = Pma(12)
+    pma.init([MIN_RAW, MIN_RAW, RAW_MAX], [0, 1, 2])
+    assert [e for e in pma.slots if e is not None] == [(MIN_RAW, 0), (MIN_RAW, 1), (RAW_MAX, 2)]
+    empty = Pma(12)
+    empty.init([], [])
+    assert empty.count == 0 and empty._min[1] == INF_RAW
+    assert empty.slots == [None] * empty.slot_count
