@@ -9,7 +9,9 @@ positions and uses it two ways when a range is redistributed:
   insert that triggered the redistribution lands at that leaf's gap, the
   range is split at the gap: elements below it pack to the left edge,
   elements above it pack to the right edge, and every free slot sits exactly
-  where the next inserts will land.  The split is idempotent — redoing it on
+  where the next inserts will land.  The gap is found by key alone, after
+  every stored equal of the pending key, where `Pma` places duplicates; the
+  `seq` payload is never compared.  The split is idempotent — redoing it on
   a grown prefix moves only what arrived since — which is what makes
   one-sided workloads nearly free.
 
@@ -18,9 +20,9 @@ positions and uses it two ways when a range is redistributed:
   slots than it has, and no leaf may be packed above the leaf density
   threshold (a leaf handed out at density 1.0 would force a walk back up on
   the very next insert that lands in it).  Within those bounds the split is
-  exact integer arithmetic over the sum of active weights, so equal weights
-  degenerate to the even layout slot for slot — an adaptive array with no
-  recorded heat behaves exactly like the classic one.
+  exact integer arithmetic over the weights of the leaves no rail pins, so
+  equal weights degenerate to the even layout slot for slot — an adaptive
+  array with no recorded heat behaves exactly like the classic one.
 
 A redistribution *consumes* the heat it acted on — the covered histogram
 entries reset to zero — so every insert votes in exactly one layout
@@ -31,10 +33,11 @@ also fades on its own.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
 
 from .core import MovementLedger
-from .pma import Pma
+from .pma import TAU_LEAF, Pma, even_layout
 
 
 class Apma(Pma):
@@ -55,116 +58,90 @@ class Apma(Pma):
                 pending_raw: int | None = None) -> list[int]:
         """Heat-directed redistribution across the leaves of the range."""
         c = len(entries)
-        if c == 0:
-            return []
         L = self.leaf_size
         k = size // L
         first_leaf = lo // L
+        heat = self.histogram[first_leaf:first_leaf + k]
+        self.histogram[first_leaf:first_leaf + k] = [0] * k
 
-        # Group the gathered elements by the old leaf they came from, keeping
-        # that leaf's heat.  old_pos is ascending, so each group is a run.
-        carried: list[tuple[int, int, int]] = []  # (first_idx, last_idx, heat)
-        i = 0
-        while i < c:
-            leaf = (old_pos[i] - lo) // L
-            j = i
-            while j < c and (old_pos[j] - lo) // L == leaf:
-                j += 1
-            heat = self.histogram[first_leaf + leaf]
-            if heat:
-                carried.append((i, j - 1, heat))
-            i = j
+        # The run of entries each heated leaf held, as (first, last, heat):
+        # old_pos ascends, so a leaf's entries are one slice of it.
+        runs = []
+        for j, h in enumerate(heat):
+            if h:
+                first = bisect_left(old_pos, lo + j * L)
+                end = bisect_left(old_pos, lo + j * L + L, first)
+                if first < end:
+                    runs.append((first, end - 1, h))
 
-        positions = None
-        if pending_raw is not None and carried:
-            first, last, dom = max(carried, key=lambda run: run[2])
-            if dom * 4 >= sum(run[2] for run in carried) * 3:
-                gap = bisect_right(entries, (pending_raw, 2**63))
+        if pending_raw is not None and runs:
+            first, last, dom = max(runs, key=itemgetter(2))
+            if dom * 4 >= sum(map(itemgetter(2), runs)) * 3:
+                gap = bisect_right(entries, pending_raw, key=itemgetter(0))
                 if first <= gap <= last + 1:
                     # Split at the hot gap: everything below packs left,
                     # everything above packs right, slack in between.
-                    positions = [lo + i for i in range(gap)] + [
-                        lo + size - c + i for i in range(gap, c)
-                    ]
+                    return [*range(lo, lo + gap), *range(lo + size - c + gap, lo + size)]
 
-        if positions is None:
-            credit = [0] * k
-            for _, last, heat in carried:
-                # Heat rides with the element the hot gap hugs: credit the
-                # leaf the run's last element reaches under an even spread.
-                credit[last * k // c] += heat
-            positions = self._weighted_positions(c, lo, size, [1 + w for w in credit])
-
-        for j in range(k):
-            self.histogram[first_leaf + j] = 0
-        return positions
+        credit = [1] * k
+        for _, last, h in runs:
+            # Heat rides with the element the hot gap hugs: credit the leaf
+            # the run's last element reaches under an even spread.
+            credit[last * k // c] += h
+        return self._weighted_positions(c, lo, size, credit)
 
     def _weighted_positions(self, c: int, lo: int, size: int, weights: list[int]) -> list[int]:
         """Slot positions for c elements in [lo, lo+size), free slots per leaf
         proportional to its weight, subject to min_free <= free_j <= L.
 
-        All arithmetic is exact over the common denominator W = sum of active
-        weights, which is what makes the uniform case collapse to the even
-        layout: with equal weights the per-leaf element share is c/k and the
-        floor positions reproduce `lo + i*size//c` exactly.  Skews the split
-        cannot honor (not enough free slots to keep every leaf under the
-        density threshold) fall back to the even layout.
+        All arithmetic is exact over the common denominator W = sum of the
+        open leaves' weights, which is what makes the uniform case collapse
+        to the even layout: with equal weights the per-leaf element share is
+        c/k and the floor positions reproduce `even_layout` exactly.  Skews
+        the split cannot honor (not enough free slots to keep every open leaf
+        under the density threshold, or no weight left to split by) fall
+        back to the even layout.
         """
         L = self.leaf_size
         k = size // L
-        free = size - c
-        min_free = L - int(self._tau[self.depth] * L)
-
-        def even() -> list[int]:
-            return [lo + i * size // c for i in range(c)]
-
-        if k == 1 or free < k * min_free:
-            return even()
+        min_free = L - int(TAU_LEAF * L)
 
         # Waterfall: pin leaves whose proportional share breaks a guard rail
         # (above the leaf size, or below the free-slot floor), then re-split
-        # the remainder over the rest by weight until the shares stand.
+        # the remainder over the open leaves by weight until the shares stand.
         fixed: list[int | None] = [None] * k
-        free_rem = free
-        active = k
+        free_rem = size - c
         while True:
-            if free_rem < active * min_free:
-                return even()
-            w_active = sum(w for j, w in enumerate(weights) if fixed[j] is None)
-            if w_active == 0:
-                break
-            pinned = False
-            for j, w in enumerate(weights):
-                if fixed[j] is not None:
-                    continue
-                if free_rem * w > L * w_active:
+            open_leaves = [j for j in range(k) if fixed[j] is None]
+            w_open = sum(weights[j] for j in open_leaves)
+            if w_open == 0 or free_rem < len(open_leaves) * min_free:
+                return even_layout(lo, size, c)
+            for j in open_leaves:
+                w = weights[j]
+                if free_rem * w > L * w_open:
                     fixed[j] = L
-                elif free_rem * w < min_free * w_active:
+                elif free_rem * w < min_free * w_open:
                     fixed[j] = min_free
                 else:
                     continue
                 free_rem -= fixed[j]
-                active -= 1
-                pinned = True
                 break  # shares shift; recompute before judging the rest
-            if not pinned:
+            else:
                 break
-        if w_active == 0:
-            return even()
 
-        # Element share of leaf j, as a fraction num_j / w_active of slots.
+        # Element share of leaf j, as a fraction num_j / w_open of slots.
         nums = [
-            (L - fixed[j]) * w_active if fixed[j] is not None
-            else L * w_active - free_rem * weights[j]
+            (L - fixed[j]) * w_open if fixed[j] is not None
+            else L * w_open - free_rem * weights[j]
             for j in range(k)
         ]
-        assert sum(nums) == c * w_active
+        assert sum(nums) == c * w_open
 
         positions = []
         j = 0
         cum = 0  # prefix sum of nums: start of leaf j's element interval
         for i in range(c):
-            x = i * w_active
+            x = i * w_open
             while x >= cum + nums[j]:
                 cum += nums[j]
                 j += 1

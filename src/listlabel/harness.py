@@ -123,6 +123,8 @@ def load_dataset(spec: DatasetSpec) -> SequenceSlice:
     stream_limit = spec.max_rows if spec.timestamp_column is None else None
     with fh:
         for lineno, line in enumerate(fh, start=1):
+            if stream_limit is not None and len(raws) >= stream_limit:
+                break
             text = line.strip()
             if not text or text.startswith("#"):
                 continue
@@ -149,8 +151,6 @@ def load_dataset(spec: DatasetSpec) -> SequenceSlice:
                     )
                 stamps.append(cells[spec.timestamp_column])
                 stamp_lines.append(lineno)
-            if stream_limit is not None and len(raws) >= stream_limit:
-                break
 
     if spec.timestamp_column is not None:
         try:

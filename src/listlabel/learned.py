@@ -161,6 +161,8 @@ class LearnedLLA:
     def insert(self, raw: int, seq: int, predicted_rank: int) -> int:
         """Insert a key with its predicted rank; returns movements charged.
 
+        `seq` is an opaque payload that names the element: it is never
+        compared, so placement depends on keys and predictions alone.
         Raises ValueError, before anything changes, for a key check_raw
         rejects or a `seq` already inserted.
         """

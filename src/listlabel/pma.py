@@ -110,18 +110,24 @@ def plan_layout(slot_count: int) -> tuple[int, int, int]:
 
 
 @cache
-def geometry(slot_count: int) -> tuple[int, int, int, int, tuple[float, ...], tuple[float, ...]]:
-    """(leaf_size, depth, slot_count, num_leaves, tau, cap) for a requested
-    slot count, computed once and shared by every box of that size.
+def geometry(slot_count: int) -> tuple[int, int, int, int, tuple[float, ...]]:
+    """(leaf_size, depth, slot_count, num_leaves, cap) for a requested slot
+    count, computed once and shared by every box of that size.
 
-    tau[k] is the density threshold at depth k, cap[k] = tau[k] times the
-    slot count of a depth-k node: the element count a node may hold before
-    it must push an insert up to its parent.  Both are immutable tuples.
+    cap[k] is tau_at_depth(k, depth) times the slot count of a depth-k node:
+    the element count a node may hold before it must push an insert up to
+    its parent.  It is an immutable tuple.
     """
     leaf, depth, total = plan_layout(slot_count)
-    tau = tuple(tau_at_depth(k, depth) for k in range(depth + 1))
-    cap = tuple(tau[k] * ((1 << depth - k) * leaf) for k in range(depth + 1))
-    return leaf, depth, total, 1 << depth, tau, cap
+    cap = tuple(tau_at_depth(k, depth) * ((1 << depth - k) * leaf) for k in range(depth + 1))
+    return leaf, depth, total, 1 << depth, cap
+
+
+def even_layout(lo: int, size: int, c: int) -> list[int]:
+    """Slots lo + i*size // c for i < c: c entries spread evenly over
+    [lo, lo+size), left-anchored, remainder gaps pushed right."""
+    # computed as (lo * c + i * size) // c
+    return list(map(floordiv, range(lo * c, (lo + size) * c, size), repeat(c)))
 
 
 class Pma:
@@ -134,7 +140,7 @@ class Pma:
 
     def __init__(self, slot_count: int, ledger: MovementLedger | None = None):
         (self.leaf_size, self.depth, self.slot_count, self.num_leaves,
-         self._tau, self._cap) = geometry(slot_count)
+         self._cap) = geometry(slot_count)
         self.ledger = ledger
         self.slots: list[tuple[int, int] | None] = [None] * self.slot_count
         self.count = 0
@@ -169,7 +175,7 @@ class Pma:
         int, one pairwise order test, and check_raw on the two ends, which
         bound every key of a sorted list.  A list that fails the conversion
         or the order test is checked key by key, so the error names its
-        first bad key.  Entry i of c lands at slot i*m // c.
+        first bad key.  Entry i of c lands at slot i*m // c (even_layout).
         """
         c = len(raws)
         if c > self.slot_count:
@@ -187,8 +193,8 @@ class Pma:
             check_raw(raw)
         if unsorted:
             raise ValueError("init expects sorted keys")
-        m, slots = self.slot_count, self.slots
-        for pos, entry in zip(map(floordiv, range(0, m * c, m), repeat(c)), zip(raws, seqs)):
+        slots = self.slots
+        for pos, entry in zip(even_layout(0, self.slot_count, c), zip(raws, seqs)):
             slots[pos] = entry
         self.count = c
         self._rebuild_tree(1)
@@ -198,6 +204,8 @@ class Pma:
     def insert(self, raw: int, seq: int = 0) -> int:
         """Insert a key, returning the movements of already-present elements.
 
+        `seq` is an opaque payload stored beside the key and never compared:
+        a duplicate key lands after its stored equals whatever its seq.
         Raises CapacityError when even the root is above threshold (callers
         that want growth must rebuild into a bigger array themselves), and
         ValueError for a key check_raw rejects.
@@ -352,9 +360,7 @@ class Pma:
         `pending_raw` is the key whose insert triggered the redistribution
         (None when rebalancing for other reasons); the even layout ignores
         it, adaptive variants may aim free space at its gap."""
-        c = len(entries)
-        # lo + i * size // c for i < c, as (lo * c + i * size) // c
-        return list(map(floordiv, range(lo * c, (lo + size) * c, size), repeat(c)))
+        return even_layout(lo, size, len(entries))
 
     def _rebalance(self, node: int, pending_raw: int | None = None) -> int:
         """Redistribute the node's range; returns how many elements moved."""

@@ -13,7 +13,8 @@ import pytest
 
 from listlabel.apma import Apma
 from listlabel.core import MovementLedger, verify_sorted
-from listlabel.pma import Pma
+from listlabel.learned import LearnedLLA
+from listlabel.pma import TAU_LEAF, Pma, tau_at_depth
 
 
 def even(c: int, lo: int, size: int) -> list[int]:
@@ -49,7 +50,7 @@ class TestWeightedLayout:
     def test_positions_legal_under_random_weights(self):
         a = Apma(64)
         L = a.leaf_size
-        cap = int(a._tau[a.depth] * L)  # per-leaf occupancy cap
+        cap = int(TAU_LEAF * L)  # per-leaf occupancy cap
         rng = random.Random(31)
         for _ in range(300):
             k = rng.choice([2, 4, 8])
@@ -57,7 +58,7 @@ class TestWeightedLayout:
             lo = rng.randrange(0, 64 - size + 1, size)
             # a k-leaf node only ever rebuilds while within its own density
             # threshold, so probe states a real rebalance can reach
-            tau_node = a._tau[a.depth - (k.bit_length() - 1)]
+            tau_node = tau_at_depth(a.depth - (k.bit_length() - 1), a.depth)
             c = rng.randint(1, int(tau_node * size))
             weights = [rng.randint(1, 50) for _ in range(k)]
             pos = a._weighted_positions(c, lo, size, weights)
@@ -94,6 +95,102 @@ class TestInsertHeat:
         a._rebalance(4)
         assert a.histogram[:2] == [0, 0], "votes for the rebuilt range are spent"
         assert a.histogram[2] == 7 and a.histogram[7] == 2
+
+
+class TestLayoutDecisions:
+    """Apma(64) has 8 leaves of 8.  The range under test is leaves 0..1
+    (slots [0, 16)) holding six keys: four gathered from leaf 0, two from
+    leaf 1."""
+
+    RAWS = [10, 20, 30, 40, 50, 60]
+    OLD = [0, 1, 2, 3, 8, 9]
+
+    def _layout(self, heat, pending_raw, raws=RAWS, old=OLD, size=16):
+        a = Apma(64)
+        a.histogram[:len(heat)] = heat
+        calls = []
+        weighted = a._weighted_positions
+
+        def spy(c, lo, size, weights):
+            calls.append(list(weights))
+            return weighted(c, lo, size, weights)
+
+        a._weighted_positions = spy
+        entries = [(raw, seq) for seq, raw in enumerate(raws)]
+        positions = a._layout(entries, 0, size, list(old), pending_raw)
+        assert a.histogram[:size // a.leaf_size] == [0] * (size // a.leaf_size)
+        return positions, calls
+
+    def test_split_taken_at_three_quarters_of_the_heat(self):
+        # leaf 0 holds 3 of 4 votes and the pending key's gap (after 20)
+        # lies inside its run: below the gap packs left, above packs right
+        positions, calls = self._layout([3, 1], 25)
+        assert positions == [0, 1, 12, 13, 14, 15]
+        assert calls == []
+
+    def test_split_gap_may_sit_at_either_end_of_the_hot_run(self):
+        assert self._layout([3, 1], 5)[0] == [10, 11, 12, 13, 14, 15]
+        assert self._layout([3, 1], 45)[0] == [0, 1, 2, 3, 14, 15]
+
+    def test_split_refused_below_three_quarters(self):
+        # 5 of 7 votes is under 3/4: the weighted layout runs instead
+        positions, calls = self._layout([5, 2], 25)
+        assert len(calls) == 1
+        assert positions == Apma(64)._weighted_positions(6, 0, 16, calls[0])
+
+    def test_split_refused_when_gap_lies_outside_the_hot_run(self):
+        # the gap after 50 belongs to leaf 1's run, not hot leaf 0's
+        positions, calls = self._layout([3, 1], 55)
+        assert len(calls) == 1
+        assert positions == Apma(64)._weighted_positions(6, 0, 16, calls[0])
+
+    def test_split_refused_without_a_pending_key(self):
+        assert len(self._layout([4, 0], None)[1]) == 1
+
+    def test_credit_lands_on_the_leaf_of_the_runs_last_element(self):
+        # four leaves; leaf 0's run ends at entry 5 of 8, which an even
+        # spread puts in leaf 5 * 4 // 8 = 2; leaf 2's run ends at entry 6,
+        # leaf 6 * 4 // 8 = 3
+        raws = [10, 20, 30, 40, 50, 60, 70, 80]
+        old = [0, 1, 2, 3, 4, 5, 16, 24]
+        _, calls = self._layout([5, 0, 2, 0], None, raws, old, size=32)
+        assert calls == [[1, 1, 6, 3]]
+        # a refused split credits the same way
+        _, calls = self._layout([6, 0, 3, 0], 25, raws, old, size=32)
+        assert calls == [[1, 1, 7, 4]]
+
+
+class TestOpaqueSeq:
+    """`seq` is a payload: no layout decision may depend on its value."""
+
+    N = 1000
+    STREAMS = {
+        "one-key": [7] * N,
+        "few-keys": [10 * (i * 7 % 5) for i in range(N)],
+        "hammer": [1000] + [500] * (N - 1),
+    }
+
+    @pytest.mark.parametrize("name", sorted(STREAMS))
+    def test_standalone_apma_ignores_seq_values(self, name):
+        def run(base):
+            led = MovementLedger()
+            a = Apma(4 * self.N, ledger=led)
+            for i, raw in enumerate(self.STREAMS[name]):
+                a.insert(raw, base + i)
+            return [(raw, label) for raw, _, label in a.labels()], led.total_movements
+
+        assert run(2**63) == run(0)
+
+    @pytest.mark.parametrize("name", sorted(STREAMS))
+    def test_learned_apma_ignores_seq_values(self, name):
+        def run(base):
+            lla = LearnedLLA(self.N, factory=Apma)
+            for i, raw in enumerate(self.STREAMS[name]):
+                lla.insert(raw, base + i, 1)
+            labels = [(raw, label) for raw, _, label in lla.global_labels()]
+            return labels, lla.ledger.total_movements
+
+        assert run(2**63) == run(0)
 
 
 # ----------------------------------------------------------------------

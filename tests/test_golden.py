@@ -3,7 +3,9 @@
 The expected files under data/expected/ were written by the CLI before the
 library surface was pruned; `synth-hammer` and `synth-random`, whose blind
 rows are mostly merge relabels, were written before merges gathered and
-counted their entries in whole-list passes.  Any change to relabel counts,
+counted their entries in whole-list passes; `synth-sequential`, which drives
+the split layout of the blind `apma` row, was written before `Apma` was cut
+down to its heat histogram.  Any change to relabel counts,
 merge counts, predictions, corruption sampling or CSV formatting shows up
 here as a byte difference.  To regenerate after an intended change, run
 this file as a script (`PYTHONPATH=src python tests/test_golden.py`) and
@@ -16,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from listlabel.cli import main as cli_main
+from listlabel.harness import SYNTHETIC_KINDS
 
 DATA = Path(__file__).resolve().parent / "data"
 EXPECTED = DATA / "expected"
@@ -34,7 +37,12 @@ CASES = {
     ],
     "synth-hammer": ["synth", "--kind", "hammer", "--n", "4096"],
     "synth-random": ["synth", "--kind", "random", "--n", "4096"],
+    "synth-sequential": ["synth", "--kind", "sequential", "--n", "4096"],
 }
+
+
+def test_every_synthetic_kind_has_a_golden_case():
+    assert {f"synth-{kind}" for kind in SYNTHETIC_KINDS} <= CASES.keys()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

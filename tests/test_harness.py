@@ -75,6 +75,15 @@ class TestLoadDataset:
         )
         assert [k.raw // SCALE for k in got.keys] == [2, 3]
 
+    @pytest.mark.parametrize("ts_col", [None, 1])
+    def test_zero_max_rows_gives_an_empty_slice(self, tmp_path, ts_col):
+        p = tmp_path / "d.txt"
+        p.write_text("1 30\n2 10\n3 20\n")
+        got = load_dataset(
+            DatasetSpec(p, value_column=0, timestamp_column=ts_col, max_rows=0)
+        )
+        assert got.keys == []
+
     def test_bad_value_reports_line_number(self, tmp_path):
         p = tmp_path / "d.txt"
         p.write_text("1.5\nnope\n")

@@ -70,14 +70,13 @@ class TestSharedGeometry:
         for h in range(12):
             m = 6 << h
             leaf, depth, total = plan_layout(m)
-            tau = tuple(tau_at_depth(k, depth) for k in range(depth + 1))
             # a depth-k node spans total >> k slots
-            cap = tuple(tau[k] * (total >> k) for k in range(depth + 1))
-            assert geometry(m) == (leaf, depth, total, 1 << depth, tau, cap)
+            cap = tuple(tau_at_depth(k, depth) * (total >> k) for k in range(depth + 1))
+            assert geometry(m) == (leaf, depth, total, 1 << depth, cap)
             box = Pma(m)
             assert (box.leaf_size, box.depth, box.slot_count, box.num_leaves) == (
                 leaf, depth, total, 1 << depth)
-            assert box._tau is geometry(m)[4] and box._cap is geometry(m)[5]
+            assert box._cap is geometry(m)[4]
 
     @pytest.mark.parametrize("cls", [Pma, Apma])
     def test_boxes_of_one_size_share_no_mutable_state(self, cls):
