@@ -94,7 +94,7 @@ def main():
     print(f"shuffled arrival; blind routing costs {blind:.3f} here:")
     print(f"  {'t%':>4} {'cost':>8}")
     for t in (0, 10, 25, 50, 100):
-        bad = corrupt(PredictionVector(list(ranks)), t, N, rng_seed=t)
+        bad = corrupt(PredictionVector(ranks), t, rng_seed=t)
         print(f"  {t:>4} {run(keys, bad.ranks):>8.3f}")
     print(
         "\nThe advantage survives moderate poisoning and is gone once a"

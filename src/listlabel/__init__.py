@@ -7,7 +7,6 @@ harness used to evaluate them on real and synthetic insertion streams.
 
 from .core import (
     SCALE,
-    MIN_KEY,
     MIN_RAW,
     CapacityError,
     Key,
@@ -15,7 +14,6 @@ from .core import (
     ParseError,
     UndefinedCostError,
     fixed_point_parse,
-    format_raw,
     verify_sorted,
 )
 from .pma import Pma, plan_layout, tau_at_depth
@@ -26,7 +24,6 @@ from .predictors import (
     SequenceSlice,
     best_fit_slope,
     corrupt,
-    empirical_rank,
     predictor1,
     predictor2,
     select_predictor,
@@ -48,7 +45,6 @@ from .harness import (
 
 __all__ = [
     "SCALE",
-    "MIN_KEY",
     "MIN_RAW",
     "CapacityError",
     "Key",
@@ -56,7 +52,6 @@ __all__ = [
     "ParseError",
     "UndefinedCostError",
     "fixed_point_parse",
-    "format_raw",
     "verify_sorted",
     "Pma",
     "plan_layout",
@@ -68,7 +63,6 @@ __all__ = [
     "SequenceSlice",
     "best_fit_slope",
     "corrupt",
-    "empirical_rank",
     "predictor1",
     "predictor2",
     "select_predictor",

@@ -2,8 +2,9 @@
 
 Each subcommand maps onto one harness protocol and writes CSV to --out
 (default stdout).  Exit codes: 0 on success, 2 for configuration problems
-(bad flags, not enough rows, inconsistent parameters), 3 for data problems
-(missing or malformed dataset files).
+(bad flags, an --out that cannot be opened for writing, not enough rows,
+inconsistent parameters), 3 for data problems (missing or malformed
+dataset files).
 """
 
 from __future__ import annotations
@@ -148,6 +149,13 @@ def main(argv: list[str] | None = None) -> int:
     structures = STRUCTURES if args.structure == "all" else (args.structure,)
 
     try:
+        if args.out != "-":
+            # Opened for appending, like `touch`, so that an unwritable path
+            # fails before any run and an existing file is not yet truncated.
+            try:
+                open(args.out, "a").close()
+            except OSError as exc:
+                raise ConfigError(f"--out {args.out}: {exc.strerror or exc}") from None
         if args.command == "synth":
             results = run_synthetic(
                 args.kind,

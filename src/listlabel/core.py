@@ -38,9 +38,6 @@ class Key(NamedTuple):
     seq: int = 0
 
 
-MIN_KEY = Key(MIN_RAW, -1)
-
-
 def check_raw(raw) -> int:
     """Return `raw` as an int if it is a storable key, else raise ValueError.
 
@@ -98,17 +95,6 @@ def fixed_point_parse(text: str, line: int | None = None) -> int:
     if abs(raw) > RAW_MAX:
         raise ParseError(f"{where}value out of range: {text!r}")
     return raw
-
-
-def format_raw(raw: int) -> str:
-    """Inverse of fixed_point_parse, trimming trailing zeros."""
-    if raw == MIN_RAW:
-        return "-inf"
-    sign = "-" if raw < 0 else ""
-    q, r = divmod(abs(raw), SCALE)
-    if r == 0:
-        return f"{sign}{q}"
-    return f"{sign}{q}.{str(r).zfill(7).rstrip('0')}"
 
 
 @dataclass

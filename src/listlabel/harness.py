@@ -24,6 +24,7 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from math import isfinite, isnan
+from operator import sub
 from pathlib import Path
 
 from .apma import Apma
@@ -218,9 +219,10 @@ def _run_config(
     dataset: str,
     test_keys: list[Key],
     predictions: list[int] | None,
+    eta_max: int | None,
     *,
     train: int,
-    true_ranks: list[int] | None = None,
+    true_ranks: list[int],
     check_witness: bool = False,
     seed: int | None = None,
 ) -> ExperimentResult:
@@ -235,8 +237,6 @@ def _run_config(
 
     listener = None
     if check_witness:
-        if true_ranks is None:
-            raise ValueError("witness checks need true ranks")
         truth = {0: 1}
         for i, rank in enumerate(true_ranks):
             truth[i + 1] = rank + 1
@@ -264,12 +264,6 @@ def _run_config(
         predicted = 1 if predictions is None else predictions[i] + 1
         lla.insert(key.raw, i + 1, predicted)
     wall = time.perf_counter() - start
-
-    eta_max = None
-    if predictions is not None and true_ranks is not None:
-        eta_max = max(
-            (abs(p - a) for p, a in zip(predictions, true_ranks)), default=0
-        )
 
     return ExperimentResult(
         structure=structure,
@@ -322,18 +316,29 @@ def _rows_for(k: int, name: str = "k") -> int:
     return 1 << k
 
 
-def _split(spec: DatasetSpec, k: int) -> tuple[SequenceSlice, SequenceSlice]:
-    """First 2^k rows to train on, next 2^k to insert."""
+def _load_k(spec: DatasetSpec, k: int) -> list[Key]:
+    """The first 2·2^k rows: train and test windows for size exponent k."""
     t = _rows_for(k)
-    keys = _load(spec, 2 * t, f"k={k} (train and test of {t} each)")
-    return SequenceSlice(keys[:t]), SequenceSlice(keys[t:], start_offset=t)
+    return _load(spec, 2 * t, f"k={k} (train and test of {t} each)")
 
 
-def _rows(structures, dataset, keys, preds, **kw) -> list[ExperimentResult]:
+def _split(keys: list[Key], k: int) -> tuple[SequenceSlice, SequenceSlice]:
+    """First 2^k keys to train on, next 2^k to insert."""
+    t = 1 << k
+    return SequenceSlice(keys[:t]), SequenceSlice(keys[t : 2 * t], start_offset=t)
+
+
+def _rows(structures, dataset, keys, preds, true_ranks, **kw) -> list[ExperimentResult]:
     """One run per structure over the same keys: learned rows get the
-    predictions `preds`, baselines None (rank-1 routing)."""
+    predictions `preds` and their largest rank error, baselines None
+    (rank-1 routing)."""
+    eta_max = None
+    if preds is not None:
+        eta_max = max(map(abs, map(sub, preds, true_ranks)), default=0)
     return [
-        _run_config(s, dataset, keys, preds if _learned(s) else None, **kw)
+        _run_config(s, dataset, keys, preds, eta_max, true_ranks=true_ranks, **kw)
+        if _learned(s)
+        else _run_config(s, dataset, keys, None, None, true_ranks=true_ranks, **kw)
         for s in structures
     ]
 
@@ -347,9 +352,7 @@ def run_table(
 ) -> list[ExperimentResult]:
     """Train on the first 2^k rows, insert the next 2^k, one row per
     structure."""
-    train, test = _split(spec, k)
-    return _rows(structures, spec.label(), test.keys, _predict(structures, train, test),
-                 train=len(train), true_ranks=_true_ranks(test.keys))
+    return run_scaling(spec, [k], structures)
 
 
 def run_scaling(
@@ -357,14 +360,22 @@ def run_scaling(
     k_range,
     structures: tuple[str, ...] = STRUCTURES,
 ) -> list[ExperimentResult]:
-    """run_table at every k in k_range; the train/test columns carry k.
-    A negative k is a ConfigError raised before any load or run."""
+    """The table protocol at every k in k_range; the train/test columns
+    carry k.  The dataset is read once, for the largest k, and every k's
+    windows are its prefix.  A negative k, or too few rows for the largest
+    k, is a ConfigError raised before any run."""
     k_range = list(k_range)
     for k in k_range:
         _rows_for(k)
+    if not k_range:
+        return []
+    keys = _load_k(spec, max(k_range))
     results = []
     for k in k_range:
-        results.extend(run_table(spec, k, structures))
+        train, test = _split(keys, k)
+        results += _rows(structures, spec.label(), test.keys,
+                         _predict(structures, train, test), _true_ranks(test.keys),
+                         train=len(train))
     return results
 
 
@@ -409,8 +420,8 @@ def run_learning_curve(
         else:
             train = SequenceSlice(keys[t - span : t], start_offset=t - span)
             predictions = _predict(structures, train, test)
-        results += _rows(structures, spec.label(), test.keys, predictions,
-                         train=span, true_ranks=true_ranks)
+        results += _rows(structures, spec.label(), test.keys, predictions, true_ranks,
+                         train=span)
     return results
 
 
@@ -428,9 +439,11 @@ def run_robustness(
     Learned rows run `repeats` times with corruption seeds base_seed+1 ..
     base_seed+repeats and carry the corruption level in the structure name
     (e.g. learned-pma:t=25); amortized_cost holds the mean, merges the
-    rounded mean, eta_max the worst across seeds.  An empty list of
-    corruption levels, a level outside [0, 100] or fewer than one repeat is
-    a ConfigError, raised before any load or run.
+    rounded mean, eta_max the worst across seeds.  Each (level, seed) draws
+    one corrupted vector, which every learned structure runs on.  Rows come
+    in `structures` order, a learned structure's levels in `t_values` order.
+    An empty list of corruption levels, a level outside [0, 100] or fewer
+    than one repeat is a ConfigError, raised before any load or run.
     """
     t_values = list(t_values)
     if not t_values:
@@ -440,59 +453,42 @@ def run_robustness(
             raise ConfigError(f"corruption percentage {t_pct} outside [0, 100]")
     if repeats < 1:
         raise ConfigError(f"repeats must be at least 1, got {repeats}")
-    train, test = _split(spec, k)
-    n = len(test)
+    train, test = _split(_load_k(spec, k), k)
+    label = spec.label()
     predictions = _predict(structures, train, test)
     true_ranks = _true_ranks(test.keys)
+    learned = [s for s in structures if _learned(s)]
 
-    results = []
-    for structure in structures:
-        if not _learned(structure):
-            res = _run_config(
-                structure,
-                spec.label(),
-                test.keys,
-                None,
-                train=len(train),
-                true_ranks=true_ranks,
-            )
-            res.mean = res.amortized_cost
-            res.stddev = 0.0
-            results.append(res)
-            continue
-        for t_pct in t_values:
-            runs = []
-            for r in range(1, repeats + 1):
-                bent = corrupt(
-                    PredictionVector(list(predictions)), t_pct, n, base_seed + r
-                )
-                runs.append(
-                    _run_config(
-                        structure,
-                        spec.label(),
-                        test.keys,
-                        bent.ranks,
-                        train=len(train),
-                        true_ranks=true_ranks,
-                    )
-                )
-            costs = [r.amortized_cost for r in runs]
+    rows = {
+        r.structure: replace(r, mean=r.amortized_cost, stddev=0.0)
+        for r in _rows([s for s in structures if not _learned(s)], label, test.keys,
+                       None, true_ranks, train=len(train))
+    }
+    for t_pct in t_values if learned else ():
+        runs = [
+            _rows(learned, label, test.keys,
+                  corrupt(PredictionVector(predictions), t_pct, base_seed + r).ranks,
+                  true_ranks, train=len(train))
+            for r in range(1, repeats + 1)
+        ]
+        for s, seeded in zip(learned, zip(*runs)):
+            costs = [r.amortized_cost for r in seeded]
             mean = statistics.fmean(costs)
-            results.append(
-                ExperimentResult(
-                    structure=f"{structure}:t={t_pct}",
-                    dataset=spec.label(),
-                    train=len(train),
-                    test=n,
-                    amortized_cost=mean,
-                    merges=round(statistics.fmean(r.merges for r in runs)),
-                    eta_max=max(r.eta_max for r in runs),
-                    wall_time=sum(r.wall_time for r in runs),
-                    mean=mean,
-                    stddev=statistics.pstdev(costs),
-                )
+            rows[f"{s}:t={t_pct}"] = replace(
+                seeded[0],
+                structure=f"{s}:t={t_pct}",
+                amortized_cost=mean,
+                merges=round(statistics.fmean(r.merges for r in seeded)),
+                eta_max=max(r.eta_max for r in seeded),
+                wall_time=sum(r.wall_time for r in seeded),
+                mean=mean,
+                stddev=statistics.pstdev(costs),
             )
-    return results
+    return [
+        row
+        for s in structures
+        for row in ([rows[f"{s}:t={t}"] for t in t_values] if _learned(s) else [rows[s]])
+    ]
 
 
 def _synthesize(
@@ -567,7 +563,7 @@ def run_synthetic(
     if n < 2 or n & (n - 1):
         raise ConfigError(f"n must be a power of two >= 2, got {n}")
     keys, predictions, true_ranks, label = _synthesize(kind, n, seed, eta, mu, s)
-    return _rows(structures, label, keys, predictions, train=0, true_ranks=true_ranks,
+    return _rows(structures, label, keys, predictions, true_ranks, train=0,
                  check_witness=True, seed=seed)
 
 

@@ -155,9 +155,6 @@ class Pma:
     # ------------------------------------------------------------------
     # public surface
 
-    def density(self) -> float:
-        return self.count / self.slot_count
-
     def labels(self) -> list[tuple[int, int, int]]:
         return [
             (entry[0], entry[1], pos + 1)

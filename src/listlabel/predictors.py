@@ -31,7 +31,6 @@ from .learned import LearnedLLA
 __all__ = [
     "SequenceSlice",
     "PredictionVector",
-    "empirical_rank",
     "predictor1",
     "predictor2",
     "best_fit_slope",
@@ -69,12 +68,6 @@ class PredictionVector:
 def _round_half_up(num: int, den: int) -> int:
     """round(num/den) with halves going up; den must be positive."""
     return (2 * num + den) // (2 * den)
-
-
-def empirical_rank(train: SequenceSlice, x: Key) -> int:
-    """(number of train keys strictly below x) + 1; ties rank low."""
-    raws = sorted(k.raw for k in train.keys)
-    return bisect_left(raws, x.raw) + 1
 
 
 def predictor1(train: SequenceSlice, test: SequenceSlice) -> PredictionVector:
@@ -151,8 +144,9 @@ def select_predictor(train: SequenceSlice) -> str:
     return "predictor2" if c2 < c1 else "predictor1"
 
 
-def corrupt(pred: PredictionVector, t: int, n: int, rng_seed: int) -> PredictionVector:
-    """Push ⌊t·n/100⌋ sampled predictions to their farthest extreme rank.
+def corrupt(pred: PredictionVector, t: int, rng_seed: int) -> PredictionVector:
+    """Push ⌊t·n/100⌋ sampled predictions to their farthest extreme rank,
+    n being the vector's length (the test slice's size).
 
     Sampled entries become 1 or n, whichever is farther from the current
     prediction (ties toward n); the rest are untouched.  Sampling is
@@ -161,9 +155,8 @@ def corrupt(pred: PredictionVector, t: int, n: int, rng_seed: int) -> Prediction
     """
     if not 0 <= t <= 100:
         raise ValueError(f"corruption percentage out of range: {t}")
-    if len(pred.ranks) != n:
-        raise ValueError("prediction vector length does not match test size")
     ranks = list(pred.ranks)
+    n = len(ranks)
     count = t * n // 100
     if count:
         import numpy as np  # only here, so that importing the package stays light

@@ -124,7 +124,7 @@ def test_criterion_4_worst_case_safety():
         "reversed": [n + 1 - r for r in true],
         "uniform": [rng.randint(1, n) for _ in range(n)],
         "alternating": [1 if i % 2 == 0 else n for i in range(n)],
-        "corrupt-100": corrupt(PredictionVector(true), 100, n, rng_seed=4).ranks,
+        "corrupt-100": corrupt(PredictionVector(true), 100, rng_seed=4).ranks,
     }
 
     def run(ranks):

@@ -5,9 +5,10 @@ library surface was pruned; `synth-hammer` and `synth-random`, whose blind
 rows are mostly merge relabels, were written before merges gathered and
 counted their entries in whole-list passes; `synth-sequential`, which drives
 the split layout of the blind `apma` row, was written before `Apma` was cut
-down to its heat histogram.  Any change to relabel counts,
-merge counts, predictions, corruption sampling or CSV formatting shows up
-here as a byte difference.  To regenerate after an intended change, run
+down to its heat histogram; the two one-structure `robustness` cases were
+written before every learned structure shared each corrupted vector.  Any
+change to relabel counts, merge counts, predictions, corruption sampling or
+CSV formatting shows up here as a byte difference.  To regenerate after an intended change, run
 this file as a script (`PYTHONPATH=src python tests/test_golden.py`) and
 review the diff.
 """
@@ -23,14 +24,15 @@ from listlabel.harness import SYNTHETIC_KINDS
 DATA = Path(__file__).resolve().parent / "data"
 EXPECTED = DATA / "expected"
 ACTIONS = ["--dataset", str(DATA / "actions_sample.tsv"), "--value-col", "1", "--ts-col", "3"]
+ROBUSTNESS = ["robustness", *ACTIONS, "--k", "8", "--t", "0,25,100", "--repeats", "3", "--seed", "4"]
 
 CASES = {
     "table": ["table", *ACTIONS, "--k", "8"],
     "scaling": ["scaling", *ACTIONS, "--k-min", "4", "--k-max", "8"],
     "curve": ["curve", *ACTIONS, "--test-k", "8", "--fractions", "0,10,50,100"],
-    "robustness": [
-        "robustness", *ACTIONS, "--k", "8", "--t", "0,25,100", "--repeats", "3", "--seed", "4",
-    ],
+    "robustness": ROBUSTNESS,
+    "robustness-pma": [*ROBUSTNESS, "--structure", "pma"],
+    "robustness-learned-apma": [*ROBUSTNESS, "--structure", "learned-apma"],
     "synth-noisy-eta": ["synth", "--kind", "noisy-eta", "--n", "4096", "--eta", "64", "--seed", "3"],
     "synth-stochastic": [
         "synth", "--kind", "stochastic", "--n", "4096", "--mu", "0", "--s", "16", "--seed", "2",

@@ -1,6 +1,7 @@
 """Dataset loading, experiment protocols, CSV output, CLI exit codes."""
 
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -195,6 +196,29 @@ def test_scaling_empty_range_is_empty(tmp_path):
     assert run_scaling(spec, range(5, 5)) == []
 
 
+def test_scaling_reads_the_dataset_once(monkeypatch):
+    loads = []
+    inner = harness.load_dataset
+
+    def spy(spec):
+        loads.append(spec)
+        return inner(spec)
+
+    monkeypatch.setattr(harness, "load_dataset", spy)
+    rows = run_scaling(ACTIONS, range(4, 9), ("pma",))
+    assert len(loads) == 1
+    assert [r.test for r in rows] == [16, 32, 64, 128, 256]
+
+
+def test_scaling_beyond_the_data_rejected_before_any_run(monkeypatch):
+    # the sample has rows for k=8 but not for k=9, so no k may run
+    runs = []
+    monkeypatch.setattr(harness, "_rows", lambda *a, **kw: runs.append(a))
+    with pytest.raises(ConfigError, match="k=12"):
+        run_scaling(ACTIONS, range(8, 13))
+    assert runs == []
+
+
 class TestLearningCurve:
     def test_zero_fraction_equals_blind_baseline(self, tmp_path):
         spec = write_drift(tmp_path / "d.txt")
@@ -260,6 +284,33 @@ class TestBaselinesSkipPrediction:
 
 
 class TestRobustness:
+    def test_one_corruption_per_level_and_repeat(self, monkeypatch):
+        calls = []
+        inner = harness.corrupt
+
+        def spy(pred, t, *seed):
+            calls.append((t, *seed))
+            return inner(pred, t, *seed)
+
+        monkeypatch.setattr(harness, "corrupt", spy)
+        rows = run_robustness(ACTIONS, 8, [0, 10, 25, 50], repeats=5)
+        assert len(rows) == 2 + 2 * 4
+        # every learned structure runs on the same draw
+        assert sorted(calls) == [(t, r) for t in (0, 10, 25, 50) for r in range(1, 6)]
+
+    def test_rows_follow_structures_with_one_structure_values(self):
+        def run(structures):
+            rows = run_robustness(ACTIONS, 8, [0, 25], repeats=2, base_seed=3,
+                                  structures=structures)
+            return [replace(r, wall_time=0.0) for r in rows]
+
+        mixed = run(("learned-apma", "pma", "learned-pma"))
+        assert [r.structure for r in mixed] == [
+            "learned-apma:t=0", "learned-apma:t=25", "pma",
+            "learned-pma:t=0", "learned-pma:t=25",
+        ]
+        assert mixed == run(("learned-apma",)) + run(("pma",)) + run(("learned-pma",))
+
     def test_zero_corruption_matches_uncorrupted_run(self, tmp_path):
         spec = write_drift(tmp_path / "d.txt")
         clean = run_table(spec, 9, structures=("learned-pma",))[0]
@@ -532,6 +583,19 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("llabench: ")
         assert loads == [] and selections == []
+
+    @pytest.mark.parametrize("out", ["missing/dir/o.csv", "."])
+    def test_unwritable_out_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch, out):
+        runs = []
+        monkeypatch.setattr(harness, "_rows", lambda *a, **kw: runs.append(a))
+        code = cli_main(["synth", "--kind", "random", "--n", "1024",
+                         "--out", str(tmp_path / out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("llabench: --out ")
+        assert captured.err.count("\n") == 1
+        assert runs == []
 
     def test_data_error_exits_3(self, tmp_path):
         code = cli_main(

@@ -12,7 +12,6 @@ from listlabel.predictors import (
     SequenceSlice,
     best_fit_slope,
     corrupt,
-    empirical_rank,
     predictor1,
     predictor2,
     select_predictor,
@@ -24,18 +23,23 @@ def slice_of(raws, offset=0):
 
 
 class TestEmpiricalRank:
+    """predictor1 with |test| == |train| is the bare empirical rank:
+    (number of train keys strictly below the key) + 1, clamped to |test|."""
+
     def test_counts_strictly_smaller_plus_one(self):
         train = slice_of([10, 20, 30, 40])
-        assert empirical_rank(train, Key(25, 0)) == 3
+        assert predictor1(train, slice_of([25, 0, 0, 0])).ranks[0] == 3
 
     def test_below_all_is_one(self):
-        assert empirical_rank(slice_of([10, 20]), Key(5, 0)) == 1
+        assert predictor1(slice_of([10, 20]), slice_of([5, 0])).ranks[0] == 1
 
     def test_ties_rank_low(self):
-        assert empirical_rank(slice_of([10, 20, 30, 40]), Key(20, 0)) == 2
+        train = slice_of([10, 20, 30, 40])
+        assert predictor1(train, slice_of([20, 0, 0, 0])).ranks[0] == 2
 
     def test_above_all(self):
-        assert empirical_rank(slice_of([10, 20]), Key(99, 0)) == 3
+        # one past the train size, then clamped to the test size
+        assert predictor1(slice_of([10, 20]), slice_of([99, 0])).ranks[0] == 2
 
 
 class TestPredictor1:
@@ -160,30 +164,30 @@ class TestSelectPredictor:
 class TestCorrupt:
     def test_zero_percent_is_identity(self):
         pred = PredictionVector([3, 1, 4, 1, 5])
-        assert corrupt(pred, 0, 5, rng_seed=9).ranks == [3, 1, 4, 1, 5]
+        assert corrupt(pred, 0, rng_seed=9).ranks == [3, 1, 4, 1, 5]
 
     def test_full_corruption_of_low_ranks_goes_high(self):
         pred = PredictionVector([1, 2, 2, 1])
-        assert corrupt(pred, 100, 4, rng_seed=9).ranks == [4, 4, 4, 4]
+        assert corrupt(pred, 100, rng_seed=9).ranks == [4, 4, 4, 4]
 
     def test_equidistant_breaks_toward_top(self):
         pred = PredictionVector([5] * 9)  # rank 5 of 9: both ends 4 away
-        assert corrupt(pred, 100, 9, rng_seed=1).ranks == [9] * 9
+        assert corrupt(pred, 100, rng_seed=1).ranks == [9] * 9
 
     def test_high_ranks_go_low(self):
         pred = PredictionVector([10, 9] * 5)
-        assert corrupt(pred, 100, 10, rng_seed=1).ranks == [1] * 10
+        assert corrupt(pred, 100, rng_seed=1).ranks == [1] * 10
 
     def test_exact_count_corrupted_deterministically(self):
         base = list(range(2, 42))  # none already at an endpoint
-        first = corrupt(PredictionVector(list(base)), 25, 40, rng_seed=5)
-        again = corrupt(PredictionVector(list(base)), 25, 40, rng_seed=5)
+        first = corrupt(PredictionVector(list(base)), 25, rng_seed=5)
+        again = corrupt(PredictionVector(list(base)), 25, rng_seed=5)
         assert first.ranks == again.ranks
         changed = sum(1 for a, b in zip(base, first.ranks) if a != b)
         assert changed == 10  # floor(25 * 40 / 100)
 
-    def test_size_mismatch_and_bad_percent_rejected(self):
+    def test_bad_percent_rejected(self):
         with pytest.raises(ValueError):
-            corrupt(PredictionVector([1, 2]), 10, 3, rng_seed=0)
+            corrupt(PredictionVector([1]), 101, rng_seed=0)
         with pytest.raises(ValueError):
-            corrupt(PredictionVector([1]), 101, 1, rng_seed=0)
+            corrupt(PredictionVector([1]), -1, rng_seed=0)
