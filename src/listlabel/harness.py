@@ -440,8 +440,10 @@ def run_robustness(
     base_seed+repeats and carry the corruption level in the structure name
     (e.g. learned-pma:t=25); amortized_cost holds the mean, merges the
     rounded mean, eta_max the worst across seeds.  Each (level, seed) draws
-    one corrupted vector, which every learned structure runs on.  Rows come
-    in `structures` order, a learned structure's levels in `t_values` order.
+    one corrupted vector, which every learned structure runs on; a draw equal
+    to the previous seed's (every draw at t=0 or t=100 is) reuses its rows,
+    so wall_time counts each run once.  Rows come in `structures` order, a
+    learned structure's levels in `t_values` order.
     An empty list of corruption levels, a level outside [0, 100] or fewer
     than one repeat is a ConfigError, raised before any load or run.
     """
@@ -465,12 +467,16 @@ def run_robustness(
                        None, true_ranks, train=len(train))
     }
     for t_pct in t_values if learned else ():
-        runs = [
-            _rows(learned, label, test.keys,
-                  corrupt(PredictionVector(predictions), t_pct, base_seed + r).ranks,
-                  true_ranks, train=len(train))
-            for r in range(1, repeats + 1)
-        ]
+        runs, drawn = [], None
+        for r in range(1, repeats + 1):
+            ranks = corrupt(PredictionVector(predictions), t_pct, base_seed + r).ranks
+            if ranks == drawn:
+                # Same vector, same rows; its time is already counted once.
+                runs.append([replace(row, wall_time=0.0) for row in runs[-1]])
+            else:
+                runs.append(_rows(learned, label, test.keys, ranks, true_ranks,
+                                  train=len(train)))
+            drawn = ranks
         for s, seeded in zip(learned, zip(*runs)):
             costs = [r.amortized_cost for r in seeded]
             mean = statistics.fmean(costs)

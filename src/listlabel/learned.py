@@ -12,17 +12,22 @@ An insert is routed by its predicted rank, corrected by the actuals that hold
 the key's predecessor and successor so stored order is never violated: the
 element goes to the predecessor's actual if that lies right of the predicted
 one, to the successor's actual if that lies left of it, and to the predicted
-actual otherwise.  The keys live in a heap-order min/max tree on the n rank
-leaves, laid out and searched like the min tree `Pma` keeps over its slot
-leaves: an actual's min and max sit at its first leaf, every other leaf
-holds the empty markers.  Routing first climbs from the predicted actual's
-subtree root toward the tree root: the right siblings on that path cover
-every leaf right of the actual, the left siblings every leaf left of it, so
-a right sibling with min <= key or a left sibling with max > key is the only
-way an override can arise.  Stored keys ascend with the leaves, so the
-nearest non-empty sibling on a side decides that side and the climb stops
-once both sides are decided.  If it finds no override, the prediction
-stands; otherwise root-to-leaf descents find the neighbors' actuals.
+actual otherwise.  Routing only ever names an actual, never a leaf, so the
+keys live in a heap-order min/max tree on the n rank leaves that is exact
+only at and above actual roots: every such node holds the min and max of the
+keys stored under it, and nodes below a root keep stale values.  The trees
+are laid out and searched like the min tree `Pma` keeps over its slot
+leaves, and a descent that reaches an actual's root stays inside that
+actual whatever it finds below.  Routing first climbs from the predicted
+actual's root toward the tree root.  The siblings on that path are never
+below another actual's root, since actuals are aligned tree nodes: the right
+siblings cover every leaf right of the actual, the left siblings every leaf
+left of it.  Stored keys ascend with the leaves, so the nearest non-empty
+sibling on a side decides that side, and the climb stops once both sides
+are decided.  A right sibling with min <= key means the predecessor lies
+right of the actual, and a left sibling with max > key means the successor
+lies left of it; both cannot hold at once, so the sibling that stops the
+climb names the override and a single descent finds its actual.
 
 When an actual exceeds half density its parent's whole range is rebuilt into
 one fresh box -- possibly cascading upward -- which is where prediction error
@@ -31,6 +36,8 @@ prediction missed by at least half the merged rank width.  A merge works on
 whole lists: `filter` and `compress` pick each child's entries and their old
 global labels out of the child's slot list, the parent's box is bulk-loaded
 from them, and the relabels are one `map(ne)` of new labels against old.
+The parent's root already holds the min and max of everything it gathers,
+so a merge leaves the trees alone.
 
 The box is the only per-actual object.  The wrapper keeps the height of the
 owning actual per leaf and the boxes indexed by their actual's first leaf;
@@ -45,8 +52,8 @@ returns `Actual(height, node, box)` tuples built on demand.
 from __future__ import annotations
 
 from itertools import compress
-from operator import itemgetter, ne
-from typing import Callable, NamedTuple
+from operator import add, itemgetter, ne
+from typing import Callable, Iterator, NamedTuple
 
 from .core import CapacityError, MovementLedger, check_raw, clamp
 from .pma import INF_RAW, NEG_INF_RAW, Pma, pred_leaf, succ_leaf
@@ -58,6 +65,15 @@ class Actual(NamedTuple):
     height: int
     node: int  # 0-based index among nodes at this height
     box: Pma
+
+
+def _labels(first: int, box: Pma) -> Iterator[int]:
+    """Global labels of the box's occupied slots, in slot order: the actual
+    at first leaf f owns the slots after offset 6f, so its slot p (0-based)
+    has global label 6f + p + 1."""
+    off = 6 * first + 1
+    slots = box.slots
+    return compress(range(off, off + len(slots)), slots)
 
 
 class LearnedLLA:
@@ -93,11 +109,13 @@ class LearnedLLA:
         # The boxes of non-empty actuals, indexed by their first leaf.
         self._boxes: list[Pma | None] = [None] * self.n
         # Heap-order key minima and maxima over the rank leaves (node 1 is
-        # the root, leaf i is node n + i).  A non-empty actual's min and max
-        # sit at its first leaf; its other leaves and every empty actual hold
-        # INF_RAW / NEG_INF_RAW.  Stored keys never straddle actual boundaries
-        # out of order, so pred_leaf and succ_leaf land on the first leaf of
-        # the actual holding the predecessor and the successor.
+        # the root, leaf i is node n + i; actual (h, node) is rooted at
+        # (n >> h) + node).  Every node at or above an actual's root holds
+        # the min and max of the keys under it, INF_RAW / NEG_INF_RAW when
+        # there are none; nodes below a root are stale.  Stored keys never
+        # straddle actual boundaries out of order, so pred_leaf and succ_leaf
+        # land on some leaf of the actual holding the predecessor and the
+        # successor.
         self._min = [INF_RAW] * (2 * self.n)
         self._max = [NEG_INF_RAW] * (2 * self.n)
         self.predicted_rank: dict[int, int] = {}  # seq -> clamped prediction
@@ -123,36 +141,27 @@ class LearnedLLA:
         """
         leaf = clamp(predicted_rank, 1, self.capacity) - 1
         h = self._heights[leaf]
-        first = leaf >> h << h
         mins, maxs = self._min, self._max
         # The climb (see the module docstring).  The actual's own keys decide
         # a side first: when it holds keys on both sides of raw, it holds
         # both neighbors and the prediction stands at once.
-        v = self.n + first
-        left = mins[v] > raw  # the successor may lie left of the actual
-        right = maxs[v] <= raw  # the predecessor may lie right of it
-        u = v >> h
+        u = (self.n >> h) + (leaf >> h)
+        left = mins[u] > raw  # the successor may lie left of the actual
+        right = maxs[u] <= raw  # the predecessor may lie right of it
         while (left or right) and u > 1:
             if u & 1:
                 if left and maxs[u - 1] != NEG_INF_RAW:
                     if maxs[u - 1] > raw:
+                        leaf = succ_leaf(maxs, raw)
                         break
                     left = False
             elif right and mins[u + 1] != INF_RAW:
                 if mins[u + 1] <= raw:
+                    leaf = pred_leaf(mins, raw)
                     break
                 right = False
             u >>= 1
-        else:
-            return h, leaf >> h
-        p = pred_leaf(mins, raw)
-        if p is not None and p > first:
-            hp = self._heights[p]
-            return hp, p >> hp
-        s = succ_leaf(maxs, raw)
-        if s is not None and s < first:
-            hs = self._heights[s]
-            return hs, s >> hs
+        h = self._heights[leaf]
         return h, leaf >> h
 
     # ------------------------------------------------------------------
@@ -180,14 +189,15 @@ class LearnedLLA:
         self.ledger.record_insert(box.insert(raw, seq))
         self.count += 1
         self.predicted_rank[seq] = clamp(predicted_rank, 1, self.capacity)
-        # Push the new key up the tree; an ancestor that does not change
-        # proves every higher one unchanged too.
+        # Push the new key up from the actual's root; an ancestor that does
+        # not change proves every higher one unchanged too.
         mins, maxs = self._min, self._max
-        v = self.n + first
+        root = (self.n >> h) + node
+        v = root
         while v and raw < mins[v]:
             mins[v] = raw
             v >>= 1
-        v = self.n + first
+        v = root
         while v and raw > maxs[v]:
             maxs[v] = raw
             v >>= 1
@@ -209,7 +219,8 @@ class LearnedLLA:
         global label actually changed.  Gather and count are whole-list
         passes: `filter` and `compress` pick each child's entries and labels
         out of its slot list, and the moves are one `map(ne)` of the new
-        labels against the old.
+        labels against the old.  The parent's root in the min/max trees
+        already covers every gathered key, so the trees need no change.
         """
         heights, boxes = self._heights, self._boxes
         ph = heights[first] + 1
@@ -217,48 +228,20 @@ class LearnedLLA:
             raise AssertionError("root actual exceeded half density")
         first = first >> ph << ph
         end = first + (1 << ph)
-        # An actual at first leaf f owns the slots after offset 6f, so its
-        # slot p (0-based) has global label 6f + p + 1.
-        children = []
         entries: list[tuple[int, int]] = []
         old: list[int] = []
         leaf = first
         while leaf < end:
             child = boxes[leaf]
             if child is not None:
-                children.append(leaf)
-                slots = child.slots
-                entries += filter(None, slots)
-                off = 6 * leaf + 1
-                old += compress(range(off, off + len(slots)), slots)
+                entries += filter(None, child.slots)
+                old += _labels(leaf, child)
             leaf += 1 << heights[leaf]
         box = self.factory(6 << ph, None)
         box.init(list(map(itemgetter(0), entries)), list(map(itemgetter(1), entries)))
-        slots = box.slots
-        off = 6 * first + 1
-        self.ledger.record_moves(sum(map(ne, compress(range(off, off + len(slots)), slots), old)))
-
-        # Below the parent's subtree root only the children's paths held
-        # keys: clear them, then write the parent's min and max down its
-        # leftmost path.  The subtree root, and so every node above it, keeps
-        # the same min and max.
-        mins, maxs = self._min, self._max
-        top = (self.n + first) >> ph
-        for child in children:
-            boxes[child] = None
-            v = self.n + child
-            while v > top:
-                mins[v] = INF_RAW
-                maxs[v] = NEG_INF_RAW
-                v >>= 1
-        lo, hi = entries[0][0], entries[-1][0]
-        v = self.n + first
-        while v > top:
-            mins[v] = lo
-            maxs[v] = hi
-            v >>= 1
+        self.ledger.record_moves(sum(map(ne, _labels(first, box), old)))
         heights[first:end] = [ph] * (end - first)
-        boxes[first] = box
+        boxes[first:end] = [box] + [None] * (end - first - 1)
         self.merges += 1
         if self.merge_listener is not None:
             self.merge_listener(self, Actual(ph, first >> ph, box))
@@ -269,17 +252,17 @@ class LearnedLLA:
 
     def global_labels(self) -> list[tuple[int, int, int]]:
         """Every element as (raw, seq, global label), in label order."""
-        out = []
+        out: list[tuple[int, int, int]] = []
         for first, box in enumerate(self._boxes):
             if box is not None:
-                off = 6 * first
-                for raw, seq, label in box.labels():
-                    out.append((raw, seq, off + label))
+                # (raw, seq) + (label,), paired off in C
+                out += map(add, filter(None, box.slots), zip(_labels(first, box)))
         return out
 
-    def _actual(self, first: int) -> Actual:
-        h = self._heights[first]
-        return Actual(h, first >> h, self._boxes[first])
+    def _actual(self, leaf: int) -> Actual:
+        """The actual owning `leaf`."""
+        h = self._heights[leaf]
+        return Actual(h, leaf >> h, self._boxes[leaf >> h << h])
 
     def actuals(self) -> list[Actual]:
         """Non-empty actuals in rank order (empty ones are implicit)."""

@@ -42,6 +42,8 @@ def pred_leaf(mins: list[int], raw: int) -> int | None:
 
     `mins` is a heap-order tree (node 1 is the root, the leaves sit at
     [len // 2, len)) of subtree key minima, INF_RAW where a subtree is empty.
+    On `LearnedLLA`'s trees, exact only down to actual roots, it lands on
+    some leaf of the actual holding that key.
     """
     if mins[1] > raw:
         return None
@@ -56,7 +58,9 @@ def pred_leaf(mins: list[int], raw: int) -> int | None:
 
 def succ_leaf(maxs: list[int], raw: int) -> int | None:
     """Leftmost leaf holding a key > raw, or None; `maxs` is the heap-order
-    tree of subtree key maxima, NEG_INF_RAW where a subtree is empty."""
+    tree of subtree key maxima, NEG_INF_RAW where a subtree is empty.  On
+    `LearnedLLA`'s trees it lands on some leaf of the actual holding that
+    key, as pred_leaf does."""
     if maxs[1] <= raw:
         return None
     n = len(maxs) >> 1
@@ -233,9 +237,9 @@ class Pma:
         """(leaf, sp, ss): the leaf the key goes into and its neighbors' slots.
 
         sp is the rightmost occupied slot with key <= raw.  Given sp, ss is
-        the next occupied slot inside the leaf, or None: a successor past the
-        leaf's end places the key exactly as none would.  Without sp, ss is
-        the leftmost occupied slot of the array.
+        sp + 1 when that slot is occupied, else None: the key then takes the
+        free slot sp + 1, and no later successor changes that.  Without sp,
+        ss is the leftmost occupied slot of the array.
         """
         L, slots = self.leaf_size, self.slots
         p = pred_leaf(self._min, raw)
@@ -249,11 +253,9 @@ class Pma:
         while e is None or e[0] > raw:
             sp -= 1
             e = slots[sp]
-        leaf = min(sp + 1, self.slot_count - 1) // L
-        for ss in range(sp + 1, leaf * L + L):
-            if slots[ss] is not None:
-                return leaf, sp, ss
-        return leaf, sp, None
+        ss = sp + 1
+        leaf = min(ss, self.slot_count - 1) // L
+        return leaf, sp, ss if ss < self.slot_count and slots[ss] is not None else None
 
     # ------------------------------------------------------------------
     # insert machinery

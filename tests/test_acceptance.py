@@ -16,7 +16,7 @@ import pytest
 from listlabel.core import MIN_RAW, MovementLedger
 from listlabel.harness import DatasetSpec, load_dataset, run_robustness, run_synthetic, run_table
 from listlabel.learned import LearnedLLA
-from listlabel.pma import Pma
+from listlabel.pma import INF_RAW, NEG_INF_RAW, Pma
 from listlabel.predictors import PredictionVector, corrupt
 from listlabel.apma import Apma
 
@@ -249,6 +249,26 @@ def _check_structure(lla):
 
     for rec in lla.actuals():
         assert rec.box.count * 2 <= 6 << rec.height, "density above one half"
+
+    # The min/max trees are exact at and above actual roots: a root holds
+    # its box's smallest and largest key (the empty markers for an empty
+    # actual), and every node above the roots aggregates its two children.
+    mins, maxs = lla._min, lla._max
+    boxes = {(rec.height, rec.node): rec.box for rec in lla.actuals()}
+    above = set()
+    for h, node in parts:
+        v = (lla.n >> h) + node
+        box = boxes.get((h, node))
+        keys = [] if box is None else [raw for raw, _ in filter(None, box.slots)]
+        want = (keys[0], keys[-1]) if keys else (INF_RAW, NEG_INF_RAW)
+        assert (mins[v], maxs[v]) == want, ("actual root min/max", h, node)
+        v >>= 1
+        while v and v not in above:
+            above.add(v)
+            v >>= 1
+    for v in above:
+        assert mins[v] == min(mins[2 * v], mins[2 * v + 1]), ("min above the roots", v)
+        assert maxs[v] == max(maxs[2 * v], maxs[2 * v + 1]), ("max above the roots", v)
 
 
 def _fuzz_one_seed(seed, n, adaptive, key_range=None):

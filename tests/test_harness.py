@@ -298,6 +298,22 @@ class TestRobustness:
         # every learned structure runs on the same draw
         assert sorted(calls) == [(t, r) for t in (0, 10, 25, 50) for r in range(1, 6)]
 
+    def test_equal_draws_run_once(self, monkeypatch):
+        """t=0 corrupts nothing and t=100 every rank, so each repeat draws
+        the previous repeat's vector: one baseline run plus one per level."""
+        calls = []
+        inner = harness._run_config
+
+        def spy(*args, **kw):
+            calls.append(args[0])
+            return inner(*args, **kw)
+
+        monkeypatch.setattr(harness, "_run_config", spy)
+        rows = run_robustness(ACTIONS, 8, [0, 100], repeats=5,
+                              structures=("pma", "learned-pma"))
+        assert calls == ["pma", "learned-pma", "learned-pma"]
+        assert [r.stddev for r in rows] == [0.0, 0.0, 0.0]
+
     def test_rows_follow_structures_with_one_structure_values(self):
         def run(structures):
             rows = run_robustness(ACTIONS, 8, [0, 25], repeats=2, base_seed=3,

@@ -292,14 +292,16 @@ def test_route_climb_matches_neighbor_rule(noise, monkeypatch):
     """Exact (noise 0), off-by-one (noise 1) and off-by-eight predictions on
     2^10 distinct keys: after every insert, route agrees with the
     neighbor_actuals rule on the next key and on stored keys probed one rank
-    either side of their own, and it descends exactly when the rule
-    overrides the prediction.  Only off-by-eight merges, so only it climbs
-    from actuals above the leaves."""
+    either side of their own.  It runs no descent when the prediction
+    stands, exactly pred_leaf when the predecessor overrides it and exactly
+    succ_leaf when the successor does.  Only off-by-eight merges, so only it
+    climbs from actuals above the leaves."""
     descents = []
     for name in ("pred_leaf", "succ_leaf"):
         inner = getattr(learned, name)
         monkeypatch.setattr(learned, name,
-                            lambda tree, raw, inner=inner: descents.append(raw) or inner(tree, raw))
+                            lambda tree, raw, inner=inner, name=name:
+                            descents.append(name) or inner(tree, raw))
     rng = random.Random(10 + noise)
     n = 1 << 10
     raws = rng.sample(range(10**9), n)
@@ -318,14 +320,14 @@ def test_route_climb_matches_neighbor_rule(noise, monkeypatch):
             h, node = parts[bisect_right(starts, min(max(rank, 1), n)) - 1]
             pred, succ = lla.neighbor_actuals(key)
             if pred is not None and pred.node << pred.height > node << h:
-                want = pred.height, pred.node
+                want, ran = (pred.height, pred.node), ["pred_leaf"]
             elif succ is not None and succ.node << succ.height < node << h:
-                want = succ.height, succ.node
+                want, ran = (succ.height, succ.node), ["succ_leaf"]
             else:
-                want = h, node
+                want, ran = (h, node), []
             descents.clear()
             assert lla.route(key, rank) == want, (i, key, rank)
-            assert bool(descents) == (want != (h, node)), (i, key, rank)
+            assert descents == ran, (i, key, rank)
             outcomes["override" if descents else "kept"] += 1
         lla.insert(raw, i, preds[i])
     assert outcomes["override"] > 100 and outcomes["kept"] > 100
