@@ -14,15 +14,13 @@ from .core import (
     ParseError,
     UndefinedCostError,
     fixed_point_parse,
-    verify_sorted,
 )
-from .pma import Pma, plan_layout, tau_at_depth
+from .pma import Pma
 from .apma import Apma
 from .learned import LearnedLLA, witness_error_check
 from .predictors import (
     PredictionVector,
     SequenceSlice,
-    best_fit_slope,
     corrupt,
     predictor1,
     predictor2,
@@ -52,16 +50,12 @@ __all__ = [
     "ParseError",
     "UndefinedCostError",
     "fixed_point_parse",
-    "verify_sorted",
     "Pma",
-    "plan_layout",
-    "tau_at_depth",
     "Apma",
     "LearnedLLA",
     "witness_error_check",
     "PredictionVector",
     "SequenceSlice",
-    "best_fit_slope",
     "corrupt",
     "predictor1",
     "predictor2",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 # Keys are signed 64-bit fixed-point values with 7 fractional decimal digits.
 # That is enough to hold GPS coordinates exactly as they appear in check-in
@@ -134,22 +134,6 @@ class MovementLedger:
     def reset(self) -> None:
         self.total_movements = 0
         self.total_inserts = 0
-
-
-def verify_sorted(slots: Sequence[tuple[int, int] | None]) -> bool:
-    """True iff occupied slots are non-decreasing left to right.
-
-    Accepts Key entries or plain (raw, seq) tuples, as stored by the
-    arrays themselves.
-    """
-    prev = None
-    for entry in slots:
-        if entry is None:
-            continue
-        if prev is not None and entry[0] < prev:
-            return False
-        prev = entry[0]
-    return True
 
 
 def clamp(value: int, lo: int, hi: int) -> int:

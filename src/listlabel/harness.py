@@ -237,12 +237,12 @@ def _run_config(
 
     listener = None
     if check_witness:
-        truth = {0: 1}
-        for i, rank in enumerate(true_ranks):
-            truth[i + 1] = rank + 1
+        # Indexed by seq: the sentinel is seq 0 at rank 1, key i is seq i + 1.
+        routed = [1] * (t + 1) if predictions is None else [1, *(p + 1 for p in predictions)]
+        truth = [1, *(rank + 1 for rank in true_ranks)]
 
-        def listener(lla: LearnedLLA, merged) -> None:
-            if not witness_error_check(lla, merged, truth):
+        def listener(_lla: LearnedLLA, merged) -> None:
+            if not witness_error_check(merged, routed, truth):
                 raise AssertionError(
                     f"{structure}/{dataset}: merged rank window at "
                     f"{(merged.node << merged.height) + 1} width "
@@ -444,8 +444,9 @@ def run_robustness(
     to the previous seed's (every draw at t=0 or t=100 is) reuses its rows,
     so wall_time counts each run once.  Rows come in `structures` order, a
     learned structure's levels in `t_values` order.
-    An empty list of corruption levels, a level outside [0, 100] or fewer
-    than one repeat is a ConfigError, raised before any load or run.
+    An empty list of corruption levels, a level outside [0, 100], fewer
+    than one repeat or a negative first seed (base_seed + 1) is a
+    ConfigError, raised before any load or run.
     """
     t_values = list(t_values)
     if not t_values:
@@ -455,6 +456,9 @@ def run_robustness(
             raise ConfigError(f"corruption percentage {t_pct} outside [0, 100]")
     if repeats < 1:
         raise ConfigError(f"repeats must be at least 1, got {repeats}")
+    if base_seed + 1 < 0:
+        raise ConfigError(f"seed {base_seed} makes the first corruption seed "
+                          f"{base_seed + 1} negative")
     train, test = _split(_load_k(spec, k), k)
     label = spec.label()
     predictions = _predict(structures, train, test)

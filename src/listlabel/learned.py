@@ -47,6 +47,11 @@ does all the accounting: the moves each box insert returns, and the
 relabels of each merge.  `factory` may be a box class such as `Pma` or
 `Apma`.  Inspection (`actuals`, `neighbor_actuals`, the merge listener)
 returns `Actual(height, node, box)` tuples built on demand.
+
+The wrapper keeps no predictions: a prediction only routes its insert, and
+the set of inserted seqs exists only to reject a reused one.
+`witness_error_check` takes the predictions from its caller, who holds them
+anyway.
 """
 
 from __future__ import annotations
@@ -97,7 +102,6 @@ class LearnedLLA:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self.n = 1 << (capacity - 1).bit_length()  # leaves in the rank tree
-        self.slot_count = 6 * self.n
         self.factory = factory
         self.ledger = ledger if ledger is not None else MovementLedger()
         self.merge_listener = merge_listener
@@ -118,7 +122,7 @@ class LearnedLLA:
         # successor.
         self._min = [INF_RAW] * (2 * self.n)
         self._max = [NEG_INF_RAW] * (2 * self.n)
-        self.predicted_rank: dict[int, int] = {}  # seq -> clamped prediction
+        self._seqs: set[int] = set()  # every seq inserted, to reject reuse
 
     # ------------------------------------------------------------------
     # neighbor and routing queries
@@ -176,7 +180,7 @@ class LearnedLLA:
         rejects or a `seq` already inserted.
         """
         raw = check_raw(raw)
-        if seq in self.predicted_rank:
+        if seq in self._seqs:
             raise ValueError(f"seq {seq} already inserted")
         if self.count >= self.capacity:
             raise CapacityError(f"structure already holds {self.capacity} elements")
@@ -188,7 +192,7 @@ class LearnedLLA:
             box = self._boxes[first] = self.factory(6 << h, None)
         self.ledger.record_insert(box.insert(raw, seq))
         self.count += 1
-        self.predicted_rank[seq] = clamp(predicted_rank, 1, self.capacity)
+        self._seqs.add(seq)
         # Push the new key up from the actual's root; an ancestor that does
         # not change proves every higher one unchanged too.
         mins, maxs = self._min, self._max
@@ -281,25 +285,17 @@ class LearnedLLA:
         return out
 
 
-def witness_error_check(
-    lla: LearnedLLA,
-    merged: Actual,
-    true_ranks: dict[int, int],
-) -> bool:
+def witness_error_check(merged: Actual, predicted, true_ranks) -> bool:
     """Verify the merge witness: some element of a merged actual P carries a
     prediction error of at least |P|/2 ranks.
 
-    `true_ranks` maps seq -> final rank in the fully-loaded structure. Merges
-    are only ever triggered by misrouted elements, so on distinct keys this
-    must hold for every merge; it is the per-merge certificate that total
-    cost stays bounded by total prediction error.
+    `predicted` and `true_ranks` are indexed by seq (a list or a dict): the
+    rank each element was routed by (in [1, capacity], where `route` clamps
+    it), and its final rank in the fully-loaded structure.  Merges are only
+    ever triggered by misrouted elements, so on distinct keys this must hold
+    for every merge; it is the per-merge certificate that total cost stays
+    bounded by total prediction error.
     """
     half_width = (1 << merged.height) / 2
-    for _raw, seq in filter(None, merged.box.slots):
-        predicted = lla.predicted_rank.get(seq)
-        actual = true_ranks.get(seq)
-        if predicted is None or actual is None:
-            continue
-        if abs(predicted - actual) >= half_width:
-            return True
-    return False
+    return any(abs(predicted[seq] - true_ranks[seq]) >= half_width
+               for _raw, seq in filter(None, merged.box.slots))

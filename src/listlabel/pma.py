@@ -72,45 +72,9 @@ def succ_leaf(maxs: list[int], raw: int) -> int | None:
     return v - n
 
 
-# Upper density thresholds at the root and at the leaves (see tau_at_depth).
+# Upper density thresholds at the root and at the leaves (see geometry).
 TAU_ROOT = 0.5
 TAU_LEAF = 0.9
-
-
-def tau_at_depth(k: int, depth: int) -> float:
-    """Upper density threshold for a node at depth k (root is depth 0)."""
-    if not 0 <= k <= max(depth, 0):
-        raise ValueError(f"depth {k} outside [0, {depth}]")
-    ratio = k / depth if depth else 0.0
-    return TAU_ROOT + (TAU_LEAF - TAU_ROOT) * ratio
-
-
-def plan_layout(slot_count: int) -> tuple[int, int, int]:
-    """Choose (leaf_size, depth, total_slots) for a requested slot count.
-
-    Leaves hold Theta(log m) slots.  The tree must tile the array exactly
-    with 2^depth equal leaves, so leaf sizes are drawn from {2^j} and
-    {3 * 2^j}; the second family lets sizes of the form 6 * 2^h (the sizes
-    the learned wrapper allocates) tile without padding.  Counts that fit
-    neither family are rounded up to the next power-of-two-leaf layout.
-    """
-    if slot_count < 2:
-        raise ValueError("need at least 2 slots")
-    min_leaf = max(2, (slot_count - 1).bit_length())  # ceil(log2(slot_count))
-    odd, twos = slot_count, 0
-    while odd % 2 == 0:
-        odd //= 2
-        twos += 1
-    if odd in (1, 3):
-        for j in range(twos + 1):
-            leaf = odd << j
-            if leaf >= min_leaf:
-                return leaf, twos - j, slot_count
-    leaf = 1 << (min_leaf - 1).bit_length()  # next power of two >= min_leaf
-    depth = 0
-    while leaf << depth < slot_count:
-        depth += 1
-    return leaf, depth, leaf << depth
 
 
 @cache
@@ -118,13 +82,38 @@ def geometry(slot_count: int) -> tuple[int, int, int, int, tuple[float, ...]]:
     """(leaf_size, depth, slot_count, num_leaves, cap) for a requested slot
     count, computed once and shared by every box of that size.
 
-    cap[k] is tau_at_depth(k, depth) times the slot count of a depth-k node:
-    the element count a node may hold before it must push an insert up to
-    its parent.  It is an immutable tuple.
+    Leaves hold Theta(log m) slots: at least max(2, ceil(log2 m)).  The tree
+    must tile the array exactly with 2^depth equal leaves, so leaf sizes are
+    drawn from {2^j} and {3 * 2^j}; the second family lets sizes of the form
+    6 * 2^h (the sizes the learned wrapper allocates) tile without padding.
+    A count that fits neither family is rounded up to the next
+    power-of-two-leaf layout, and the returned slot_count is that total.
+
+    A node at depth k (the root is depth 0) tolerates the density
+    tau(k) = TAU_ROOT + (TAU_LEAF - TAU_ROOT) * k / depth, looser toward the
+    leaves; a lone leaf (depth 0) is the root and takes TAU_ROOT.  cap[k] is tau(k) times the slot count of a depth-k node: the
+    element count a node may hold before it must push an insert up to its
+    parent.  It is an immutable tuple.  Fewer than 2 slots is a ValueError.
     """
-    leaf, depth, total = plan_layout(slot_count)
-    cap = tuple(tau_at_depth(k, depth) * ((1 << depth - k) * leaf) for k in range(depth + 1))
-    return leaf, depth, total, 1 << depth, cap
+    if slot_count < 2:
+        raise ValueError("need at least 2 slots")
+    min_leaf = max(2, (slot_count - 1).bit_length())  # ceil(log2(slot_count))
+    # Start from slot_count's odd part if that is 3, else from 1, and double
+    # up to min_leaf.  When the odd part is 1 or 3 the leaf stays a divisor
+    # (slot_count itself is >= min_leaf), so the leaves tile exactly;
+    # otherwise the power-of-two leaf pads the total up.
+    leaf = 3 if slot_count // (slot_count & -slot_count) == 3 else 1
+    while leaf < min_leaf:
+        leaf <<= 1
+    depth = 0
+    while leaf << depth < slot_count:
+        depth += 1
+    cap = tuple(
+        (TAU_ROOT + (TAU_LEAF - TAU_ROOT) * (k / depth if depth else 0.0))
+        * ((1 << depth - k) * leaf)
+        for k in range(depth + 1)
+    )
+    return leaf, depth, leaf << depth, 1 << depth, cap
 
 
 def even_layout(lo: int, size: int, c: int) -> list[int]:
@@ -158,13 +147,6 @@ class Pma:
 
     # ------------------------------------------------------------------
     # public surface
-
-    def labels(self) -> list[tuple[int, int, int]]:
-        return [
-            (entry[0], entry[1], pos + 1)
-            for pos, entry in enumerate(self.slots)
-            if entry is not None
-        ]
 
     def init(self, raws, seqs) -> None:
         """Bulk-load sorted keys, evenly spread across the whole array.

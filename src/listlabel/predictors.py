@@ -33,7 +33,6 @@ __all__ = [
     "PredictionVector",
     "predictor1",
     "predictor2",
-    "best_fit_slope",
     "select_predictor",
     "corrupt",
 ]
@@ -70,11 +69,11 @@ def _round_half_up(num: int, den: int) -> int:
     return (2 * num + den) // (2 * den)
 
 
-def predictor1(train: SequenceSlice, test: SequenceSlice) -> PredictionVector:
-    """Empirical train rank scaled by |test|/|train|, clamped to [1, |test|]."""
-    if not train.keys:
-        raise ValueError("empty training slice")
-    raws = sorted(k.raw for k in train.keys)
+def _scaled_ranks(train_raws: list[int], test: SequenceSlice) -> PredictionVector:
+    """Each test key's rank among the training raws (keys strictly below,
+    plus one), scaled by |test|/|train| and clamped to [1, |test|]; the
+    ranking step both predictors share."""
+    raws = sorted(train_raws)
     r, t = len(raws), len(test.keys)
     ranks = []
     for x in test.keys:
@@ -82,6 +81,13 @@ def predictor1(train: SequenceSlice, test: SequenceSlice) -> PredictionVector:
         scaled = _round_half_up(emp * t, r)
         ranks.append(min(max(scaled, 1), t))
     return PredictionVector(ranks)
+
+
+def predictor1(train: SequenceSlice, test: SequenceSlice) -> PredictionVector:
+    """Empirical train rank scaled by |test|/|train|, clamped to [1, |test|]."""
+    if not train.keys:
+        raise ValueError("empty training slice")
+    return _scaled_ranks([k.raw for k in train.keys], test)
 
 
 def best_fit_slope(train: SequenceSlice) -> Fraction:
@@ -99,7 +105,7 @@ def best_fit_slope(train: SequenceSlice) -> Fraction:
 
 
 def predictor2(train: SequenceSlice, test: SequenceSlice) -> PredictionVector:
-    """predictor1 on a drift-corrected copy of the training keys.
+    """predictor1's ranking on drift-corrected training keys.
 
     The i-th training key slides by a·(d + i·(|test|/|train| − 1)) raw
     units, where a is the best-fit slope and d the offset between the two
@@ -111,11 +117,11 @@ def predictor2(train: SequenceSlice, test: SequenceSlice) -> PredictionVector:
     d = test.start_offset - train.start_offset
     # a·(d + i·(t − r)/r) = N·(d·r + i·(t − r)) / (D·r) with a = N/D, D > 0.
     num, den = a.numerator, a.denominator * r
-    shifted = [
-        Key(k.raw + _round_half_up(num * (d * r + i * (t - r)), den), k.seq)
-        for i, k in enumerate(train.keys, start=1)
-    ]
-    return predictor1(SequenceSlice(shifted, train.start_offset), test)
+    return _scaled_ranks(
+        [k.raw + _round_half_up(num * (d * r + i * (t - r)), den)
+         for i, k in enumerate(train.keys, start=1)],
+        test,
+    )
 
 
 def select_predictor(train: SequenceSlice) -> str:
@@ -151,10 +157,13 @@ def corrupt(pred: PredictionVector, t: int, rng_seed: int) -> PredictionVector:
     Sampled entries become 1 or n, whichever is farther from the current
     prediction (ties toward n); the rest are untouched.  Sampling is
     uniform without replacement from a seeded generator, so a given
-    (t, seed) pair always corrupts the same indices.
+    (t, seed) pair always corrupts the same indices.  A t outside [0, 100]
+    or a negative seed is a ValueError, whether or not anything is sampled.
     """
     if not 0 <= t <= 100:
         raise ValueError(f"corruption percentage out of range: {t}")
+    if rng_seed < 0:
+        raise ValueError(f"corruption seed {rng_seed} is negative")
     ranks = list(pred.ranks)
     n = len(ranks)
     count = t * n // 100

@@ -12,9 +12,10 @@ import random
 import pytest
 
 from listlabel.apma import Apma
-from listlabel.core import MovementLedger, verify_sorted
+from listlabel.core import MovementLedger
 from listlabel.learned import LearnedLLA
-from listlabel.pma import TAU_LEAF, Pma, tau_at_depth
+from listlabel.pma import TAU_LEAF, Pma
+from test_pma import raws_sorted
 
 
 def even(c: int, lo: int, size: int) -> list[int]:
@@ -57,9 +58,9 @@ class TestWeightedLayout:
             size = k * L
             lo = rng.randrange(0, 64 - size + 1, size)
             # a k-leaf node only ever rebuilds while within its own density
-            # threshold, so probe states a real rebalance can reach
-            tau_node = tau_at_depth(a.depth - (k.bit_length() - 1), a.depth)
-            c = rng.randint(1, int(tau_node * size))
+            # threshold, so probe states a real rebalance can reach (cap[d]
+            # is a depth-d node's threshold times its slot count)
+            c = rng.randint(1, int(a._cap[a.depth - (k.bit_length() - 1)]))
             weights = [rng.randint(1, 50) for _ in range(k)]
             pos = a._weighted_positions(c, lo, size, weights)
             assert len(pos) == c
@@ -177,7 +178,8 @@ class TestOpaqueSeq:
             a = Apma(4 * self.N, ledger=led)
             for i, raw in enumerate(self.STREAMS[name]):
                 a.insert(raw, base + i)
-            return [(raw, label) for raw, _, label in a.labels()], led.total_movements
+            labels = [(e[0], pos + 1) for pos, e in enumerate(a.slots) if e is not None]
+            return labels, led.total_movements
 
         assert run(2**63) == run(0)
 
@@ -202,7 +204,7 @@ def _cost(cls, raws, slot_count):
     s = cls(slot_count, ledger=led)
     for i, raw in enumerate(raws):
         s.insert(raw, i)
-    assert verify_sorted(s.slots)
+    assert raws_sorted(s.slots)
     return led.amortized_cost()
 
 
@@ -253,8 +255,8 @@ def test_mixed_workload_stays_sorted():
         else:
             a.insert(rng.randint(0, 10**9), i)
         if i % 131 == 0:
-            assert verify_sorted(a.slots)
-    assert verify_sorted(a.slots)
+            assert raws_sorted(a.slots)
+    assert raws_sorted(a.slots)
 
 
 def test_apma_respects_ledger_and_capacity():

@@ -10,7 +10,6 @@ from listlabel.core import (
     UndefinedCostError,
     clamp,
     fixed_point_parse,
-    verify_sorted,
 )
 
 
@@ -93,8 +92,3 @@ class TestHelpers:
         assert clamp(5, 1, 10) == 5
         assert clamp(-3, 1, 10) == 1
         assert clamp(99, 1, 10) == 10
-
-    def test_verify_sorted_ignores_gaps(self):
-        assert verify_sorted([None, Key(1, 0), None, Key(2, 0), None])
-        assert not verify_sorted([Key(2, 0), None, Key(1, 0)])
-        assert verify_sorted([])

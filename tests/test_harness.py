@@ -8,7 +8,7 @@ import pytest
 
 from listlabel import harness
 from listlabel.cli import main as cli_main
-from listlabel.core import MIN_RAW, SCALE, MovementLedger
+from listlabel.core import MIN_RAW, SCALE, Key, MovementLedger
 from listlabel.harness import (
     CSV_HEADER,
     ConfigError,
@@ -366,6 +366,62 @@ class TestRobustness:
             run_robustness(ACTIONS, 8, [], repeats=2)
         assert loads == [] and selections == [] and runs == []
 
+    @pytest.mark.parametrize("t", [0, 25])
+    def test_negative_first_seed_rejected_before_any_load(
+        self, monkeypatch, selections, t
+    ):
+        loads, runs = [], []
+        monkeypatch.setattr(harness, "load_dataset", loads.append)
+        monkeypatch.setattr(harness, "_run_config", lambda *a, **kw: runs.append(a))
+        with pytest.raises(ConfigError, match="-4 negative"):
+            run_robustness(ACTIONS, 8, [t], repeats=2, base_seed=-5)
+        assert loads == [] and selections == [] and runs == []
+
+    def test_seed_minus_one_corrupts_from_seed_zero(self, monkeypatch):
+        seeds = []
+        inner = harness.corrupt
+
+        def spy(pred, t, seed):
+            seeds.append(seed)
+            return inner(pred, t, seed)
+
+        monkeypatch.setattr(harness, "corrupt", spy)
+        rows = run_robustness(ACTIONS, 6, [25], repeats=2, base_seed=-1,
+                              structures=("learned-pma",))
+        assert seeds == [0, 1] and len(rows) == 1
+
+
+class TestWitnessWiring:
+    """_run_config's merge listener checks every merge against the ranks
+    each key was routed by (its prediction, or 1 on a blind row) and the
+    true ranks it is given."""
+
+    @staticmethod
+    def stream():
+        rng = random.Random(4)
+        keys = [Key(raw, i) for i, raw in enumerate(rng.sample(range(10**9), 256))]
+        true_ranks = harness._true_ranks(keys)
+        preds = [min(max(r + rng.randint(-8, 8), 1), 256) for r in true_ranks]
+        return keys, preds, true_ranks
+
+    @pytest.mark.parametrize("structure", ["learned-pma", "learned-apma", "pma"])
+    def test_real_ranks_witness_every_merge(self, structure):
+        keys, preds, true_ranks = self.stream()
+        if structure == "pma":
+            preds = None
+        row = harness._run_config(structure, "w", keys, preds, None, train=0,
+                                  true_ranks=true_ranks, check_witness=True)
+        assert row.merges > 0
+
+    @pytest.mark.parametrize("structure", ["learned-pma", "pma"])
+    def test_ranks_equal_to_routing_fail_the_first_merge(self, structure):
+        keys, preds, _ = self.stream()
+        routed = [1] * len(keys) if structure == "pma" else preds
+        with pytest.raises(AssertionError, match="has no element with prediction error"):
+            harness._run_config(structure, "w", keys,
+                                None if structure == "pma" else preds, None,
+                                train=0, true_ranks=routed, check_witness=True)
+
 
 class TestSynthetic:
     def test_bad_parameters_rejected(self):
@@ -459,7 +515,7 @@ def test_wrapped_blind_tracks_standalone_array_at_same_capacity():
         lla.insert(raw, i + 1, 1)
 
     led_s = MovementLedger(first_placement_excluded=True)
-    pma = Pma(lla.slot_count, ledger=led_s)
+    pma = Pma(6 * lla.n, ledger=led_s)  # the wrapper's six slots per rank
     pma.insert(MIN_RAW, 0)
     led_s.reset()
     for i, raw in enumerate(raws):
@@ -526,9 +582,10 @@ class TestCli:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "flags", [["--t", "150"], ["--t", "-5"], ["--repeats", "0"]]
+        "flags",
+        [["--t", "150"], ["--t", "-5"], ["--repeats", "0"], ["--t", "25", "--seed", "-5"]],
     )
-    def test_bad_robustness_flags_exit_2(self, tmp_path, capsys, flags):
+    def test_bad_robustness_flags_exit_2(self, tmp_path, capsys, selections, flags):
         spec = write_drift(tmp_path / "d.txt")
         code = cli_main(
             ["robustness", "--dataset", str(spec.path), "--value-col", "1",
@@ -537,7 +594,8 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err.startswith("llabench: ")
+        assert captured.err.startswith("llabench: ") and captured.err.count("\n") == 1
+        assert selections == []
 
     @pytest.mark.parametrize(
         "args",

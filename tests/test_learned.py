@@ -19,12 +19,21 @@ from listlabel.learned import LearnedLLA, witness_error_check
 from listlabel.pma import Pma
 
 
+def box_labels(box):
+    """(raw, seq, label) of a box's entries, labels 1-based box slots."""
+    return [(e[0], e[1], pos + 1) for pos, e in enumerate(box.slots) if e is not None]
+
+
 class TestCapacityShape:
     def test_eight_leaves_forty_eight_slots(self):
         lla = LearnedLLA(8)
         assert lla.n == 8
-        assert lla.slot_count == 48
         assert lla.partition() == [(0, i) for i in range(8)]
+        lla.insert(10, 0, 8)
+        (rec,) = lla.actuals()
+        # the last of eight six-slot leaves owns global slots 43..48
+        assert len(rec.box.slots) == 6
+        assert lla.global_labels() == [(10, 0, 43)]
 
     def test_single_slot_tree_is_its_own_root(self):
         lla = LearnedLLA(1)
@@ -34,9 +43,13 @@ class TestCapacityShape:
     def test_odd_capacity_rounds_up_but_clamps_true(self):
         lla = LearnedLLA(5)
         assert lla.n == 8  # tree shape rounds to a power of two
+        assert lla.route(10, 99) == (0, 4)  # rank 5's leaf, not rank 8's
         for seq, raw in enumerate([10, 20, 30, 40, 50]):
             lla.insert(raw, seq, predicted_rank=99)  # clamps to 5, not 8
-        assert lla.predicted_rank[0] == 5
+        # all five sit in rank 5's actual, merged up to ranks 5..6; an
+        # unclamped 99 would route 60 to rank 8's empty leaf instead
+        assert [(a.height, a.node) for a in lla.actuals()] == [(1, 2)]
+        assert lla.route(60, 99) == (1, 2)
         with pytest.raises(CapacityError):
             lla.insert(60, 5, 1)
 
@@ -51,9 +64,11 @@ class TestBoundary:
         lla.insert(100, 0, 1)
         with pytest.raises(ValueError):
             lla.insert(raw, 1, 2)
-        assert lla.count == 1 and lla.predicted_rank == {0: 1}
+        assert lla.count == 1
         assert lla.global_labels() == [(100, 0, 1)]
         assert (led.total_inserts, led.total_movements) == (1, 1)
+        lla.insert(200, 1, 2)  # the rejected insert left seq 1 unused
+        assert lla.global_labels() == [(100, 0, 1), (200, 1, 7)]
 
     def test_accepts_both_ends_of_the_key_range(self):
         lla = LearnedLLA(8)
@@ -66,12 +81,16 @@ class TestBoundary:
         assert lla.neighbor_actuals(RAW_MAX)[1] is None
 
     def test_rejects_reused_seq(self):
-        lla = LearnedLLA(8)
+        led = MovementLedger()
+        lla = LearnedLLA(8, ledger=led)
         lla.insert(100, 7, 1)
         with pytest.raises(ValueError):
             lla.insert(200, 7, 8)
-        assert lla.count == 1 and lla.predicted_rank == {7: 1}
+        assert lla.count == 1
         assert lla.global_labels() == [(100, 7, 1)]
+        assert (led.total_inserts, led.total_movements) == (1, 1)
+        lla.insert(200, 8, 8)  # a fresh seq still goes in
+        assert lla.global_labels() == [(100, 7, 1), (200, 8, 43)]
 
 
 class TestRouting:
@@ -145,7 +164,7 @@ class TestMergeAccounting:
         lla.insert(20, 1, 3)
         rec = lla.actuals()[0]
         assert (rec.height, rec.node) == (0, 2)  # third unit leaf owns slots 13..18
-        local = [label for _, _, label in rec.box.labels()]
+        local = [label for _, _, label in box_labels(rec.box)]
         assert local == [1, 2]
         assert [g for _, _, g in lla.global_labels()] == [13, 14]
 
@@ -191,20 +210,20 @@ class GrowingChain:
     def insert(self, raw: int, seq: int) -> None:
         self.ledger.record_insert(self.box.insert(raw, seq))
         while self.box.count * 2 > 6 * self.width:
-            old = {s: label for _, s, label in self.box.labels()}
-            raws = [r for r, _, _ in self.box.labels()]
-            seqs = [s for _, s, _ in self.box.labels()]
+            old = {s: label for _, s, label in box_labels(self.box)}
+            raws = [r for r, _, _ in box_labels(self.box)]
+            seqs = [s for _, s, _ in box_labels(self.box)]
             self.width *= 2
             self.box = self.cls(6 * self.width)
             self.box.init(raws, seqs)
             moved = sum(
-                1 for _, s, label in self.box.labels() if old[s] != label
+                1 for _, s, label in box_labels(self.box) if old[s] != label
             )
             self.ledger.record_moves(moved)
             self.rebuilds += 1
 
     def labels(self):
-        return self.box.labels()
+        return box_labels(self.box)
 
 
 @pytest.mark.parametrize(
@@ -217,7 +236,7 @@ class GrowingChain:
     ],
 )
 def test_rank_one_routing_equals_growing_chain(stream, n, cls):
-    # The chain counts a rebuild's moves from labels() before and after, so
+    # The chain counts a rebuild's moves from box labels before and after, so
     # at n = 4096 it checks the wrapper's whole-list merge count on eleven
     # cascading rebuilds of up to 3073 entries.
     if stream == "increasing":
@@ -251,10 +270,11 @@ def test_witness_boundary_at_half_width():
         lla.insert(raw, seq, 1)
     (rec,) = merged_recs
     assert rec.height == 1  # |P| = 2, threshold is error >= 1
+    predicted = [1, 1, 1, 1]  # indexed by seq
     truth_with_error = {0: 1, 1: 2, 2: 3, 3: 4}
-    assert witness_error_check(lla, rec, truth_with_error)
+    assert witness_error_check(rec, predicted, truth_with_error)
     truth_equal_to_predictions = {seq: 1 for seq in range(4)}
-    assert not witness_error_check(lla, rec, truth_equal_to_predictions)
+    assert not witness_error_check(rec, predicted, truth_equal_to_predictions)
 
 
 # ----------------------------------------------------------------------
@@ -269,8 +289,8 @@ def test_tree_searches_match_linear_scan_on_duplicates():
     lla = LearnedLLA(n)
     for seq in range(n):
         lla.insert(rng.randrange(24), seq, rng.randint(1, n))
-        spans = [(rec, min(r for r, _, _ in rec.box.labels()),
-                  max(r for r, _, _ in rec.box.labels())) for rec in lla.actuals()]
+        spans = [(rec, min(r for r, _ in filter(None, rec.box.slots)),
+                  max(r for r, _ in filter(None, rec.box.slots))) for rec in lla.actuals()]
         for raw in range(-1, 26):
             pred = next((rec for rec, lo, _ in reversed(spans) if lo <= raw), None)
             succ = next((rec for rec, _, hi in spans if hi > raw), None)

@@ -12,10 +12,14 @@ import random
 import pytest
 
 from listlabel.apma import Apma
-from listlabel.core import MIN_RAW, RAW_MAX, CapacityError, Key, MovementLedger, verify_sorted
-from listlabel.pma import (
-    INF_RAW, TAU_LEAF, TAU_ROOT, Pma, geometry, plan_layout, tau_at_depth,
-)
+from listlabel.core import MIN_RAW, RAW_MAX, CapacityError, Key, MovementLedger
+from listlabel.pma import INF_RAW, TAU_LEAF, TAU_ROOT, Pma, geometry
+
+
+def raws_sorted(slots) -> bool:
+    """Whether the occupied slots' keys are non-decreasing left to right."""
+    raws = [entry[0] for entry in filter(None, slots)]
+    return raws == sorted(raws)
 
 
 # ----------------------------------------------------------------------
@@ -24,20 +28,25 @@ from listlabel.pma import (
 
 class TestPlanLayout:
     def test_leaf_family_examples(self):
-        assert plan_layout(48) == (6, 3, 48)  # 8 leaves of 6: no padding
-        assert plan_layout(64) == (8, 3, 64)
-        assert plan_layout(6) == (3, 1, 6)
-        assert plan_layout(12) == (6, 1, 12)
-        assert plan_layout(2) == (2, 0, 2)
+        assert geometry(48)[:3] == (6, 3, 48)  # 8 leaves of 6: no padding
+        assert geometry(64)[:3] == (8, 3, 64)
+        assert geometry(6)[:3] == (3, 1, 6)
+        assert geometry(12)[:3] == (6, 1, 12)
+        assert geometry(2)[:3] == (2, 0, 2)
 
     def test_unfittable_counts_round_up(self):
-        leaf, depth, total = plan_layout(5)
+        leaf, depth, total = geometry(5)[:3]
         assert total >= 5 and leaf << depth == total
+
+    def test_fewer_than_two_slots_rejected(self):
+        for m in (1, 0, -6):
+            with pytest.raises(ValueError):
+                geometry(m)
 
     def test_family_membership(self):
         # every planned leaf size is 2^j or 3*2^j, and leaves tile exactly
         for m in range(2, 400):
-            leaf, depth, total = plan_layout(m)
+            leaf, depth, total = geometry(m)[:3]
             assert total >= m
             assert leaf << depth == total
             reduced = leaf
@@ -50,28 +59,28 @@ class TestPlanLayout:
         # the wrapper allocates boxes of 6 * 2^h slots; none may be padded
         for h in range(0, 12):
             m = 6 << h
-            assert plan_layout(m)[2] == m
+            assert geometry(m)[2] == m
 
 
 class TestThresholds:
     def test_tau_interpolates_root_to_leaf(self):
-        assert tau_at_depth(0, 4) == TAU_ROOT
-        assert tau_at_depth(4, 4) == TAU_LEAF
-        taus = [tau_at_depth(k, 4) for k in range(5)]
+        leaf, depth, total, _, cap = geometry(192)
+        assert (leaf, depth) == (12, 4)
+        taus = [cap[k] / (total >> k) for k in range(depth + 1)]
+        assert taus[0] == TAU_ROOT
+        assert taus[-1] == pytest.approx(TAU_LEAF)
         assert taus == sorted(taus)
-
-    def test_depth_bounds_checked(self):
-        with pytest.raises(ValueError):
-            tau_at_depth(5, 4)
+        assert geometry(2)[4] == (2 * TAU_ROOT,)  # a lone leaf is the root
 
 
 class TestSharedGeometry:
     def test_cached_geometry_matches_plan(self):
         for h in range(12):
             m = 6 << h
-            leaf, depth, total = plan_layout(m)
-            # a depth-k node spans total >> k slots
-            cap = tuple(tau_at_depth(k, depth) * (total >> k) for k in range(depth + 1))
+            leaf, depth, total = geometry(m)[:3]
+            # a depth-k node spans total >> k slots; its tau, as geometry states it
+            cap = tuple((TAU_ROOT + (TAU_LEAF - TAU_ROOT) * (k / depth if depth else 0.0))
+                        * (total >> k) for k in range(depth + 1))
             assert geometry(m) == (leaf, depth, total, 1 << depth, cap)
             box = Pma(m)
             assert (box.leaf_size, box.depth, box.slot_count, box.num_leaves) == (
@@ -316,8 +325,8 @@ def test_sorted_after_random_workload():
     for seq in range(500):  # root admits just over half the slots
         pma.insert(rng.randint(0, 10**9), seq)
         if seq % 97 == 0:
-            assert verify_sorted(pma.slots)
-    assert verify_sorted(pma.slots)
+            assert raws_sorted(pma.slots)
+    assert raws_sorted(pma.slots)
     assert pma.count == 500
 
 

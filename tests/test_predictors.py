@@ -109,14 +109,16 @@ class TestPredictor2:
 
     @pytest.fixture
     def seen(self, monkeypatch):
-        """Every training slice predictor2 hands on to predictor1, as raws."""
+        """Every list of training raws predictor2 hands to the ranking step
+        it shares with predictor1."""
         seen = []
+        rank = predictors._scaled_ranks
 
-        def spy(train, test):
-            seen.append([k.raw for k in train.keys])
-            return predictor1(train, test)
+        def spy(train_raws, test):
+            seen.append(list(train_raws))
+            return rank(train_raws, test)
 
-        monkeypatch.setattr(predictors, "predictor1", spy)
+        monkeypatch.setattr(predictors, "_scaled_ranks", spy)
         return seen
 
     @pytest.mark.parametrize("seed", range(6))
@@ -185,6 +187,11 @@ class TestCorrupt:
         assert first.ranks == again.ranks
         changed = sum(1 for a, b in zip(base, first.ranks) if a != b)
         assert changed == 10  # floor(25 * 40 / 100)
+
+    @pytest.mark.parametrize("t", [0, 25, 100])
+    def test_negative_seed_rejected_at_every_level(self, t):
+        with pytest.raises(ValueError, match="seed -1 is negative"):
+            corrupt(PredictionVector([1, 2, 3, 4]), t, rng_seed=-1)
 
     def test_bad_percent_rejected(self):
         with pytest.raises(ValueError):
