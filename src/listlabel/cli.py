@@ -4,12 +4,14 @@ Each subcommand maps onto one harness protocol and writes CSV to --out
 (default stdout).  Exit codes: 0 on success, 2 for configuration problems
 (bad flags, an --out that cannot be opened for writing, not enough rows,
 inconsistent parameters), 3 for data problems (missing or malformed
-dataset files).
+dataset files).  On exit 2 or 3 an --out file this run created is removed;
+one that existed before is left as it was.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .core import ParseError
@@ -148,14 +150,17 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     structures = STRUCTURES if args.structure == "all" else (args.structure,)
 
+    created = False  # whether this run made the --out file
     try:
         if args.out != "-":
             # Opened for appending, like `touch`, so that an unwritable path
             # fails before any run and an existing file is not yet truncated.
+            existed = os.path.lexists(args.out)
             try:
                 open(args.out, "a").close()
             except OSError as exc:
                 raise ConfigError(f"--out {args.out}: {exc.strerror or exc}") from None
+            created = not existed
         if args.command == "synth":
             results = run_synthetic(
                 args.kind,
@@ -196,12 +201,11 @@ def main(argv: list[str] | None = None) -> int:
                     structures=structures,
                 )
         emit_csv(results, args.out)
-    except ConfigError as exc:
+    except (ConfigError, DataError, ParseError) as exc:
         print(f"llabench: {exc}", file=sys.stderr)
-        return 2
-    except (DataError, ParseError) as exc:
-        print(f"llabench: {exc}", file=sys.stderr)
-        return 3
+        if created:
+            os.remove(args.out)  # a failed run leaves no empty CSV behind
+        return 2 if isinstance(exc, ConfigError) else 3
     return 0
 
 

@@ -67,7 +67,8 @@ class UndefinedCostError(ZeroDivisionError):
     """Amortized cost requested before any insert was recorded."""
 
 
-_NUMBER_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)$")
+# ASCII digits only: \d would also admit other scripts' digits.
+_NUMBER_RE = re.compile(r"^[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)$")
 
 
 def fixed_point_parse(text: str, line: int | None = None) -> int:

@@ -5,10 +5,11 @@ fixed-size leaf ranges.  A node at depth k tolerates densities up to
 tau(k) = tau_root + (tau_leaf - tau_root) * k / d, looser toward the leaves.
 An insert lands in the leaf range that keeps order; if that leaf is above its
 threshold, the lowest ancestor still within threshold is rebalanced by even
-redistribution before the element is placed.  Within the leaf the new element
-takes the free slot next to its predecessor, shifting at most a few neighbors
-by one slot, so cheap inserts stay cheap and the labels of untouched elements
-never change.
+redistribution before the element is placed.  The key targets the slot right
+after the last stored key <= it, else right before the first stored key, else
+slot 0; if that slot is taken, the shorter run of its leaf shifts by one
+toward the nearest gap (ties go right), so cheap inserts stay cheap and the
+labels of untouched elements never change.
 
 Movements are counted per element whose slot (label) actually changes; an
 element that a rebalance happens to leave in place costs nothing.
@@ -194,58 +195,9 @@ class Pma:
         ValueError for a key check_raw rejects.
         """
         raw = check_raw(raw)
-        pos, moved = self._insert_impl(raw, seq)
-        self._after_insert(pos)
-        if self.ledger is not None:
-            self.ledger.record_insert(moved)
-        return moved
-
-    # ------------------------------------------------------------------
-    # searches (heap descents; never scan more than one leaf range)
-
-    def _leftmost_occupied(self) -> int:
-        mins, n, v = self._min, self.num_leaves, 1
-        while v < n:
-            v <<= 1
-            if mins[v] == INF_RAW:
-                v |= 1
-        lo = (v - n) * self.leaf_size
-        for pos in range(lo, lo + self.leaf_size):
-            if self.slots[pos] is not None:
-                return pos
-        raise AssertionError("tree minima out of sync: an empty leaf has a finite min")
-
-    def _neighbors(self, raw: int) -> tuple[int, int | None, int | None]:
-        """(leaf, sp, ss): the leaf the key goes into and its neighbors' slots.
-
-        sp is the rightmost occupied slot with key <= raw.  Given sp, ss is
-        sp + 1 when that slot is occupied, else None: the key then takes the
-        free slot sp + 1, and no later successor changes that.  Without sp,
-        ss is the leftmost occupied slot of the array.
-        """
-        L, slots = self.leaf_size, self.slots
-        p = pred_leaf(self._min, raw)
-        if p is None:
-            if self._min[1] == INF_RAW:
-                return 0, None, None
-            ss = self._leftmost_occupied()
-            return max(ss - 1, 0) // L, None, ss
-        sp = p * L + L - 1
-        e = slots[sp]
-        while e is None or e[0] > raw:
-            sp -= 1
-            e = slots[sp]
-        ss = sp + 1
-        leaf = min(ss, self.slot_count - 1) // L
-        return leaf, sp, ss if ss < self.slot_count and slots[ss] is not None else None
-
-    # ------------------------------------------------------------------
-    # insert machinery
-
-    def _insert_impl(self, raw: int, seq: int) -> tuple[int, int]:
         if self.count >= self.slot_count:
             raise CapacityError("array full")
-        leaf, sp, ss = self._neighbors(raw)
+        t = self._target(raw)
 
         # Walk up until a node tolerates one more element (checked against
         # the pre-insert count, so a box sized 6r admits its (3r+1)-th
@@ -253,6 +205,7 @@ class Pma:
         # the aligned range and counts only the sibling half's slots.
         slots, cap = self.slots, self._cap
         width = self.leaf_size
+        leaf = min(t, self.slot_count - 1) // width
         lo = leaf * width
         c = width - slots[lo:lo + width].count(None)
         node = self.num_leaves + leaf
@@ -271,50 +224,73 @@ class Pma:
         moved = 0
         if k != self.depth:
             moved = self._rebalance(node, raw)
-            leaf, sp, ss = self._neighbors(raw)
+            t = self._target(raw)
 
-        pos, shifted = self._place_in_leaf(leaf, raw, seq, sp, ss)
+        pos, shifted = self._place(t, (raw, seq))
+        moved += shifted
         # Shifts stay inside the leaf, so only the new key can lower a min.
         mins = self._min
-        v = self.num_leaves + leaf
+        v = self.num_leaves + pos // self.leaf_size
         while v and raw < mins[v]:
             mins[v] = raw
             v >>= 1
         self.count += 1
-        return pos, moved + shifted
+        self._after_insert(pos)
+        if self.ledger is not None:
+            self.ledger.record_insert(moved)
+        return moved
 
-    def _place_in_leaf(
-        self, leaf: int, raw: int, seq: int, sp: int | None, ss: int | None
-    ) -> tuple[int, int]:
-        """Put the key into `leaf` between its neighbors; returns (pos, moved)."""
+    # ------------------------------------------------------------------
+    # placement (a heap descent, then never more than one leaf range)
+
+    def _target(self, raw: int) -> int:
+        """The slot the key wants: right after the last stored key <= raw,
+        else right before the first stored key, else 0.  That slot may be
+        taken, and it may equal slot_count."""
+        mins, L, slots = self._min, self.leaf_size, self.slots
+        p = pred_leaf(mins, raw)
+        if p is not None:
+            t = p * L + L
+            e = slots[t - 1]
+            while e is None or e[0] > raw:
+                t -= 1
+                e = slots[t - 1]
+            return t
+        if mins[1] == INF_RAW:
+            return 0
+        n, v = self.num_leaves, 1
+        while v < n:
+            v <<= 1
+            if mins[v] == INF_RAW:
+                v |= 1
+        lo = (v - n) * L
+        for pos in range(lo, lo + L):
+            if slots[pos] is not None:
+                return max(pos - 1, 0)
+        raise AssertionError("tree minima out of sync: an empty leaf has a finite min")
+
+    def _place(self, t: int, entry: tuple[int, int]) -> tuple[int, int]:
+        """Store the entry at slot t if that slot is free; otherwise shift
+        the shorter run of t's leaf by one toward its nearest gap (ties go
+        right) and store it at t, or at t - 1 after a left shift.  Returns
+        (pos, moved)."""
+        slots, m = self.slots, self.slot_count
+        if t < m and slots[t] is None:
+            slots[t] = entry
+            return t, 0
         L = self.leaf_size
-        lo, hi = leaf * L, (leaf + 1) * L
-        slots = self.slots
-        entry = (raw, seq)
-        a = lo if sp is None else max(sp + 1, lo)
-        b = hi if ss is None else min(ss, hi)
-        if a < b:
-            # The window strictly between the neighbors is free by
-            # construction; hug the predecessor (duplicates land after their
-            # equals), or the successor when there is no predecessor.
-            pos = a if sp is not None or ss is None else b - 1
-            slots[pos] = entry
-            return pos, 0
-        # No free slot between the neighbors inside this leaf: shift the
-        # shorter run by one toward the nearest gap (ties go right).
-        f_r = next((p for p in range(b, hi) if slots[p] is None), None)
-        f_l = next((p for p in range(min(a, hi) - 1, lo - 1, -1) if slots[p] is None), None)
-        cost_r = f_r - b if f_r is not None else None
-        cost_l = a - 1 - f_l if f_l is not None else None
-        if cost_r is not None and (cost_l is None or cost_r <= cost_l):
-            slots[b + 1:f_r + 1] = slots[b:f_r]
-            slots[b] = entry
-            return b, cost_r
-        if cost_l is None:
+        lo = min(t, m - 1) // L * L
+        f_r = next((p for p in range(t, lo + L) if slots[p] is None), None)
+        f_l = next((p for p in range(t - 1, lo - 1, -1) if slots[p] is None), None)
+        if f_r is not None and (f_l is None or f_r - t <= t - 1 - f_l):
+            slots[t + 1:f_r + 1] = slots[t:f_r]
+            slots[t] = entry
+            return t, f_r - t
+        if f_l is None:
             raise AssertionError("leaf admitted an insert but has no free slot")
-        slots[f_l:a - 1] = slots[f_l + 1:a]
-        slots[a - 1] = entry
-        return a - 1, cost_l
+        slots[f_l:t - 1] = slots[f_l + 1:t]
+        slots[t - 1] = entry
+        return t - 1, t - 1 - f_l
 
     def _after_insert(self, pos: int) -> None:
         """Hook for adaptive variants (insert-distribution bookkeeping)."""

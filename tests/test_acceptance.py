@@ -207,13 +207,16 @@ def _spied_classes(state):
             before = list(self.slots)
             moved = super()._rebalance(node, pending_raw)
             self._record(before, *self._node_slot_range(node))
+            state["rebalances"] += 1
             return moved
 
-        def _place_in_leaf(self, leaf, raw, seq, sp, ss):
+        def _place(self, t, entry):
             before = list(self.slots)
-            out = super()._place_in_leaf(leaf, raw, seq, sp, ss)
+            out = super()._place(t, entry)
             L = self.leaf_size
-            self._record(before, leaf * L, (leaf + 1) * L)
+            lo = min(t, self.slot_count - 1) // L * L
+            self._record(before, lo, lo + L)
+            state["shifts"] += out[1] > 0
             return out
 
     class SpiedPma(SpyMixin, Pma):
@@ -273,7 +276,7 @@ def _check_structure(lla):
 
 def _fuzz_one_seed(seed, n, adaptive, key_range=None):
     rng = random.Random(seed)
-    state = {"in_merge": False, "events": []}
+    state = {"in_merge": False, "events": [], "shifts": 0, "rebalances": 0}
     spied_pma, spied_apma = _spied_classes(state)
     cls = spied_apma if adaptive else spied_pma
     led = MovementLedger()
@@ -307,6 +310,9 @@ def _fuzz_one_seed(seed, n, adaptive, key_range=None):
         if i % 500 == 499:
             _check_structure(lla)
     _check_structure(lla)
+    # The spies must have run, or a renamed hook would switch the range
+    # checks off unseen.
+    assert state["shifts"] > 0 and state["rebalances"] > 0, (seed, state)
 
 
 def test_criterion_7_invariant_fuzz():

@@ -39,7 +39,11 @@ class TestFixedPointParse:
         assert fixed_point_parse("-0.00000015") == -2
 
     def test_rejects_non_numbers(self):
-        for bad in ["", "abc", "1e5", "--3", "1.2.3", "nan", "0x10"]:
+        # Arabic-Indic "1.00000000" and fullwidth "12": re's \d matches both.
+        arabic_one = "\u0661." + "\u0660" * 8
+        fullwidth_twelve = "\uff11\uff12"
+        for bad in ["", "abc", "1e5", "--3", "1.2.3", "nan", "0x10",
+                    arabic_one, fullwidth_twelve]:
             with pytest.raises(ParseError):
                 fixed_point_parse(bad)
 

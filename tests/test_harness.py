@@ -580,6 +580,17 @@ class TestCli:
              "--out", str(tmp_path / "o.csv")]
         )
         assert code == 2
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_failed_run_keeps_existing_out(self, tmp_path):
+        out = tmp_path / "o.csv"
+        out.write_bytes(b"earlier,run\n")
+        code = cli_main(
+            ["table", "--dataset", str(tmp_path / "absent.txt"), "--k", "4",
+             "--out", str(out)]
+        )
+        assert code == 3
+        assert out.read_bytes() == b"earlier,run\n"
 
     @pytest.mark.parametrize(
         "flags",
@@ -677,3 +688,4 @@ class TestCli:
              "--out", str(tmp_path / "o.csv")]
         )
         assert code == 3
+        assert not (tmp_path / "o.csv").exists()
