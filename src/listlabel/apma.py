@@ -3,7 +3,8 @@
 The classic PMA spreads elements evenly on rebalance, which is exactly wrong
 for skewed workloads (sequential runs, hammered gaps): the hot leaf fills
 right back up.  This variant keeps a per-leaf histogram of recent insert
-positions and uses it two ways when a range is redistributed:
+positions, one vote per key for the leaf it lands in, taken at placement
+(`_place`), and uses it two ways when a range is redistributed (`_layout`):
 
 * If the heat is concentrated (one leaf holds at least 3/4 of it) and the
   insert that triggered the redistribution lands at that leaf's gap, the
@@ -47,15 +48,17 @@ class Apma(Pma):
         self.decay_period = self.leaf_size * 4
         self._since_decay = 0
 
-    def _after_insert(self, pos: int) -> None:
+    def _place(self, t: int, entry: tuple[int, int]) -> tuple[int, int]:
+        """Place as `Pma` does, then vote for the leaf the key landed in."""
+        pos, moved = super()._place(t, entry)
         self.histogram[pos // self.leaf_size] += 1
         self._since_decay += 1
         if self._since_decay >= self.decay_period:
             self.histogram = [h >> 1 for h in self.histogram]
             self._since_decay = 0
+        return pos, moved
 
-    def _layout(self, entries, lo: int, size: int, old_pos,
-                pending_raw: int | None = None) -> list[int]:
+    def _layout(self, entries, lo: int, size: int, old_pos, pending_raw: int) -> list[int]:
         """Heat-directed redistribution across the leaves of the range."""
         c = len(entries)
         L = self.leaf_size
@@ -74,7 +77,7 @@ class Apma(Pma):
                 if first < end:
                     runs.append((first, end - 1, h))
 
-        if pending_raw is not None and runs:
+        if runs:
             first, last, dom = max(runs, key=itemgetter(2))
             if dom * 4 >= sum(map(itemgetter(2), runs)) * 3:
                 gap = bisect_right(entries, pending_raw, key=itemgetter(0))

@@ -2,12 +2,13 @@
 
 Every experiment runs the same four configurations over the same test
 slice.  The plain `pma` / `apma` rows route every element with predicted
-rank 1, which collapses the learned wrapper onto a single black box of the
-full capacity -- so baseline and learned rows differ only in the prediction
-vector, never in memory layout or machinery.  Each run begins by inserting
-a sentinel key below all real data and then resetting the movement ledger:
-the sentinel gives every real key a predecessor, and its placement is
-bookkeeping rather than workload.
+rank 1, so every key goes to the wrapper's leftmost actual, which is
+rebuilt into its parent, doubling its box, each time it passes half
+density -- baseline and learned rows differ only in the prediction vector,
+never in machinery, and a baseline row's merges are that box's growth.
+Each run begins by inserting a sentinel key below all real data and then
+resetting the movement ledger: the sentinel gives every real key a
+predecessor, and its placement is bookkeeping rather than workload.
 
 Amortized costs count label changes per insert with first placements
 excluded, so a run whose predictions are exact reports 0.0.  Wall-clock
@@ -105,13 +106,14 @@ class DatasetSpec:
 def load_dataset(spec: DatasetSpec) -> SequenceSlice:
     """Read the value column of a text table into an arrival-ordered slice.
 
+    The file is read as UTF-8; a byte-order mark at its start is skipped.
     Raises DataError with a 1-based line number for anything malformed:
     unreadable file, missing column, a value that is not a decimal number,
     or a NaN among numeric timestamps (it would silently misorder the rows).
     """
     path = Path(spec.path)
     try:
-        fh = open(path, "r", encoding="utf-8", errors="replace")
+        fh = open(path, "r", encoding="utf-8-sig", errors="replace")
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror or exc}") from None
 
@@ -362,20 +364,21 @@ def run_scaling(
 ) -> list[ExperimentResult]:
     """The table protocol at every k in k_range; the train/test columns
     carry k.  The dataset is read once, for the largest k, and every k's
-    windows are its prefix.  A negative k, or too few rows for the largest
-    k, is a ConfigError raised before any run."""
+    windows are its prefix.  A negative k, too few rows for the largest k,
+    or a training window too small to pick a predictor on, is a ConfigError
+    raised before any run: every k's predictions are made first."""
     k_range = list(k_range)
     for k in k_range:
         _rows_for(k)
     if not k_range:
         return []
     keys = _load_k(spec, max(k_range))
+    windows = [_split(keys, k) for k in k_range]
+    predictions = [_predict(structures, train, test) for train, test in windows]
     results = []
-    for k in k_range:
-        train, test = _split(keys, k)
-        results += _rows(structures, spec.label(), test.keys,
-                         _predict(structures, train, test), _true_ranks(test.keys),
-                         train=len(train))
+    for (train, test), preds in zip(windows, predictions):
+        results += _rows(structures, spec.label(), test.keys, preds,
+                         _true_ranks(test.keys), train=len(train))
     return results
 
 
@@ -392,7 +395,9 @@ def run_learning_curve(
     entirely, so the learned rows degenerate to rank-1 routing.  The train
     column distinguishes sweep points.  An empty fraction list, a negative
     test_k or fraction, or a fraction whose span exceeds 2^test_k rows, is a
-    ConfigError raised before any load or run.
+    ConfigError raised before any load or run; a training window too small
+    to pick a predictor on is one raised before any run, since every
+    point's predictions are made first.
     """
     t = _rows_for(test_k, "test_k")
     train_fractions = list(train_fractions)
@@ -413,14 +418,14 @@ def run_learning_curve(
     test = SequenceSlice(keys[t:], start_offset=t)
     true_ranks = _true_ranks(test.keys)
 
+    predictions = [
+        _predict(structures, SequenceSlice(keys[t - span : t], start_offset=t - span), test)
+        if span else None
+        for span in spans
+    ]
     results = []
-    for span in spans:
-        if span == 0:
-            predictions = None
-        else:
-            train = SequenceSlice(keys[t - span : t], start_offset=t - span)
-            predictions = _predict(structures, train, test)
-        results += _rows(structures, spec.label(), test.keys, predictions, true_ranks,
+    for span, preds in zip(spans, predictions):
+        results += _rows(structures, spec.label(), test.keys, preds, true_ranks,
                          train=span)
     return results
 

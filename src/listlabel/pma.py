@@ -130,6 +130,10 @@ class Pma:
     If `ledger` is given, inserts and init charge it; otherwise an insert
     only returns its movement count (a wrapper that does its own accounting
     passes ledger=None).
+
+    A variant has two extension points: `_place(t, entry)`, which stores
+    every inserted key and returns where it landed, and `_layout`, which
+    picks the slots of a rebalanced range.
     """
 
     def __init__(self, slot_count: int, ledger: MovementLedger | None = None):
@@ -181,7 +185,7 @@ class Pma:
         for pos, entry in zip(even_layout(0, self.slot_count, c), zip(raws, seqs)):
             slots[pos] = entry
         self.count = c
-        self._rebuild_tree(1)
+        self._rebuild_tree(0, self.slot_count)
         if self.ledger is not None:
             self.ledger.record_init(c)
 
@@ -205,25 +209,23 @@ class Pma:
         # the aligned range and counts only the sibling half's slots.
         slots, cap = self.slots, self._cap
         width = self.leaf_size
-        leaf = min(t, self.slot_count - 1) // width
-        lo = leaf * width
+        lo = min(t, self.slot_count - 1) // width * width
         c = width - slots[lo:lo + width].count(None)
-        node = self.num_leaves + leaf
         k = self.depth
         while c > cap[k]:
-            if node == 1:
+            if not k:
                 raise CapacityError("root above density threshold")
-            if node & 1:
+            # A right child; not `lo & width`, which fails for 3 * 2^j leaves.
+            if lo // width & 1:
                 lo -= width
                 c += width - slots[lo:lo + width].count(None)
             else:
                 c += width - slots[lo + width:lo + 2 * width].count(None)
             width <<= 1
-            node >>= 1
             k -= 1
         moved = 0
         if k != self.depth:
-            moved = self._rebalance(node, raw)
+            moved = self._rebalance(lo, lo + width, raw)
             t = self._target(raw)
 
         pos, shifted = self._place(t, (raw, seq))
@@ -235,7 +237,6 @@ class Pma:
             mins[v] = raw
             v >>= 1
         self.count += 1
-        self._after_insert(pos)
         if self.ledger is not None:
             self.ledger.record_insert(moved)
         return moved
@@ -292,16 +293,8 @@ class Pma:
         slots[t - 1] = entry
         return t - 1, t - 1 - f_l
 
-    def _after_insert(self, pos: int) -> None:
-        """Hook for adaptive variants (insert-distribution bookkeeping)."""
-
     # ------------------------------------------------------------------
     # rebalancing
-
-    def _node_slot_range(self, node: int) -> tuple[int, int]:
-        shift = self.depth - (node.bit_length() - 1)
-        n, L = self.num_leaves, self.leaf_size
-        return ((node << shift) - n) * L, (((node + 1) << shift) - n) * L
 
     def _layout(
         self,
@@ -309,44 +302,43 @@ class Pma:
         lo: int,
         size: int,
         old_pos: list[int],
-        pending_raw: int | None = None,
+        pending_raw: int,
     ) -> list[int]:
         """Slot positions for `entries` within [lo, lo+size): even spread,
         left-anchored, remainder gaps pushed right.
 
-        `pending_raw` is the key whose insert triggered the redistribution
-        (None when rebalancing for other reasons); the even layout ignores
-        it, adaptive variants may aim free space at its gap."""
+        `pending_raw` is the key whose insert triggered the redistribution;
+        the even layout ignores it, adaptive variants may aim free space at
+        its gap."""
         return even_layout(lo, size, len(entries))
 
-    def _rebalance(self, node: int, pending_raw: int | None = None) -> int:
-        """Redistribute the node's range; returns how many elements moved."""
-        lo, hi = self._node_slot_range(node)
+    def _rebalance(self, lo: int, hi: int, pending_raw: int) -> int:
+        """Redistribute the slots [lo, hi), the range of the tree node the
+        density walk stopped at; returns how many elements moved.  The walk
+        only gets here from a child above its threshold, so the range holds
+        entries."""
         seg = self.slots[lo:hi]
         entries = list(filter(None, seg))
-        if not entries:
-            return 0
         old_pos = list(compress(range(lo, hi), seg))
         new_pos = self._layout(entries, lo, hi - lo, old_pos, pending_raw)
         seg = [None] * (hi - lo)
         for p, entry in zip(new_pos, entries):
             seg[p - lo] = entry
         self.slots[lo:hi] = seg
-        self._rebuild_tree(node)
+        self._rebuild_tree(lo, hi)
         return sum(map(ne, new_pos, old_pos))
 
-    def _rebuild_tree(self, node: int) -> None:
-        """Recompute _min for the subtree under `node` (inclusive).  Nodes
-        above it keep theirs: init passes the root, and a redistribution
-        leaves the min of its node unchanged."""
+    def _rebuild_tree(self, lo: int, hi: int) -> None:
+        """Recompute _min for the tree node whose slot range is [lo, hi) and
+        every node below it.  Nodes above it keep theirs: init passes the
+        whole array, and a redistribution leaves the min of its node
+        unchanged."""
         mins, slots, L = self._min, self.slots, self.leaf_size
-        shift = self.depth - (node.bit_length() - 1)
-        first, end = node << shift, (node + 1) << shift
-        lo = (first - self.num_leaves) * L
+        first, end = self.num_leaves + lo // L, self.num_leaves + hi // L
         for v in range(first, end):
             entry = next(filter(None, slots[lo:lo + L]), None)
             mins[v] = INF_RAW if entry is None else entry[0]
             lo += L
-        while first > node:
+        while end - first > 1:
             first, end = first >> 1, end >> 1
             mins[first:end] = map(min, mins[2 * first:2 * end:2], mins[2 * first + 1:2 * end:2])

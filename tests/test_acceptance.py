@@ -203,10 +203,10 @@ def _spied_classes(state):
                 if e is not None and old.get(e[1], p) != p
             ))
 
-        def _rebalance(self, node, pending_raw=None):
+        def _rebalance(self, lo, hi, pending_raw):
             before = list(self.slots)
-            moved = super()._rebalance(node, pending_raw)
-            self._record(before, *self._node_slot_range(node))
+            moved = super()._rebalance(lo, hi, pending_raw)
+            self._record(before, lo, hi)
             state["rebalances"] += 1
             return moved
 

@@ -89,11 +89,11 @@ class TestInsertHeat:
             assert sum(a.histogram) <= bound
 
     def test_rebalance_consumes_covered_heat(self):
-        a = Apma(64)  # 8 leaves of 8; node 4 covers leaves 0..1
+        a = Apma(64)  # 8 leaves of 8; slots [0, 16) cover leaves 0..1
         for seq, raw in enumerate([10, 20, 30]):
             a.insert(raw, seq)
         a.histogram = [5, 3, 7, 0, 0, 0, 0, 2]
-        a._rebalance(4)
+        a._rebalance(0, 16, 25)
         assert a.histogram[:2] == [0, 0], "votes for the rebuilt range are spent"
         assert a.histogram[2] == 7 and a.histogram[7] == 2
 
@@ -145,20 +145,44 @@ class TestLayoutDecisions:
         assert len(calls) == 1
         assert positions == Apma(64)._weighted_positions(6, 0, 16, calls[0])
 
-    def test_split_refused_without_a_pending_key(self):
-        assert len(self._layout([4, 0], None)[1]) == 1
-
     def test_credit_lands_on_the_leaf_of_the_runs_last_element(self):
         # four leaves; leaf 0's run ends at entry 5 of 8, which an even
         # spread puts in leaf 5 * 4 // 8 = 2; leaf 2's run ends at entry 6,
-        # leaf 6 * 4 // 8 = 3
+        # leaf 6 * 4 // 8 = 3.  5 of 7 votes is under 3/4, so the
+        # pending key's gap cannot split the range
         raws = [10, 20, 30, 40, 50, 60, 70, 80]
         old = [0, 1, 2, 3, 4, 5, 16, 24]
-        _, calls = self._layout([5, 0, 2, 0], None, raws, old, size=32)
+        _, calls = self._layout([5, 0, 2, 0], 25, raws, old, size=32)
         assert calls == [[1, 1, 6, 3]]
         # a refused split credits the same way
         _, calls = self._layout([6, 0, 3, 0], 25, raws, old, size=32)
         assert calls == [[1, 1, 7, 4]]
+
+
+@pytest.mark.parametrize("size", [48, 96, 192])
+def test_key_below_all_lands_right_before_the_first_key(size):
+    # A Pma never leaves slot 0 empty under a stored key, but a split layout
+    # packs descending keys to the right edge: then a key with no
+    # predecessor must go next to the first key, not to slot 0.
+    a = Apma(size)
+    rebalances = []
+    inner = a._rebalance
+
+    def spy(lo, hi, pending_raw):
+        rebalances.append((lo, hi))
+        return inner(lo, hi, pending_raw)
+
+    a._rebalance = spy
+    reached = 0
+    for seq in range(size // 2):
+        raw = 10**6 - seq
+        before, seen = list(a.slots), len(rebalances)
+        a.insert(raw, seq)
+        if len(rebalances) == seen and before[0] is None and any(before):
+            first = next(p for p, e in enumerate(before) if e is not None)
+            assert a.slots == before[:first - 1] + [(raw, seq)] + before[first:], seq
+            reached += 1
+    assert reached > 0
 
 
 class TestOpaqueSeq:

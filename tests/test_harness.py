@@ -85,6 +85,18 @@ class TestLoadDataset:
         )
         assert got.keys == []
 
+    @pytest.mark.parametrize("text", ["1.5\t10\n2.5\t20\n", "# note\n1.5\t10\n2.5\t20\n"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, text):
+        # spreadsheet "CSV UTF-8" exports start with one; it must neither
+        # break the first value nor hide a first-line comment
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        want = [(k.raw, k.seq) for k in load_dataset(DatasetSpec(plain)).keys]
+        assert want == [(15_000_000, 0), (25_000_000, 1)]
+        assert [(k.raw, k.seq) for k in load_dataset(DatasetSpec(marked)).keys] == want
+
     def test_bad_value_reports_line_number(self, tmp_path):
         p = tmp_path / "d.txt"
         p.write_text("1.5\nnope\n")
@@ -219,6 +231,16 @@ def test_scaling_beyond_the_data_rejected_before_any_run(monkeypatch):
     assert runs == []
 
 
+def test_scaling_window_too_small_to_select_from_rejected_before_any_run(monkeypatch):
+    # k=1 trains on 2 keys, too few to pick a predictor on, so k=8 may not
+    # run first either
+    runs = []
+    monkeypatch.setattr(harness, "_rows", lambda *a, **kw: runs.append(a) or [])
+    with pytest.raises(ConfigError, match="training slice of 2"):
+        run_scaling(ACTIONS, [8, 1])
+    assert runs == []
+
+
 class TestLearningCurve:
     def test_zero_fraction_equals_blind_baseline(self, tmp_path):
         spec = write_drift(tmp_path / "d.txt")
@@ -257,6 +279,29 @@ class TestLearningCurve:
         assert captured.out == ""
         assert captured.err.startswith("llabench: ")
         assert selections == []
+
+
+    def test_window_too_small_to_select_from_rejected_before_any_run(self, monkeypatch):
+        # 1% of 256 rows trains on 2 keys, too few to pick a predictor on,
+        # so the 100% point may not run first either
+        runs = []
+        monkeypatch.setattr(harness, "_rows", lambda *a, **kw: runs.append(a) or [])
+        with pytest.raises(ConfigError, match="training slice of 2"):
+            run_learning_curve(ACTIONS, 8, [100, 1])
+        assert runs == []
+
+    def test_cli_window_too_small_to_select_from_exits_2_before_any_run(
+        self, capsys, monkeypatch
+    ):
+        runs = []
+        monkeypatch.setattr(harness, "_rows", lambda *a, **kw: runs.append(a) or [])
+        code = cli_main(["curve", "--dataset", str(ACTIONS.path), "--value-col", "1",
+                         "--ts-col", "3", "--test-k", "8", "--fractions", "100,1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("llabench: ")
+        assert runs == []
 
 
 class TestBaselinesSkipPrediction:
