@@ -14,7 +14,6 @@ import argparse
 import os
 import sys
 
-from .core import ParseError
 from .harness import (
     STRUCTURES,
     SYNTHETIC_KINDS,
@@ -201,7 +200,7 @@ def main(argv: list[str] | None = None) -> int:
                     structures=structures,
                 )
         emit_csv(results, args.out)
-    except (ConfigError, DataError, ParseError) as exc:
+    except (ConfigError, DataError) as exc:
         print(f"llabench: {exc}", file=sys.stderr)
         if created:
             os.remove(args.out)  # a failed run leaves no empty CSV behind

@@ -11,9 +11,9 @@ resetting the movement ledger: the sentinel gives every real key a
 predecessor, and its placement is bookkeeping rather than workload.
 
 Amortized costs count label changes per insert with first placements
-excluded, so a run whose predictions are exact reports 0.0.  Wall-clock
-time is kept on the result object for eyeballing but never written to CSV,
-which keeps repeated runs with the same seed byte-identical.
+excluded, so a run whose predictions are exact reports 0.0.  A result is
+exactly one CSV row: its fields are the columns, in order, and nothing
+else, so repeated runs with the same seed write identical bytes.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ import csv
 import random
 import statistics
 import sys
-import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from math import isfinite, isnan
 from operator import sub
 from pathlib import Path
@@ -181,7 +180,8 @@ def load_dataset(spec: DatasetSpec) -> SequenceSlice:
 
 @dataclass
 class ExperimentResult:
-    """One structure run over one test slice.
+    """One structure run over one test slice, and exactly one CSV row: the
+    fields are the columns, in CSV order.
 
     For aggregated rows (robustness) `amortized_cost` holds the mean across
     seeds and `mean`/`stddev` are filled in; everywhere else they stay None.
@@ -196,7 +196,6 @@ class ExperimentResult:
     amortized_cost: float
     merges: int
     eta_max: int | None
-    wall_time: float
     seed: int | None = None
     mean: float | None = None
     stddev: float | None = None
@@ -261,11 +260,9 @@ def _run_config(
     lla.insert(MIN_RAW, 0, 1)
     ledger.reset()
 
-    start = time.perf_counter()
     for i, key in enumerate(test_keys):
         predicted = 1 if predictions is None else predictions[i] + 1
         lla.insert(key.raw, i + 1, predicted)
-    wall = time.perf_counter() - start
 
     return ExperimentResult(
         structure=structure,
@@ -275,7 +272,6 @@ def _run_config(
         amortized_cost=ledger.amortized_cost(),
         merges=lla.merges,
         eta_max=eta_max,
-        wall_time=wall,
         seed=seed,
     )
 
@@ -363,10 +359,11 @@ def run_scaling(
     structures: tuple[str, ...] = STRUCTURES,
 ) -> list[ExperimentResult]:
     """The table protocol at every k in k_range; the train/test columns
-    carry k.  The dataset is read once, for the largest k, and every k's
-    windows are its prefix.  A negative k, too few rows for the largest k,
-    or a training window too small to pick a predictor on, is a ConfigError
-    raised before any run: every k's predictions are made first."""
+    carry the window size 2^k.  The dataset is read once, for the largest
+    k, and every k's windows are its prefix.  A negative k, too few rows for
+    the largest k, or a training window too small to pick a predictor on, is
+    a ConfigError raised before any run: every k's predictions are made
+    first."""
     k_range = list(k_range)
     for k in k_range:
         _rows_for(k)
@@ -446,9 +443,9 @@ def run_robustness(
     (e.g. learned-pma:t=25); amortized_cost holds the mean, merges the
     rounded mean, eta_max the worst across seeds.  Each (level, seed) draws
     one corrupted vector, which every learned structure runs on; a draw equal
-    to the previous seed's (every draw at t=0 or t=100 is) reuses its rows,
-    so wall_time counts each run once.  Rows come in `structures` order, a
-    learned structure's levels in `t_values` order.
+    to the previous seed's (every draw at t=0 or t=100 is) reuses its rows.
+    Rows come in `structures` order, a learned structure's levels in
+    `t_values` order.
     An empty list of corruption levels, a level outside [0, 100], fewer
     than one repeat or a negative first seed (base_seed + 1) is a
     ConfigError, raised before any load or run.
@@ -479,12 +476,9 @@ def run_robustness(
         runs, drawn = [], None
         for r in range(1, repeats + 1):
             ranks = corrupt(PredictionVector(predictions), t_pct, base_seed + r).ranks
-            if ranks == drawn:
-                # Same vector, same rows; its time is already counted once.
-                runs.append([replace(row, wall_time=0.0) for row in runs[-1]])
-            else:
-                runs.append(_rows(learned, label, test.keys, ranks, true_ranks,
-                                  train=len(train)))
+            runs.append(runs[-1] if ranks == drawn else
+                        _rows(learned, label, test.keys, ranks, true_ranks,
+                              train=len(train)))
             drawn = ranks
         for s, seeded in zip(learned, zip(*runs)):
             costs = [r.amortized_cost for r in seeded]
@@ -495,7 +489,6 @@ def run_robustness(
                 amortized_cost=mean,
                 merges=round(statistics.fmean(r.merges for r in seeded)),
                 eta_max=max(r.eta_max for r in seeded),
-                wall_time=sum(r.wall_time for r in seeded),
                 mean=mean,
                 stddev=statistics.pstdev(costs),
             )
@@ -585,9 +578,7 @@ def run_synthetic(
 # ----------------------------------------------------------------------
 # output
 
-CSV_HEADER = (
-    "structure,dataset,train,test,amortized_cost,merges,eta_max,seed,mean,stddev"
-)
+CSV_HEADER = ",".join(f.name for f in fields(ExperimentResult))
 
 
 def emit_csv(results: list[ExperimentResult], path: str | Path) -> None:
@@ -604,21 +595,14 @@ def emit_csv(results: list[ExperimentResult], path: str | Path) -> None:
         _write_csv(results, fh)
 
 
+def _cell(value) -> object:
+    """A float as :.6f, None as an empty cell, anything else as is."""
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    return "" if value is None else value
+
+
 def _write_csv(results: list[ExperimentResult], fh) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
-    for r in results:
-        writer.writerow(
-            [
-                r.structure,
-                r.dataset,
-                r.train,
-                r.test,
-                f"{r.amortized_cost:.6f}",
-                r.merges,
-                "" if r.eta_max is None else r.eta_max,
-                "" if r.seed is None else r.seed,
-                "" if r.mean is None else f"{r.mean:.6f}",
-                "" if r.stddev is None else f"{r.stddev:.6f}",
-            ]
-        )
+    writer.writerows(map(_cell, astuple(r)) for r in results)

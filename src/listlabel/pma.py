@@ -194,13 +194,14 @@ class Pma:
 
         `seq` is an opaque payload stored beside the key and never compared:
         a duplicate key lands after its stored equals whatever its seq.
-        Raises CapacityError when even the root is above threshold (callers
+        Raises CapacityError when the array already holds more than
+        cap[0] = TAU_ROOT * slot_count keys, the root's threshold (callers
         that want growth must rebuild into a bigger array themselves), and
         ValueError for a key check_raw rejects.
         """
         raw = check_raw(raw)
-        if self.count >= self.slot_count:
-            raise CapacityError("array full")
+        if self.count > self._cap[0]:
+            raise CapacityError("root above density threshold")
         t = self._target(raw)
 
         # Walk up until a node tolerates one more element (checked against
@@ -213,8 +214,7 @@ class Pma:
         c = width - slots[lo:lo + width].count(None)
         k = self.depth
         while c > cap[k]:
-            if not k:
-                raise CapacityError("root above density threshold")
+            # Stops by the root: at depth 0, c is the count checked above.
             # A right child; not `lo & width`, which fails for 3 * 2^j leaves.
             if lo // width & 1:
                 lo -= width

@@ -1,13 +1,16 @@
 """Acceptance gate: one test per numbered claim the package stands behind.
 
 Criteria that need the full SNAP datasets (1 and 9) skip with fetch
-instructions unless the files are present under data/; everything else
-runs self-contained.  Run `pytest tests/test_acceptance.py -v` for the
-one-line-per-criterion report.
+instructions unless the files are present under data/; each has an offline
+twin on the temporal drift stream that perfbench's drift-ids workload
+generates.  Everything else runs self-contained.  Run
+`pytest tests/test_acceptance.py -v` for the one-line-per-criterion report.
 """
 
+import importlib.util
 import random
 import statistics
+import sys
 import time
 from pathlib import Path
 
@@ -20,7 +23,8 @@ from listlabel.pma import INF_RAW, NEG_INF_RAW, Pma
 from listlabel.predictors import PredictionVector, corrupt
 from listlabel.apma import Apma
 
-DATA = Path(__file__).resolve().parent.parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "data"
 FETCH_HINT = "run scripts/fetch_datasets.py first (needs network)"
 
 GOWALLA = DATA / "loc-gowalla_totalCheckins.txt"
@@ -44,19 +48,37 @@ def _available():
     return [n for n, (p, _, _) in TABLE_DATASETS.items() if p.exists()]
 
 
+def _drift_spec(tmp_path, monkeypatch, seed):
+    """perfbench's drift-ids table at k = 12 (2^12 train, 2^12 insert):
+    user ids that drift upward as newcomers join, in time order only after
+    the timestamp sort, read as that workload reads it."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while the file runs
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    path = tmp_path / "drift-ids.tsv"
+    workloads.write_drift_table(path, seed, k=12)
+    return DatasetSpec(path, value_column=1, timestamp_column=3, name="drift-ids")
+
+
 # ----------------------------------------------------------------------
 # 1. benchmark-table reproduction on real data
 
 
 @pytest.mark.skipif(not GOWALLA.exists(), reason=FETCH_HINT)
 def test_criterion_1_gowalla_latitude_numeric():
-    rows = run_table(_spec("gowalla-lat"), 17, structures=("pma", "learned-pma"))
-    by = {r.structure: r for r in rows}
+    # each structure's own run, load and prediction included, within 300 s
+    by = {}
+    for structure in ("pma", "learned-pma"):
+        t0 = time.time()
+        (by[structure],) = run_table(_spec("gowalla-lat"), 17, structures=(structure,))
+        assert time.time() - t0 < 300, structure
     pma, learned = by["pma"], by["learned-pma"]
     assert pma.amortized_cost == pytest.approx(6.47, rel=0.25)
     assert learned.amortized_cost == pytest.approx(4.32, rel=0.25)
     assert learned.amortized_cost < pma.amortized_cost
-    assert pma.wall_time < 300 and learned.wall_time < 300
 
 
 @pytest.mark.skipif(len(_available()) < 3, reason=FETCH_HINT)
@@ -75,6 +97,16 @@ def test_criterion_1_adaptive_ordering_across_datasets():
         if results["learned-apma"] <= results["apma"]:
             wins += 1
     assert wins >= 3
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_criterion_1_offline_drift_stream(tmp_path, monkeypatch, seed):
+    # seeds 4-12 give the same orderings: learned 2.8-3.2 against blind
+    # 8.9-9.5, learned-apma 2.6-2.9 against apma 8.1-9.1
+    by = {r.structure: r.amortized_cost
+          for r in run_table(_drift_spec(tmp_path, monkeypatch, seed), 12)}
+    assert by["learned-pma"] < by["pma"]
+    assert by["learned-apma"] < by["apma"]
 
 
 # ----------------------------------------------------------------------
@@ -355,3 +387,17 @@ def test_criterion_9_robustness_curve():
         learned = next(r for r in rows if r.structure == f"learned-pma:t={t}")
         assert learned.mean < pma_cost, f"t={t}"
     assert time.time() - t0 < 900
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_criterion_9_offline_drift_stream(tmp_path, monkeypatch, seed):
+    # up to t = 25 the worst mean over seeds 1-12 is 8.61 against 9.48
+    # (seed 2); at t = 50 the gap is too thin to assert
+    rows = run_robustness(
+        _drift_spec(tmp_path, monkeypatch, seed), 12, [0, 10, 25], repeats=3,
+        structures=("pma", "learned-pma"),
+    )
+    pma_cost = next(r for r in rows if r.structure == "pma").amortized_cost
+    for t in (0, 10, 25):
+        learned = next(r for r in rows if r.structure == f"learned-pma:t={t}")
+        assert learned.mean < pma_cost, f"t={t}"

@@ -1,7 +1,7 @@
 """Dataset loading, experiment protocols, CSV output, CLI exit codes."""
 
+import importlib.util
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -361,9 +361,8 @@ class TestRobustness:
 
     def test_rows_follow_structures_with_one_structure_values(self):
         def run(structures):
-            rows = run_robustness(ACTIONS, 8, [0, 25], repeats=2, base_seed=3,
+            return run_robustness(ACTIONS, 8, [0, 25], repeats=2, base_seed=3,
                                   structures=structures)
-            return [replace(r, wall_time=0.0) for r in rows]
 
         mixed = run(("learned-apma", "pma", "learned-pma"))
         assert [r.structure for r in mixed] == [
@@ -510,9 +509,19 @@ class TestSynthetic:
 # committed fixtures (synthetic stand-ins with the real column layouts)
 
 FIXTURES = Path(__file__).resolve().parent / "data"
+MAKE_FIXTURES = FIXTURES.parents[1] / "scripts" / "make_fixtures.py"
 
 
 class TestFixtures:
+    def test_generator_rewrites_the_committed_bytes(self, tmp_path, monkeypatch):
+        spec = importlib.util.spec_from_file_location("make_fixtures", MAKE_FIXTURES)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        monkeypatch.setattr(script, "OUT", tmp_path)
+        script.main()
+        for name in ("checkins_sample.txt", "actions_sample.tsv", "messages_sample.txt"):
+            assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name
+
     def test_checkins_smoke(self):
         spec = DatasetSpec(
             FIXTURES / "checkins_sample.txt", value_column=2, timestamp_column=1

@@ -186,8 +186,8 @@ class ReferencePma:
         return 0
 
     def insert(self, raw: int, seq: int) -> int:
-        if self._count(1) >= self.total:
-            raise CapacityError("array full")
+        if self._count(1) > self._tau(0) * self.total:
+            raise CapacityError("root above density threshold")
         sp = self._pred(raw)
         ss = self._succ_after(sp) if (sp is not None or self._count(1)) else None
         leaf = self._target_leaf(sp, ss)
@@ -349,11 +349,25 @@ def test_ledger_gets_insert_and_movement_charges():
 
 
 def test_capacity_error_when_root_saturates():
-    pma = Pma(16)
-    with pytest.raises(CapacityError):
-        for seq in range(17):
-            pma.insert(seq, seq)
-    assert pma.count >= int(0.5 * pma.slot_count)
+    """An array of m slots has cap[0] = TAU_ROOT * m: it stores exactly
+    cap[0] + 1 keys, whatever the kind and key order, and the next insert
+    raises.  A walk that only reaches the root when every node below it is
+    over lets an ascending Apma(96) fill to 95 keys."""
+    for m in (16, 96):
+        orders = {
+            "ascending": list(range(1, m + 1)),
+            "descending": list(range(m, 0, -1)),
+            "hammer": [m] + list(range(1, m)),  # largest first, then one hot gap
+        }
+        for cls in (Pma, Apma):
+            for order, raws in orders.items():
+                a = cls(m)
+                assert a._cap[0] == TAU_ROOT * m
+                with pytest.raises(CapacityError, match="root above density threshold"):
+                    for seq, raw in enumerate(raws):
+                        a.insert(raw, seq)
+                assert a.count == seq == m // 2 + 1, (m, cls.__name__, order)
+                assert raws_sorted(a.slots)
 
 
 def test_labels_present_and_strictly_increasing():
