@@ -35,7 +35,8 @@ also fades on its own.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from operator import itemgetter
+from itertools import compress, repeat
+from operator import floordiv, itemgetter
 
 from .core import MovementLedger
 from .pma import TAU_LEAF, Pma, even_layout
@@ -58,8 +59,10 @@ class Apma(Pma):
             self._since_decay = 0
         return pos, moved
 
-    def _layout(self, entries, lo: int, size: int, old_pos, pending_raw: int) -> list[int]:
-        """Heat-directed redistribution across the leaves of the range."""
+    def _layout(self, entries, lo: int, size: int, old, pending_raw: int) -> list[int]:
+        """Heat-directed redistribution across the leaves of the range, as
+        offsets from lo; `old` is the range's slot segment before it (see
+        `Pma._layout`)."""
         c = len(entries)
         L = self.leaf_size
         k = size // L
@@ -68,12 +71,13 @@ class Apma(Pma):
         self.histogram[first_leaf:first_leaf + k] = [0] * k
 
         # The run of entries each heated leaf held, as (first, last, heat):
-        # old_pos ascends, so a leaf's entries are one slice of it.
+        # the old offsets ascend, so a leaf's entries are one slice of them.
+        old_off = list(compress(range(size), old))
         runs = []
         for j, h in enumerate(heat):
             if h:
-                first = bisect_left(old_pos, lo + j * L)
-                end = bisect_left(old_pos, lo + j * L + L, first)
+                first = bisect_left(old_off, j * L)
+                end = bisect_left(old_off, j * L + L, first)
                 if first < end:
                     runs.append((first, end - 1, h))
 
@@ -84,18 +88,18 @@ class Apma(Pma):
                 if first <= gap <= last + 1:
                     # Split at the hot gap: everything below packs left,
                     # everything above packs right, slack in between.
-                    return [*range(lo, lo + gap), *range(lo + size - c + gap, lo + size)]
+                    return [*range(gap), *range(size - c + gap, size)]
 
         credit = [1] * k
         for _, last, h in runs:
             # Heat rides with the element the hot gap hugs: credit the leaf
             # the run's last element reaches under an even spread.
             credit[last * k // c] += h
-        return self._weighted_positions(c, lo, size, credit)
+        return self._weighted_positions(c, size, credit)
 
-    def _weighted_positions(self, c: int, lo: int, size: int, weights: list[int]) -> list[int]:
-        """Slot positions for c elements in [lo, lo+size), free slots per leaf
-        proportional to its weight, subject to min_free <= free_j <= L.
+    def _weighted_positions(self, c: int, size: int, weights: list[int]) -> list[int]:
+        """Offsets for c elements in a range of size slots, free slots per
+        leaf proportional to its weight, subject to min_free <= free_j <= L.
 
         All arithmetic is exact over the common denominator W = sum of the
         open leaves' weights, which is what makes the uniform case collapse
@@ -118,7 +122,7 @@ class Apma(Pma):
             open_leaves = [j for j in range(k) if fixed[j] is None]
             w_open = sum(weights[j] for j in open_leaves)
             if w_open == 0 or free_rem < len(open_leaves) * min_free:
-                return even_layout(lo, size, c)
+                return even_layout(size, c)
             for j in open_leaves:
                 w = weights[j]
                 if free_rem * w > L * w_open:
@@ -140,13 +144,17 @@ class Apma(Pma):
         ]
         assert sum(nums) == c * w_open
 
-        positions = []
-        j = 0
-        cum = 0  # prefix sum of nums: start of leaf j's element interval
-        for i in range(c):
-            x = i * w_open
-            while x >= cum + nums[j]:
-                cum += nums[j]
-                j += 1
-            positions.append(lo + j * L + (x - cum) * L // nums[j])
+        # Leaf j takes the entries i with cum <= i * w_open < cum + nums[j],
+        # at offset j*L + (i*w_open - cum) * L // nums[j]: even_layout's
+        # formula over the leaf, one map per leaf.
+        positions: list[int] = []
+        step = w_open * L
+        i = cum = 0
+        for j, n_j in enumerate(nums):
+            base = j * L * n_j - cum * L
+            cum += n_j
+            end = -(-cum // w_open)  # first entry of the next leaf
+            positions += map(floordiv, range(base + i * step, base + end * step, step),
+                             repeat(n_j))
+            i = end
         return positions

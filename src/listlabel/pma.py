@@ -12,7 +12,11 @@ toward the nearest gap (ties go right), so cheap inserts stay cheap and the
 labels of untouched elements never change.
 
 Movements are counted per element whose slot (label) actually changes; an
-element that a rebalance happens to leave in place costs nothing.
+element that a rebalance happens to leave in place costs nothing.  Each
+stored entry is a distinct tuple object (insert and init each build a fresh
+one, and shifts and rebalances only move references), so a rebalance counts
+its moves by identity: an entry stayed exactly when its new slot held that
+same object before.
 
 The only per-node state is the heap-order tree of subtree key minima, and an
 insert touches no more of it than its placement needs, relying on three facts:
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import compress, islice, repeat
-from operator import floordiv, gt, index, ne
+from operator import floordiv, gt, index, is_not
 
 from .core import CapacityError, MovementLedger, check_raw
 
@@ -92,9 +96,11 @@ def geometry(slot_count: int) -> tuple[int, int, int, int, tuple[float, ...]]:
 
     A node at depth k (the root is depth 0) tolerates the density
     tau(k) = TAU_ROOT + (TAU_LEAF - TAU_ROOT) * k / depth, looser toward the
-    leaves; a lone leaf (depth 0) is the root and takes TAU_ROOT.  cap[k] is tau(k) times the slot count of a depth-k node: the
-    element count a node may hold before it must push an insert up to its
-    parent.  It is an immutable tuple.  Fewer than 2 slots is a ValueError.
+    leaves; a lone leaf (depth 0) is the root and takes TAU_ROOT.
+
+    cap[k] is tau(k) times the slot count of a depth-k node: the element
+    count a node may hold before it must push an insert up to its parent.
+    It is an immutable tuple.  Fewer than 2 slots is a ValueError.
     """
     if slot_count < 2:
         raise ValueError("need at least 2 slots")
@@ -117,11 +123,10 @@ def geometry(slot_count: int) -> tuple[int, int, int, int, tuple[float, ...]]:
     return leaf, depth, leaf << depth, 1 << depth, cap
 
 
-def even_layout(lo: int, size: int, c: int) -> list[int]:
-    """Slots lo + i*size // c for i < c: c entries spread evenly over
-    [lo, lo+size), left-anchored, remainder gaps pushed right."""
-    # computed as (lo * c + i * size) // c
-    return list(map(floordiv, range(lo * c, (lo + size) * c, size), repeat(c)))
+def even_layout(size: int, c: int) -> list[int]:
+    """Offsets i*size // c for i < c: c entries spread evenly over size
+    slots, left-anchored, remainder gaps pushed right."""
+    return list(map(floordiv, range(0, size * c, size), repeat(c)))
 
 
 class Pma:
@@ -132,8 +137,13 @@ class Pma:
     passes ledger=None).
 
     A variant has two extension points: `_place(t, entry)`, which stores
-    every inserted key and returns where it landed, and `_layout`, which
-    picks the slots of a rebalanced range.
+    every inserted key and returns where it landed, and `_layout(entries,
+    lo, size, old, pending_raw)`, which picks the slots of a rebalanced range
+    as offsets from lo, given the range's old slot segment `old`.
+
+    Each stored entry is its own tuple object; `_rebalance` counts moves by
+    identity and relies on it, so a variant must store the entries it is
+    given, never an equal copy.
     """
 
     def __init__(self, slot_count: int, ledger: MovementLedger | None = None):
@@ -182,7 +192,7 @@ class Pma:
         if unsorted:
             raise ValueError("init expects sorted keys")
         slots = self.slots
-        for pos, entry in zip(even_layout(0, self.slot_count, c), zip(raws, seqs)):
+        for pos, entry in zip(even_layout(self.slot_count, c), zip(raws, seqs)):
             slots[pos] = entry
         self.count = c
         self._rebuild_tree(0, self.slot_count)
@@ -279,19 +289,28 @@ class Pma:
         if t < m and slots[t] is None:
             slots[t] = entry
             return t, 0
+        # Distances to the nearest gap on each side, L where the leaf has
+        # none.  The left side is a reversed copy: a slice with a negative
+        # stop would wrap to the end of the array at lo == 0.
         L = self.leaf_size
         lo = min(t, m - 1) // L * L
-        f_r = next((p for p in range(t, lo + L) if slots[p] is None), None)
-        f_l = next((p for p in range(t - 1, lo - 1, -1) if slots[p] is None), None)
-        if f_r is not None and (f_l is None or f_r - t <= t - 1 - f_l):
-            slots[t + 1:f_r + 1] = slots[t:f_r]
+        try:
+            d_r = slots.index(None, t, lo + L) - t
+        except ValueError:
+            d_r = L
+        try:
+            d_l = slots[lo:t][::-1].index(None)
+        except ValueError:
+            d_l = L
+        if d_r <= d_l:
+            if d_r == L:
+                raise AssertionError("leaf admitted an insert but has no free slot")
+            slots[t + 1:t + d_r + 1] = slots[t:t + d_r]
             slots[t] = entry
-            return t, f_r - t
-        if f_l is None:
-            raise AssertionError("leaf admitted an insert but has no free slot")
-        slots[f_l:t - 1] = slots[f_l + 1:t]
+            return t, d_r
+        slots[t - 1 - d_l:t - 1] = slots[t - d_l:t]
         slots[t - 1] = entry
-        return t - 1, t - 1 - f_l
+        return t - 1, d_l
 
     # ------------------------------------------------------------------
     # rebalancing
@@ -301,32 +320,35 @@ class Pma:
         entries: list[tuple[int, int]],
         lo: int,
         size: int,
-        old_pos: list[int],
+        old: list[tuple[int, int] | None],
         pending_raw: int,
     ) -> list[int]:
-        """Slot positions for `entries` within [lo, lo+size): even spread,
-        left-anchored, remainder gaps pushed right.
+        """Ascending offsets in [0, size) for `entries` in the slots
+        [lo, lo+size): even spread, left-anchored, remainder gaps pushed
+        right.  Entry i goes to slot lo + offset i.
 
-        `pending_raw` is the key whose insert triggered the redistribution;
-        the even layout ignores it, adaptive variants may aim free space at
-        its gap."""
-        return even_layout(lo, size, len(entries))
+        `old` is the range's slot segment before the redistribution, so
+        old[i] is what slot lo + i held; the even layout ignores it, as it
+        ignores `pending_raw`, the key whose insert triggered the
+        redistribution.  Adaptive variants may read both to aim free space
+        at that key's gap."""
+        return even_layout(size, len(entries))
 
     def _rebalance(self, lo: int, hi: int, pending_raw: int) -> int:
         """Redistribute the slots [lo, hi), the range of the tree node the
         density walk stopped at; returns how many elements moved.  The walk
         only gets here from a child above its threshold, so the range holds
-        entries."""
-        seg = self.slots[lo:hi]
-        entries = list(filter(None, seg))
-        old_pos = list(compress(range(lo, hi), seg))
-        new_pos = self._layout(entries, lo, hi - lo, old_pos, pending_raw)
+        entries.  An entry stayed exactly when its new slot held that same
+        tuple object before, so the moves are counted by identity."""
+        old = self.slots[lo:hi]
+        entries = list(filter(None, old))
+        offsets = self._layout(entries, lo, hi - lo, old, pending_raw)
         seg = [None] * (hi - lo)
-        for p, entry in zip(new_pos, entries):
-            seg[p - lo] = entry
+        for p, entry in zip(offsets, entries):
+            seg[p] = entry
         self.slots[lo:hi] = seg
         self._rebuild_tree(lo, hi)
-        return sum(map(ne, new_pos, old_pos))
+        return sum(map(is_not, compress(old, seg), entries))
 
     def _rebuild_tree(self, lo: int, hi: int) -> None:
         """Recompute _min for the tree node whose slot range is [lo, hi) and

@@ -18,8 +18,45 @@ from listlabel.pma import TAU_LEAF, Pma
 from test_pma import raws_sorted
 
 
-def even(c: int, lo: int, size: int) -> list[int]:
-    return [lo + i * size // c for i in range(c)]
+def even(c: int, size: int) -> list[int]:
+    return [i * size // c for i in range(c)]
+
+
+def reference_weighted_positions(c, size, weights, L):
+    """The weighted layout of `Apma._weighted_positions`, written with a
+    per-entry loop that walks entry i's share i * w_open across the leaves'
+    element intervals."""
+    k = size // L
+    min_free = L - int(TAU_LEAF * L)
+    fixed = [None] * k
+    free_rem = size - c
+    while True:
+        open_leaves = [j for j in range(k) if fixed[j] is None]
+        w_open = sum(weights[j] for j in open_leaves)
+        if w_open == 0 or free_rem < len(open_leaves) * min_free:
+            return even(c, size)
+        for j in open_leaves:
+            if free_rem * weights[j] > L * w_open:
+                fixed[j] = L
+            elif free_rem * weights[j] < min_free * w_open:
+                fixed[j] = min_free
+            else:
+                continue
+            free_rem -= fixed[j]
+            break
+        else:
+            break
+    nums = [(L - fixed[j]) * w_open if fixed[j] is not None
+            else L * w_open - free_rem * weights[j] for j in range(k)]
+    positions = []
+    j = cum = 0
+    for i in range(c):
+        x = i * w_open
+        while x >= cum + nums[j]:
+            cum += nums[j]
+            j += 1
+        positions.append(j * L + (x - cum) * L // nums[j])
+    return positions
 
 
 class TestWeightedLayout:
@@ -29,24 +66,45 @@ class TestWeightedLayout:
         for _ in range(200):
             k = rng.choice([1, 2, 4, 8])
             size = k * a.leaf_size
-            lo = rng.randrange(0, 64 - size + 1, size)
             c = rng.randint(1, max(1, int(0.9 * size)))
             w = rng.randint(1, 10**6)
-            assert a._weighted_positions(c, lo, size, [w] * k) == even(c, lo, size)
+            assert a._weighted_positions(c, size, [w] * k) == even(c, size)
 
     def test_three_to_one_free_split(self):
         # 8 elements over two 8-slot leaves, heat 3:1 -> free slots 6:2
         a = Apma(64)
-        assert a._weighted_positions(8, 0, 16, [3, 1]) == [0, 4, 8, 9, 10, 12, 13, 14]
+        assert a._weighted_positions(8, 16, [3, 1]) == [0, 4, 8, 9, 10, 12, 13, 14]
 
     def test_all_mass_on_last_leaf_gets_maximal_share(self):
         a = Apma(64)
         # the cold leaf packs to its density cap, the hot leaf keeps the rest
-        assert a._weighted_positions(8, 0, 16, [1, 9999]) == [0, 1, 2, 3, 4, 5, 6, 8]
+        assert a._weighted_positions(8, 16, [1, 9999]) == [0, 1, 2, 3, 4, 5, 6, 8]
 
     def test_single_leaf_falls_back_to_even(self):
         a = Apma(64)
-        assert a._weighted_positions(5, 0, 8, [7]) == even(5, 0, 8)
+        assert a._weighted_positions(5, 8, [7]) == even(5, 8)
+
+    @pytest.mark.parametrize("slot_count", [64, 96, 192, 768])
+    def test_matches_per_entry_reference(self, slot_count):
+        """Slot for slot against the per-entry loop, under weights that pin
+        leaves at L free slots (no entries) and at the min_free floor."""
+        a = Apma(slot_count)
+        L = a.leaf_size
+        full = int(TAU_LEAF * L)  # entries of a leaf pinned at min_free
+        rng = random.Random(slot_count)
+        pinned_empty = pinned_full = 0
+        for _ in range(2000):
+            k = 1 << rng.randint(0, a.depth)
+            size = k * L
+            c = rng.randint(1, int(a._cap[a.depth - (k.bit_length() - 1)]))
+            weights = [rng.choice([0, 1, 1, 2, 5, 50, 10**4]) for _ in range(k)]
+            pos = a._weighted_positions(c, size, weights)
+            want = reference_weighted_positions(c, size, weights, L)
+            assert pos == want, (c, size, weights)
+            per_leaf = [sum(1 for p in pos if p // L == j) for j in range(k)]
+            pinned_empty += 0 in per_leaf
+            pinned_full += full in per_leaf and pos != even(c, size)
+        assert pinned_empty > 100 and pinned_full > 100, (pinned_empty, pinned_full)
 
     def test_positions_legal_under_random_weights(self):
         a = Apma(64)
@@ -56,18 +114,17 @@ class TestWeightedLayout:
         for _ in range(300):
             k = rng.choice([2, 4, 8])
             size = k * L
-            lo = rng.randrange(0, 64 - size + 1, size)
             # a k-leaf node only ever rebuilds while within its own density
             # threshold, so probe states a real rebalance can reach (cap[d]
             # is a depth-d node's threshold times its slot count)
             c = rng.randint(1, int(a._cap[a.depth - (k.bit_length() - 1)]))
             weights = [rng.randint(1, 50) for _ in range(k)]
-            pos = a._weighted_positions(c, lo, size, weights)
+            pos = a._weighted_positions(c, size, weights)
             assert len(pos) == c
-            assert all(lo <= p < lo + size for p in pos)
+            assert all(0 <= p < size for p in pos)
             assert pos == sorted(set(pos)), "positions must be distinct, increasing"
             for j in range(k):
-                leaf_lo = lo + j * L
+                leaf_lo = j * L
                 occ = sum(1 for p in pos if leaf_lo <= p < leaf_lo + L)
                 assert occ <= cap, f"leaf {j} packed beyond its density cap"
 
@@ -112,13 +169,16 @@ class TestLayoutDecisions:
         calls = []
         weighted = a._weighted_positions
 
-        def spy(c, lo, size, weights):
+        def spy(c, size, weights):
             calls.append(list(weights))
-            return weighted(c, lo, size, weights)
+            return weighted(c, size, weights)
 
         a._weighted_positions = spy
         entries = [(raw, seq) for seq, raw in enumerate(raws)]
-        positions = a._layout(entries, 0, size, list(old), pending_raw)
+        seg = [None] * size  # the range's slots before the layout
+        for p, entry in zip(old, entries):
+            seg[p] = entry
+        positions = a._layout(entries, 0, size, seg, pending_raw)
         assert a.histogram[:size // a.leaf_size] == [0] * (size // a.leaf_size)
         return positions, calls
 
@@ -137,13 +197,13 @@ class TestLayoutDecisions:
         # 5 of 7 votes is under 3/4: the weighted layout runs instead
         positions, calls = self._layout([5, 2], 25)
         assert len(calls) == 1
-        assert positions == Apma(64)._weighted_positions(6, 0, 16, calls[0])
+        assert positions == Apma(64)._weighted_positions(6, 16, calls[0])
 
     def test_split_refused_when_gap_lies_outside_the_hot_run(self):
         # the gap after 50 belongs to leaf 1's run, not hot leaf 0's
         positions, calls = self._layout([3, 1], 55)
         assert len(calls) == 1
-        assert positions == Apma(64)._weighted_positions(6, 0, 16, calls[0])
+        assert positions == Apma(64)._weighted_positions(6, 16, calls[0])
 
     def test_credit_lands_on_the_leaf_of_the_runs_last_element(self):
         # four leaves; leaf 0's run ends at entry 5 of 8, which an even
@@ -183,6 +243,41 @@ def test_key_below_all_lands_right_before_the_first_key(size):
             assert a.slots == before[:first - 1] + [(raw, seq)] + before[first:], seq
             reached += 1
     assert reached > 0
+
+
+class RecountingApma(Apma):
+    """Recounts each rebalance's moves by position: the entries keep their
+    order, so the i-th entry moved exactly when the i-th occupied slot of
+    the range changed."""
+
+    rebalances = 0
+
+    def _rebalance(self, lo, hi, pending_raw):
+        before = self.slots[lo:hi]
+        moved = super()._rebalance(lo, hi, pending_raw)
+        old = [p for p, e in enumerate(before) if e is not None]
+        new = [p for p, e in enumerate(self.slots[lo:hi]) if e is not None]
+        assert moved == sum(o != n for o, n in zip(old, new)), (lo, hi)
+        self.rebalances += 1
+        return moved
+
+
+@pytest.mark.parametrize("size", [96, 768])
+@pytest.mark.parametrize("order", ["span-4", "one-key", "hammer"])
+def test_rebalance_moves_match_a_positional_recount(size, order):
+    # Every seq is 0, so equal keys make equal entries: only a count that
+    # tells entries apart by identity, not by value, matches the recount.
+    rng = random.Random(size)
+    n = size // 2 + 1
+    raws = {
+        "span-4": [rng.randint(0, 4) for _ in range(n)],
+        "one-key": [7] * n,
+        "hammer": [n] + [i // 2 for i in range(n - 1)],
+    }[order]
+    a = RecountingApma(size)
+    for raw in raws:
+        a.insert(raw, 0)
+    assert a.rebalances > 0 and raws_sorted(a.slots)
 
 
 class TestOpaqueSeq:

@@ -8,6 +8,7 @@ them.
 """
 
 import random
+from itertools import count, repeat
 
 import pytest
 
@@ -262,10 +263,10 @@ def _assert_min_tree(real, tag):
     assert real._min[1:] == want[1:], tag
 
 
-def _drive(real, ref, raws, tag, first_seq=0):
+def _drive(real, ref, raws, tag, seqs=None):
     """Insert into both arrays until the first CapacityError: the same
-    slots, costs and min tree after each insert."""
-    for seq, raw in enumerate(raws, start=first_seq):
+    slots, costs and min tree after each insert.  Seqs default to 0, 1, ..."""
+    for i, (raw, seq) in enumerate(zip(raws, count() if seqs is None else seqs)):
         try:
             moved_real = real.insert(raw, seq)
         except CapacityError:
@@ -273,9 +274,9 @@ def _drive(real, ref, raws, tag, first_seq=0):
                 ref.insert(raw, seq)
             return
         moved_ref = ref.insert(raw, seq)
-        assert moved_real == moved_ref, (tag, seq)
-        assert real.slots == ref.slots, (tag, seq)
-        _assert_min_tree(real, (tag, seq))
+        assert moved_real == moved_ref, (tag, i)
+        assert real.slots == ref.slots, (tag, i)
+        _assert_min_tree(real, (tag, i))
 
 
 def test_matches_reference_on_every_insert():
@@ -312,11 +313,67 @@ def test_matches_reference_on_every_insert():
         assert real.slots == ref.slots
         _assert_min_tree(real, ("init", m))
         _drive(real, ref, [rng.randint(0, value_span) for _ in range(m + 1)],
-               ("init", m), first_seq=c)
+               ("init", m), seqs=count(c))
+
+
+def test_matches_reference_with_equal_entries():
+    """Every seq 0 and keys from a span of 4: stored entries are equal
+    tuples, so a move count that compared entries by value would miss
+    moves.  The reference counts moves by position."""
+    rng = random.Random(20261018)
+    for trial in range(150):
+        m = rng.choice([rng.randint(2, 64), 96, 192, 384])
+        raws = [rng.randint(0, 4) for _ in range(m + 1)]
+        _drive(Pma(m), ReferencePma(m), raws, ("equal", trial), seqs=repeat(0))
 
 
 # ----------------------------------------------------------------------
 # direct behavior
+
+
+class TestPlace:
+    """`_place` on hand-set slots.  Pma(16) has 4 leaves of 4; each taken
+    slot p holds (p, p), and the new entry is (0, 99)."""
+
+    E = (0, 99)
+
+    def _place(self, taken, t):
+        pma = Pma(16)
+        for p in taken:
+            pma.slots[p] = (p, p)
+        before = list(pma.slots)
+        return pma, before, pma._place(t, self.E)
+
+    def test_slot_zero_taken_with_nothing_to_its_left(self):
+        # The last slot of the array is free: a left scan that wrapped past
+        # slot 0 would shift left into it instead of right.
+        pma, before, out = self._place([0, 1, 2], 0)
+        assert out == (0, 3)
+        assert pma.slots == [self.E] + before[:3] + before[4:]
+        # ...and a scan that wraps to an empty slice misses slot 0's gap.
+        pma, before, out = self._place([1, 2, 3], 2)
+        assert out == (1, 1)
+        assert pma.slots == before[1:2] + [self.E] + before[2:]
+
+    def test_shifts_never_leave_the_leaf(self):
+        # t at a leaf start, the leaf full but for its last slot: slot 3
+        # (the previous leaf) is nearer, but a shift stays in t's leaf, and
+        # with the whole leaf full there is nothing to shift into.
+        pma, before, out = self._place([4, 5, 6], 4)
+        assert out == (4, 3)
+        assert pma.slots == before[:4] + [self.E] + before[4:7] + before[8:]
+        with pytest.raises(AssertionError, match="no free slot"):
+            self._place([4, 5, 6, 7], 4)
+        # Slot 8 (the next leaf) is nearer than slot 4, but is not used.
+        pma, before, out = self._place([5, 6, 7], 7)
+        assert out == (6, 2)
+        assert pma.slots == before[:4] + before[5:7] + [self.E] + before[7:]
+
+    def test_target_past_the_last_slot(self):
+        # t == slot_count: only a left shift is possible, landing at m - 1.
+        pma, before, out = self._place([13, 14, 15], 16)
+        assert out == (15, 3)
+        assert pma.slots == before[:12] + before[13:] + [self.E]
 
 
 def test_sorted_after_random_workload():
