@@ -30,13 +30,19 @@ entries reset to zero — so every insert votes in exactly one layout
 decision; stale votes would aim free slots at gaps the workload has already
 left behind.  The histogram halves every `leaf_size * 4` inserts so heat
 also fades on its own.
+
+Cost of a layout over k leaves and c entries: the Python work is per heated
+leaf (`_layout` visits only those), per run of equal weight and per pinned
+leaf (`_weighted_positions`); the work per leaf and per entry runs in C
+(`compress`, `map` over a `range`).  So a flat range costs what
+`even_layout` costs, plus a constant.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from itertools import compress, repeat
-from operator import floordiv, itemgetter
+from bisect import bisect_right
+from itertools import compress, islice, repeat
+from operator import floordiv, itemgetter, ne
 
 from .core import MovementLedger
 from .pma import TAU_LEAF, Pma, even_layout
@@ -71,15 +77,18 @@ class Apma(Pma):
         self.histogram[first_leaf:first_leaf + k] = [0] * k
 
         # The run of entries each heated leaf held, as (first, last, heat):
-        # the old offsets ascend, so a leaf's entries are one slice of them.
-        old_off = list(compress(range(size), old))
+        # entries keep their order, so a leaf's run starts after every entry
+        # the old segment holds before the leaf.  Only heated leaves are
+        # visited; the slots between them are counted in C.
         runs = []
-        for j, h in enumerate(heat):
-            if h:
-                first = bisect_left(old_off, j * L)
-                end = bisect_left(old_off, j * L + L, first)
-                if first < end:
-                    runs.append((first, end - 1, h))
+        first = prev = 0
+        for j in compress(range(k), heat):
+            first += j * L - prev - old[prev:j * L].count(None)
+            prev = j * L + L
+            held = L - old[j * L:prev].count(None)
+            if held:
+                runs.append((first, first + held - 1, heat[j]))
+            first += held
 
         if runs:
             first, last, dom = max(runs, key=itemgetter(2))
@@ -108,53 +117,69 @@ class Apma(Pma):
         the split cannot honor (not enough free slots to keep every open leaf
         under the density threshold, or no weight left to split by) fall
         back to the even layout.
+
+        Cost: the leaves are handled as maximal runs of equal weight, found
+        by one C-speed scan of `weights`.  The Python work is per pin (one
+        step over the distinct weights) and per run (one `map`, where a
+        pinned leaf is a run of its own); the work per leaf and per entry is
+        C.
         """
         L = self.leaf_size
         k = size // L
         min_free = L - int(TAU_LEAF * L)
 
-        # Waterfall: pin leaves whose proportional share breaks a guard rail
-        # (above the leaf size, or below the free-slot floor), then re-split
-        # the remainder over the open leaves by weight until the shares stand.
-        fixed: list[int | None] = [None] * k
+        # The bounds of the maximal runs of equal weight; per distinct weight,
+        # its front (lowest open leaf, k once all are pinned) and the end of
+        # its last run.
+        bounds = [0, *compress(range(1, k), map(ne, islice(weights, 1, None), weights)), k]
+        front, stop = {}, {}
+        for s, e in zip(bounds, islice(bounds, 1, None)):
+            w = weights[s]
+            front.setdefault(w, s)
+            stop[w] = e
+
+        # Waterfall: pin the lowest open leaf whose proportional share breaks
+        # a guard rail (above the leaf size, or below the free-slot floor),
+        # then re-split the remainder over the open leaves by weight until
+        # the shares stand.  Whether a leaf breaks a rail depends on its
+        # weight alone, so the lowest breaker is the lowest front among the
+        # weights that break one.
+        pins: dict[int, int] = {}
         free_rem = size - c
+        w_open = sum(weights)
         while True:
-            open_leaves = [j for j in range(k) if fixed[j] is None]
-            w_open = sum(weights[j] for j in open_leaves)
-            if w_open == 0 or free_rem < len(open_leaves) * min_free:
+            if w_open == 0 or free_rem < (k - len(pins)) * min_free:
                 return even_layout(size, c)
-            for j in open_leaves:
-                w = weights[j]
-                if free_rem * w > L * w_open:
-                    fixed[j] = L
-                elif free_rem * w < min_free * w_open:
-                    fixed[j] = min_free
-                else:
-                    continue
-                free_rem -= fixed[j]
-                break  # shares shift; recompute before judging the rest
-            else:
+            j = k
+            for w, f in front.items():
+                if f < j:
+                    if free_rem * w > L * w_open:
+                        j, fix = f, L
+                    elif free_rem * w < min_free * w_open:
+                        j, fix = f, min_free
+            if j == k:
                 break
+            w = weights[j]
+            pins[j] = fix
+            free_rem -= fix
+            w_open -= w
+            front[w] = weights.index(w, j + 1) if j + 1 < stop[w] else k
 
-        # Element share of leaf j, as a fraction num_j / w_open of slots.
-        nums = [
-            (L - fixed[j]) * w_open if fixed[j] is not None
-            else L * w_open - free_rem * weights[j]
-            for j in range(k)
-        ]
-        assert sum(nums) == c * w_open
-
-        # Leaf j takes the entries i with cum <= i * w_open < cum + nums[j],
-        # at offset j*L + (i*w_open - cum) * L // nums[j]: even_layout's
-        # formula over the leaf, one map per leaf.
+        # A run of leaves with equal element share n / w_open of slots (an
+        # open run of one weight, or a pinned leaf) is one even spread: it
+        # takes the entries i with cum <= i * w_open < cum + len * n, at
+        # offset s*L + (i*w_open - cum) * L // n.  One map per run.
+        cuts = sorted({*bounds, *pins, *[j + 1 for j in pins]}) if pins else bounds
         positions: list[int] = []
         step = w_open * L
         i = cum = 0
-        for j, n_j in enumerate(nums):
-            base = j * L * n_j - cum * L
-            cum += n_j
-            end = -(-cum // w_open)  # first entry of the next leaf
+        for s, e in zip(cuts, islice(cuts, 1, None)):
+            n = (L - pins[s]) * w_open if s in pins else L * w_open - free_rem * weights[s]
+            base = s * L * n - cum * L
+            cum += (e - s) * n
+            end = -(-cum // w_open)  # first entry of the next run
             positions += map(floordiv, range(base + i * step, base + end * step, step),
-                             repeat(n_j))
+                             repeat(n))
             i = end
+        assert cum == c * w_open
         return positions

@@ -8,6 +8,8 @@ input.
 """
 
 import random
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
 
 import pytest
 
@@ -22,10 +24,13 @@ def even(c: int, size: int) -> list[int]:
     return [i * size // c for i in range(c)]
 
 
-def reference_weighted_positions(c, size, weights, L):
+def reference_weighted_positions(c, size, weights, L, reverse=False):
     """The weighted layout of `Apma._weighted_positions`, written with a
-    per-entry loop that walks entry i's share i * w_open across the leaves'
-    element intervals."""
+    full-scan waterfall and a per-entry loop that walks entry i's share
+    i * w_open across the leaves' element intervals.  With reverse=True the
+    waterfall pins the highest-index breaker first instead of the lowest,
+    which is not the layout; tests use it to show that a case depends on
+    the pin order."""
     k = size // L
     min_free = L - int(TAU_LEAF * L)
     fixed = [None] * k
@@ -35,7 +40,7 @@ def reference_weighted_positions(c, size, weights, L):
         w_open = sum(weights[j] for j in open_leaves)
         if w_open == 0 or free_rem < len(open_leaves) * min_free:
             return even(c, size)
-        for j in open_leaves:
+        for j in reversed(open_leaves) if reverse else open_leaves:
             if free_rem * weights[j] > L * w_open:
                 fixed[j] = L
             elif free_rem * weights[j] < min_free * w_open:
@@ -106,6 +111,54 @@ class TestWeightedLayout:
             pinned_full += full in per_leaf and pos != even(c, size)
         assert pinned_empty > 100 and pinned_full > 100, (pinned_empty, pinned_full)
 
+    @pytest.mark.parametrize("k, cases", [(256, 100), (1024, 30), (4096, 10)])
+    def test_matches_reference_under_layout_shaped_credit(self, k, cases):
+        """At the leaf counts of drift-ids rebalances and beyond, under
+        credit shaped the way `_layout` builds it: every leaf 1, a few
+        raised by heat.  Every case pins some hot leaf at L free slots."""
+        a = Apma(6 << 15)  # 8192 leaves of 24, the wrapper's box geometry
+        L = a.leaf_size
+        size = k * L
+        rng = random.Random(k)
+        emptied = 0
+        for _ in range(cases):
+            credit = [1] * k
+            for j in rng.sample(range(k), rng.randint(1, 64)):
+                credit[j] += rng.choice([1, 1, 1, 2, 2, 3, 6, 14])
+            c = rng.randint(size * 2 // 5, size * 5 // 8)
+            pos = a._weighted_positions(c, size, credit)
+            assert pos == reference_weighted_positions(c, size, credit, L), (c, credit)
+            emptied += len(set(p // L for p in pos)) < k
+        assert emptied == cases
+
+    @pytest.mark.parametrize("k, c, hot", [(256, 2457, 162), (1024, 9787, 165),
+                                           (4096, 39189, 166)])
+    def test_a_low_pin_before_a_high_pin(self, k, c, hot):
+        """Weight 100 everywhere but 1 at eight light leaves in the lower
+        half and `hot` at leaf 3k/4.  At the start the light leaves fall
+        under the free-slot floor and the hot leaf, the smallest weight
+        that does, goes over the leaf size.  The light leaves come first
+        in index order, and pinning them brings the hot share back under
+        L, so the hot leaf stays open; the reverse pin order gives other
+        slots."""
+        a = Apma(6 << 15)
+        L = a.leaf_size
+        min_free = L - int(TAU_LEAF * L)
+        size = k * L
+        light = [k // 16 * i for i in range(1, 9)]
+        weights = [100] * k
+        for j in light:
+            weights[j] = 1
+        weights[3 * k // 4] = hot
+        free, w_open = size - c, sum(weights)
+        assert free < min_free * w_open and free * hot > L * w_open
+        assert free * (hot - 1) <= L * (w_open - 1)
+        free, w_open = free - min_free * len(light), w_open - len(light)
+        assert free * hot <= L * w_open
+        want = reference_weighted_positions(c, size, weights, L)
+        assert a._weighted_positions(c, size, weights) == want
+        assert reference_weighted_positions(c, size, weights, L, reverse=True) != want
+
     def test_positions_legal_under_random_weights(self):
         a = Apma(64)
         L = a.leaf_size
@@ -138,12 +191,27 @@ class TestInsertHeat:
         assert a.histogram[0] == 2  # both landed in the first leaf
 
     def test_decay_halves_periodically(self):
-        a = Apma(96)
-        bound = 2 * a.decay_period
+        # 256 leaves of 16, one key each: 3 periods of random inserts never
+        # fill a leaf, so no rebalance spends the heat between boundaries
+        a = Apma(4096)
+        L, k, period = a.leaf_size, a.num_leaves, a.decay_period
+        a.init([1000 * j for j in range(k)], range(k))
+        a._rebalance = None  # any rebalance would fail the test loudly
         rng = random.Random(4)
-        for seq in range(40):
-            a.insert(rng.randint(0, 10**6), seq)
-            assert sum(a.histogram) <= bound
+        decays = 0
+        for seq in range(k, k + 3 * period):
+            entry = (rng.randrange(1000 * k), seq)
+            voted = list(a.histogram)
+            a.insert(*entry)
+            voted[a.slots.index(entry) // L] += 1
+            if (seq - k + 1) % period:
+                assert a.histogram == voted
+            else:
+                # the boundary's own vote counts, then every leaf halves
+                assert a.histogram == [h >> 1 for h in voted], seq
+                assert any(h & 1 for h in voted) and max(voted) > 1
+                decays += 1
+        assert decays == 3 and a._since_decay == 0
 
     def test_rebalance_consumes_covered_heat(self):
         a = Apma(64)  # 8 leaves of 8; slots [0, 16) cover leaves 0..1
@@ -217,6 +285,80 @@ class TestLayoutDecisions:
         # a refused split credits the same way
         _, calls = self._layout([6, 0, 3, 0], 25, raws, old, size=32)
         assert calls == [[1, 1, 7, 4]]
+
+
+def per_leaf_layout(a, entries, lo, size, old, pending_raw):
+    """`Apma._layout` with a scan that visits every leaf of the range
+    through enumerate(heat), heated or not.  Returns (offsets, credit),
+    credit None when the range splits; spends the heat as `_layout` does."""
+    c = len(entries)
+    L = a.leaf_size
+    k = size // L
+    first_leaf = lo // L
+    heat = a.histogram[first_leaf:first_leaf + k]
+    a.histogram[first_leaf:first_leaf + k] = [0] * k
+    old_off = [p for p, e in enumerate(old) if e is not None]
+    runs = []
+    for j, h in enumerate(heat):
+        if h:
+            first = bisect_left(old_off, j * L)
+            end = bisect_left(old_off, j * L + L, first)
+            if first < end:
+                runs.append((first, end - 1, h))
+    if runs:
+        first, last, dom = max(runs, key=itemgetter(2))
+        if dom * 4 >= sum(h for _, _, h in runs) * 3:
+            gap = bisect_right([raw for raw, _ in entries], pending_raw)
+            if first <= gap <= last + 1:
+                return [*range(gap), *range(size - c + gap, size)], None
+    credit = [1] * k
+    for _, last, h in runs:
+        credit[last * k // c] += h
+    return reference_weighted_positions(c, size, credit, L), credit
+
+
+@pytest.mark.parametrize("slot_count", [768, 6 << 10])
+def test_layout_matches_the_per_leaf_scan(slot_count):
+    """Random ranges where most leaves hold no heat and some heated leaves
+    hold no entries: the split-or-weighted decision, the credit, the
+    offsets and the spent heat all match the per-leaf scan."""
+    rng = random.Random(slot_count)
+    a, b = Apma(slot_count), Apma(slot_count)
+    L = a.leaf_size
+    calls = []
+    inner = a._weighted_positions
+    a._weighted_positions = lambda c, size, w: calls.append(list(w)) or inner(c, size, w)
+    splits = weighted = heated_empty = 0
+    for _ in range(400):
+        k = 1 << rng.randint(1, a.depth)
+        size = k * L
+        lo = rng.randrange(a.num_leaves // k) * size
+        c = rng.randint(1, int(a._cap[a.depth - (k.bit_length() - 1)]))
+        entries = [(raw, seq) for seq, raw in enumerate(sorted(rng.choices(range(4 * c), k=c)))]
+        old = [None] * size
+        for p, entry in zip(sorted(rng.sample(range(size), c)), entries):
+            old[p] = entry
+        histogram = [rng.randrange(3) for _ in range(a.num_leaves)]
+        heat = [0] * k
+        heated = rng.sample(range(k), min(k, rng.choice([0, 1, 1, 2, 3, k // 8])))
+        for j in heated:
+            heat[j] = rng.choice([1, 2, 5, 40])
+            heated_empty += not any(old[j * L:j * L + L])
+        histogram[lo // L:lo // L + k] = heat
+        a.histogram, b.histogram = list(histogram), list(histogram)
+        calls.clear()
+        # half the time the pending key sits among a heated leaf's keys
+        held = [e[0] for j in heated for e in old[j * L:j * L + L] if e]
+        pending_raw = rng.randrange(-1, 4 * c + 1)
+        if held and rng.random() < 0.5:
+            pending_raw = rng.choice(held)
+        want, credit = per_leaf_layout(b, entries, lo, size, old, pending_raw)
+        assert a._layout(entries, lo, size, old, pending_raw) == want
+        assert calls == ([] if credit is None else [credit])
+        assert a.histogram == b.histogram
+        splits += credit is None
+        weighted += credit is not None and credit != [1] * k
+    assert splits > 50 and weighted > 50 and heated_empty > 20, (splits, weighted, heated_empty)
 
 
 @pytest.mark.parametrize("size", [48, 96, 192])
