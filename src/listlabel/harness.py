@@ -566,10 +566,12 @@ def run_synthetic(
     adds rounded normal(mu, s^2) error and arrives in sorted order.  Keys
     are distinct, so every merge is checked for its error witness and any
     violation raises.  Bad parameters (a non-finite mu or s, a negative s,
-    a missing eta) are a ConfigError raised before any run.
+    a missing eta, a negative seed) are a ConfigError raised before any run.
     """
     if n < 2 or n & (n - 1):
         raise ConfigError(f"n must be a power of two >= 2, got {n}")
+    if seed < 0:
+        raise ConfigError(f"seed {seed} is negative")
     keys, predictions, true_ranks, label = _synthesize(kind, n, seed, eta, mu, s)
     return _rows(structures, label, keys, predictions, true_ranks, train=0,
                  check_witness=True, seed=seed)

@@ -16,9 +16,9 @@ actual otherwise.  Routing only ever names an actual, never a leaf, so the
 keys live in a heap-order min/max tree on the n rank leaves that is exact
 only at and above actual roots: every such node holds the min and max of the
 keys stored under it, and nodes below a root keep stale values.  The trees
-are laid out and searched like the min tree `Pma` keeps over its slot
-leaves, and a descent that reaches an actual's root stays inside that
-actual whatever it finds below.  Routing first climbs from the predicted
+are laid out in heap order and searched by `pred_leaf` and `succ_leaf`, and
+a descent that reaches an actual's root stays inside that actual whatever
+it finds below.  Routing first climbs from the predicted
 actual's root toward the tree root.  The siblings on that path are never
 below another actual's root, since actuals are aligned tree nodes: the right
 siblings cover every leaf right of the actual, the left siblings every leaf
@@ -61,7 +61,36 @@ from operator import add, itemgetter, ne
 from typing import Callable, Iterator, NamedTuple
 
 from .core import CapacityError, MovementLedger, check_raw, clamp
-from .pma import INF_RAW, NEG_INF_RAW, Pma, pred_leaf, succ_leaf
+from .pma import INF_RAW, NEG_INF_RAW, Pma
+
+
+def pred_leaf(mins: list[int], raw: int) -> int | None:
+    """Rightmost leaf holding a key <= raw, or None; `mins` is a heap-order
+    tree (node 1 is the root, the leaves sit at [len // 2, len)) of subtree
+    key minima, INF_RAW where a subtree is empty."""
+    if mins[1] > raw:
+        return None
+    n = len(mins) >> 1
+    v = 1
+    while v < n:
+        v <<= 1
+        if mins[v | 1] <= raw:
+            v |= 1
+    return v - n
+
+
+def succ_leaf(maxs: list[int], raw: int) -> int | None:
+    """Leftmost leaf holding a key > raw, or None; `maxs` is the heap-order
+    tree of subtree key maxima, NEG_INF_RAW where a subtree is empty."""
+    if maxs[1] <= raw:
+        return None
+    n = len(maxs) >> 1
+    v = 1
+    while v < n:
+        v <<= 1
+        if maxs[v] <= raw:
+            v |= 1
+    return v - n
 
 
 class Actual(NamedTuple):

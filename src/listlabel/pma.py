@@ -18,63 +18,30 @@ one, and shifts and rebalances only move references), so a rebalance counts
 its moves by identity: an entry stayed exactly when its new slot held that
 same object before.
 
-The only per-node state is the heap-order tree of subtree key minima, and an
-insert touches no more of it than its placement needs, relying on three facts:
-INF_RAW marks an empty subtree (so the minima double as occupancy); keys
-ascend with the slots, so a leaf's minimum is its first entry; and a
-redistribution leaves its node's minimum unchanged, so it rebuilds only the
-nodes below.  Densities are counted from the slots of the range at hand.
+The only per-leaf state is a non-decreasing row of leaf minima.  A non-empty
+leaf holds its smallest key (its first entry: keys ascend with the slots), an
+empty one the next non-empty leaf's, INF_RAW if there is none, and LEAD_RAW,
+below every key, if no key precedes it.  One bisect finds the leaf of a key's
+predecessor, an insert lowers at most its own leaf's minimum, and a
+redistribution, which keeps its range's minimum, rewrites the row only inside
+its range.  Densities are counted from the slots of the range at hand.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cache
 from itertools import compress, islice, repeat
 from operator import floordiv, gt, index, is_not
 
 from .core import CapacityError, MovementLedger, check_raw
 
-# Empty-subtree markers of the heap-order min/max trees.  Every key stored or
-# searched lies in [MIN_RAW, RAW_MAX] (see check_raw): below INF_RAW and not
-# below NEG_INF_RAW, so an empty subtree never passes the descents' tests
-# below and they need no per-node counts.
+# Keys lie in [MIN_RAW, RAW_MAX] (see check_raw).  INF_RAW and NEG_INF_RAW mark
+# empty subtrees of LearnedLLA's min/max trees; INF_RAW and LEAD_RAW, one below
+# the legal key MIN_RAW == NEG_INF_RAW, mark empty leaves of Pma's leaf minima.
 INF_RAW = 2**63 - 1
 NEG_INF_RAW = -(2**63)
-
-
-def pred_leaf(mins: list[int], raw: int) -> int | None:
-    """Rightmost leaf holding a key <= raw, or None.
-
-    `mins` is a heap-order tree (node 1 is the root, the leaves sit at
-    [len // 2, len)) of subtree key minima, INF_RAW where a subtree is empty.
-    On `LearnedLLA`'s trees, exact only down to actual roots, it lands on
-    some leaf of the actual holding that key.
-    """
-    if mins[1] > raw:
-        return None
-    n = len(mins) >> 1
-    v = 1
-    while v < n:
-        v <<= 1
-        if mins[v | 1] <= raw:
-            v |= 1
-    return v - n
-
-
-def succ_leaf(maxs: list[int], raw: int) -> int | None:
-    """Leftmost leaf holding a key > raw, or None; `maxs` is the heap-order
-    tree of subtree key maxima, NEG_INF_RAW where a subtree is empty.  On
-    `LearnedLLA`'s trees it lands on some leaf of the actual holding that
-    key, as pred_leaf does."""
-    if maxs[1] <= raw:
-        return None
-    n = len(maxs) >> 1
-    v = 1
-    while v < n:
-        v <<= 1
-        if maxs[v] <= raw:
-            v |= 1
-    return v - n
+LEAD_RAW = NEG_INF_RAW - 1
 
 
 # Upper density thresholds at the root and at the leaves (see geometry).
@@ -152,13 +119,9 @@ class Pma:
         self.ledger = ledger
         self.slots: list[tuple[int, int] | None] = [None] * self.slot_count
         self.count = 0
-        # Implicit binary tree in heap order: node 1 is the root, leaves sit
-        # at indices [num_leaves, 2 * num_leaves).  Per node we keep the min
-        # raw key of the subtree, INF_RAW exactly when the subtree is empty.
-        # Keys ascend with the slots, so a leaf's min is its first entry, and
-        # a redistribution keeps its node's keys and so the node's min.
-        # Densities are counted from the slots, one aligned range per level.
-        self._min = [INF_RAW] * (2 * self.num_leaves)
+        # The row of leaf minima (see the module docstring).  Densities are
+        # counted from the slots, one aligned range per level.
+        self._min = [INF_RAW] * self.num_leaves
 
     # ------------------------------------------------------------------
     # public surface
@@ -195,7 +158,7 @@ class Pma:
         for pos, entry in zip(even_layout(self.slot_count, c), zip(raws, seqs)):
             slots[pos] = entry
         self.count = c
-        self._rebuild_tree(0, self.slot_count)
+        self._rebuild_minima(0, self.slot_count)
         if self.ledger is not None:
             self.ledger.record_init(c)
 
@@ -240,45 +203,47 @@ class Pma:
 
         pos, shifted = self._place(t, (raw, seq))
         moved += shifted
-        # Shifts stay inside the leaf, so only the new key can lower a min.
+        # Only the new key's leaf can change: shifts stay inside it, and the
+        # key lands in its predecessor's leaf or the next one, else in or just
+        # before the first non-empty leaf, so no empty leaf that held the old
+        # minimum precedes it.
         mins = self._min
-        v = self.num_leaves + pos // self.leaf_size
-        while v and raw < mins[v]:
-            mins[v] = raw
-            v >>= 1
+        j = pos // self.leaf_size
+        if mins[j] > raw or mins[j] == LEAD_RAW:
+            mins[j] = raw
         self.count += 1
         if self.ledger is not None:
             self.ledger.record_insert(moved)
         return moved
 
     # ------------------------------------------------------------------
-    # placement (a heap descent, then never more than one leaf range)
+    # placement (a bisect over the leaf minima, then never more than one leaf)
 
     def _target(self, raw: int) -> int:
         """The slot the key wants: right after the last stored key <= raw,
         else right before the first stored key, else 0.  That slot may be
-        taken, and it may equal slot_count."""
+        taken, and it may equal slot_count.
+
+        The last leaf with a minimum <= raw holds the predecessor, unless it
+        is LEAD_RAW (an empty leaf past the first key repeats the next
+        non-empty leaf's minimum); else the leaf after it is the first
+        non-empty one."""
         mins, L, slots = self._min, self.leaf_size, self.slots
-        p = pred_leaf(mins, raw)
-        if p is not None:
-            t = p * L + L
+        q = bisect_right(mins, raw)
+        if q and mins[q - 1] != LEAD_RAW:
+            t = q * L
             e = slots[t - 1]
             while e is None or e[0] > raw:
                 t -= 1
                 e = slots[t - 1]
             return t
-        if mins[1] == INF_RAW:
+        if mins[q] == INF_RAW:
             return 0
-        n, v = self.num_leaves, 1
-        while v < n:
-            v <<= 1
-            if mins[v] == INF_RAW:
-                v |= 1
-        lo = (v - n) * L
+        lo = q * L
         for pos in range(lo, lo + L):
             if slots[pos] is not None:
                 return max(pos - 1, 0)
-        raise AssertionError("tree minima out of sync: an empty leaf has a finite min")
+        raise AssertionError("leaf minima out of sync: the first non-empty leaf is empty")
 
     def _place(self, t: int, entry: tuple[int, int]) -> tuple[int, int]:
         """Store the entry at slot t if that slot is free; otherwise shift
@@ -347,20 +312,24 @@ class Pma:
         for p, entry in zip(offsets, entries):
             seg[p] = entry
         self.slots[lo:hi] = seg
-        self._rebuild_tree(lo, hi)
+        self._rebuild_minima(lo, hi)
         return sum(map(is_not, compress(old, seg), entries))
 
-    def _rebuild_tree(self, lo: int, hi: int) -> None:
-        """Recompute _min for the tree node whose slot range is [lo, hi) and
-        every node below it.  Nodes above it keep theirs: init passes the
-        whole array, and a redistribution leaves the min of its node
-        unchanged."""
+    def _rebuild_minima(self, lo: int, hi: int) -> None:
+        """Recompute the leaf minima of the slots [lo, hi), whole leaves:
+        one scan per leaf, carrying the next non-empty leaf's minimum from
+        the right.  Leaves outside keep theirs (init passes the whole array;
+        a redistribution keeps its range's minimum).  A range that holds
+        keys and starts the leading empty run marks its leading empties."""
         mins, slots, L = self._min, self.slots, self.leaf_size
-        first, end = self.num_leaves + lo // L, self.num_leaves + hi // L
-        for v in range(first, end):
-            entry = next(filter(None, slots[lo:lo + L]), None)
-            mins[v] = INF_RAW if entry is None else entry[0]
-            lo += L
-        while end - first > 1:
-            first, end = first >> 1, end >> 1
-            mins[first:end] = map(min, mins[2 * first:2 * end:2], mins[2 * first + 1:2 * end:2])
+        first, end = lo // L, hi // L
+        carry = mins[end] if end < self.num_leaves else INF_RAW
+        top = end  # the range's first non-empty leaf, end if none
+        for j in range(end - 1, first - 1, -1):
+            hi -= L
+            entry = next(filter(None, slots[hi:hi + L]), None)
+            if entry is not None:
+                carry, top = entry[0], j
+            mins[j] = carry
+        if top < end and (first == 0 or mins[first - 1] == LEAD_RAW):
+            mins[first:top] = repeat(LEAD_RAW, top - first)

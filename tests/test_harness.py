@@ -706,6 +706,18 @@ class TestCli:
         assert captured.err.startswith("llabench: ")
         assert runs == []
 
+    def test_negative_synth_seed_exits_2_before_any_run(self, capsys, monkeypatch):
+        # random.Random(-3) draws what random.Random(3) draws, so --seed -3
+        # would write the rows of --seed 3 under another seed.
+        runs = []
+        monkeypatch.setattr(harness, "_rows", lambda *a, **kw: runs.append(a))
+        code = cli_main(["synth", "--kind", "random", "--n", "1024", "--seed", "-3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "llabench: seed -3 is negative\n"
+        assert runs == []
+
     @pytest.mark.parametrize(
         "args",
         [["robustness", "--k", "8", "--t", ","], ["curve", "--test-k", "8", "--fractions", ","]],

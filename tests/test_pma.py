@@ -14,7 +14,7 @@ import pytest
 
 from listlabel.apma import Apma
 from listlabel.core import MIN_RAW, RAW_MAX, CapacityError, Key, MovementLedger
-from listlabel.pma import INF_RAW, TAU_LEAF, TAU_ROOT, Pma, geometry
+from listlabel.pma import INF_RAW, LEAD_RAW, TAU_LEAF, TAU_ROOT, Pma, geometry
 
 
 def raws_sorted(slots) -> bool:
@@ -250,22 +250,28 @@ class ReferencePma:
         return cost_l
 
 
-def _assert_min_tree(real, tag):
-    """Every _min node holds the smallest key in its slot range, INF_RAW
-    when the range is empty."""
-    L, n = real.leaf_size, real.num_leaves
-    want = [INF_RAW] * (2 * n)
-    for leaf in range(n):
-        keys = [e[0] for e in real.slots[leaf * L : (leaf + 1) * L] if e is not None]
-        want[n + leaf] = min(keys, default=INF_RAW)
-    for v in range(n - 1, 0, -1):
-        want[v] = min(want[2 * v], want[2 * v + 1])
-    assert real._min[1:] == want[1:], tag
+def _assert_leaf_minima(real, tag):
+    """The row of leaf minima, one value per leaf: the smallest key of a
+    non-empty leaf; for an empty leaf the smallest key after it, INF_RAW if
+    there is none; LEAD_RAW on the empty leaves before the first key.
+    Returns the row."""
+    L = real.leaf_size
+    leaf_keys = [[e[0] for e in real.slots[j * L:(j + 1) * L] if e is not None]
+                 for j in range(real.num_leaves)]
+    want, after = [], INF_RAW
+    for keys in reversed(leaf_keys):
+        after = min(keys, default=after)
+        want.append(after)
+    want.reverse()
+    lead = next((j for j, keys in enumerate(leaf_keys) if keys), 0)
+    want[:lead] = [LEAD_RAW] * lead
+    assert real._min == want, tag
+    return want
 
 
 def _drive(real, ref, raws, tag, seqs=None):
     """Insert into both arrays until the first CapacityError: the same
-    slots, costs and min tree after each insert.  Seqs default to 0, 1, ..."""
+    slots, costs and leaf minima after each insert.  Seqs default to 0, 1, ..."""
     for i, (raw, seq) in enumerate(zip(raws, count() if seqs is None else seqs)):
         try:
             moved_real = real.insert(raw, seq)
@@ -276,13 +282,13 @@ def _drive(real, ref, raws, tag, seqs=None):
         moved_ref = ref.insert(raw, seq)
         assert moved_real == moved_ref, (tag, i)
         assert real.slots == ref.slots, (tag, i)
-        _assert_min_tree(real, (tag, i))
+        _assert_leaf_minima(real, (tag, i))
 
 
 def test_matches_reference_on_every_insert():
     """10^3 random small arrays, wrapper-sized arrays under random and
-    hammered keys, and bulk-loaded arrays: identical slots and costs, and an
-    exact min tree, after each insert."""
+    hammered keys, and bulk-loaded arrays: identical slots and costs, and
+    exact leaf minima, after each insert."""
     rng = random.Random(20260819)
     for trial in range(1000):
         m = rng.randint(2, 64)
@@ -311,9 +317,36 @@ def test_matches_reference_on_every_insert():
         real.init(raws, list(range(c)))
         ref.init(raws, list(range(c)))
         assert real.slots == ref.slots
-        _assert_min_tree(real, ("init", m))
+        _assert_leaf_minima(real, ("init", m))
         _drive(real, ref, [rng.randint(0, value_span) for _ in range(m + 1)],
                ("init", m), seqs=count(c))
+
+
+@pytest.mark.parametrize("m", [96, 384, 1536])
+def test_apma_leaf_minima_after_every_insert(m):
+    """Apma has no reference, but its row of leaf minima must match its
+    slots after every insert.  A descending stream splits at gap 0, which
+    packs every key right and leaves leading empty leaves (LEAD_RAW); the
+    hammer and random streams leave empty leaves between keys that hold
+    the next leaf's minimum."""
+    rng = random.Random(m)
+    streams = {
+        "descending": list(range(m, 0, -1)),
+        "hammer": [m] + list(range(1, m)),
+        "random": [rng.randint(0, 10**6) for _ in range(m)],
+    }
+    for order, raws in streams.items():
+        box, L = Apma(m), geometry(m)[0]
+        lead = inner = False
+        with pytest.raises(CapacityError):
+            for seq, raw in enumerate(raws):
+                box.insert(raw, seq)
+                row = _assert_leaf_minima(box, (order, seq))
+                lead |= row[0] == LEAD_RAW
+                inner |= any(LEAD_RAW < v < INF_RAW and not any(box.slots[j * L:j * L + L])
+                             for j, v in enumerate(row))
+        assert raws_sorted(box.slots)
+        assert lead if order == "descending" else inner, order
 
 
 def test_matches_reference_with_equal_entries():
@@ -514,5 +547,18 @@ def test_init_accepts_both_ends_and_nothing():
     assert [e for e in pma.slots if e is not None] == [(MIN_RAW, 0), (MIN_RAW, 1), (RAW_MAX, 2)]
     empty = Pma(12)
     empty.init([], [])
-    assert empty.count == 0 and empty._min[1] == INF_RAW
+    assert empty.count == 0 and empty._min == [INF_RAW] * empty.num_leaves
     assert empty.slots == [None] * empty.slot_count
+    empty.insert(7)
+    assert _assert_leaf_minima(empty, "first insert")[0] == 7
+
+
+def test_init_that_fills_the_array():
+    """An init may fill every slot: each leaf's minimum is its first key,
+    and the next insert is over the root's threshold."""
+    pma = Pma(48)
+    pma.init(list(range(10, 58)), list(range(48)))
+    assert None not in pma.slots
+    assert _assert_leaf_minima(pma, "full") == list(range(10, 58, pma.leaf_size))
+    with pytest.raises(CapacityError):
+        pma.insert(5)
