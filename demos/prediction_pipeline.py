@@ -16,7 +16,6 @@ from listlabel import (
     Key,
     LearnedLLA,
     MovementLedger,
-    PredictionVector,
     SequenceSlice,
     corrupt,
     fixed_point_parse,
@@ -94,8 +93,8 @@ def main():
     print(f"shuffled arrival; blind routing costs {blind:.3f} here:")
     print(f"  {'t%':>4} {'cost':>8}")
     for t in (0, 10, 25, 50, 100):
-        bad = corrupt(PredictionVector(ranks), t, rng_seed=t)
-        print(f"  {t:>4} {run(keys, bad.ranks):>8.3f}")
+        bad = corrupt(ranks, t, rng_seed=t)
+        print(f"  {t:>4} {run(keys, bad):>8.3f}")
     print(
         "\nThe advantage survives moderate poisoning and is gone once a"
         "\nquarter of the predictions are hostile; wholesale corruption"

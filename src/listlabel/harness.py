@@ -32,7 +32,6 @@ from .core import MIN_RAW, Key, MovementLedger, ParseError, clamp, fixed_point_p
 from .learned import LearnedLLA, witness_error_check
 from .pma import Pma
 from .predictors import (
-    PredictionVector,
     SequenceSlice,
     corrupt,
     predictor1,
@@ -235,11 +234,12 @@ def _run_config(
     """
     t = len(test_keys)
     ledger = MovementLedger(first_placement_excluded=True)
+    ranks = [1] * t if predictions is None else [p + 1 for p in predictions]
 
     listener = None
     if check_witness:
         # Indexed by seq: the sentinel is seq 0 at rank 1, key i is seq i + 1.
-        routed = [1] * (t + 1) if predictions is None else [1, *(p + 1 for p in predictions)]
+        routed = [1, *ranks]
         truth = [1, *(rank + 1 for rank in true_ranks)]
 
         def listener(_lla: LearnedLLA, merged) -> None:
@@ -260,9 +260,8 @@ def _run_config(
     lla.insert(MIN_RAW, 0, 1)
     ledger.reset()
 
-    for i, key in enumerate(test_keys):
-        predicted = 1 if predictions is None else predictions[i] + 1
-        lla.insert(key.raw, i + 1, predicted)
+    for seq, (key, rank) in enumerate(zip(test_keys, ranks, strict=True), start=1):
+        lla.insert(key.raw, seq, rank)
 
     return ExperimentResult(
         structure=structure,
@@ -391,10 +390,11 @@ def run_learning_curve(
     the f% of 2^test_k rows immediately before it.  f=0 skips prediction
     entirely, so the learned rows degenerate to rank-1 routing.  The train
     column distinguishes sweep points.  An empty fraction list, a negative
-    test_k or fraction, or a fraction whose span exceeds 2^test_k rows, is a
-    ConfigError raised before any load or run; a training window too small
-    to pick a predictor on is one raised before any run, since every
-    point's predictions are made first.
+    test_k or fraction, a fraction whose span exceeds 2^test_k rows, or two
+    fractions with one span (a repeated fraction, say), is a ConfigError
+    raised before any load or run; a training window too small to pick a
+    predictor on is one raised before any run, since every point's
+    predictions are made first.
     """
     t = _rows_for(test_k, "test_k")
     train_fractions = list(train_fractions)
@@ -410,6 +410,8 @@ def run_learning_curve(
                 f"train fraction {fraction}% wants {span} rows before the "
                 f"test slice; only {t} exist"
             )
+        if span in spans:
+            raise ConfigError(f"train fractions {train_fractions} share a {span}-row window")
         spans.append(span)
     keys = _load(spec, 2 * t, f"test_k={test_k}")
     test = SequenceSlice(keys[t:], start_offset=t)
@@ -446,13 +448,15 @@ def run_robustness(
     to the previous seed's (every draw at t=0 or t=100 is) reuses its rows.
     Rows come in `structures` order, a learned structure's levels in
     `t_values` order.
-    An empty list of corruption levels, a level outside [0, 100], fewer
-    than one repeat or a negative first seed (base_seed + 1) is a
+    An empty list of corruption levels, a level outside [0, 100], a repeated
+    level, fewer than one repeat or a negative first seed (base_seed + 1) is a
     ConfigError, raised before any load or run.
     """
     t_values = list(t_values)
     if not t_values:
         raise ConfigError("no corruption percentages given")
+    if len(set(t_values)) < len(t_values):
+        raise ConfigError(f"corruption percentages {t_values} repeat a level")
     for t_pct in t_values:
         if not 0 <= t_pct <= 100:
             raise ConfigError(f"corruption percentage {t_pct} outside [0, 100]")
@@ -475,7 +479,7 @@ def run_robustness(
     for t_pct in t_values if learned else ():
         runs, drawn = [], None
         for r in range(1, repeats + 1):
-            ranks = corrupt(PredictionVector(predictions), t_pct, base_seed + r).ranks
+            ranks = corrupt(predictions, t_pct, base_seed + r)
             runs.append(runs[-1] if ranks == drawn else
                         _rows(learned, label, test.keys, ranks, true_ranks,
                               train=len(train)))

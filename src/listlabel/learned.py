@@ -45,8 +45,8 @@ an actual's ranks and slot offset follow from (height, node).  Every box is
 built as `factory(slot_count, None)`, so boxes charge nothing and the wrapper
 does all the accounting: the moves each box insert returns, and the
 relabels of each merge.  `factory` may be a box class such as `Pma` or
-`Apma`.  Inspection (`actuals`, `neighbor_actuals`, the merge listener)
-returns `Actual(height, node, box)` tuples built on demand.
+`Apma`.  Inspection (`actuals`, the merge listener) returns
+`Actual(height, node, box)` tuples built on demand.
 
 The wrapper keeps no predictions: a prediction only routes its insert, and
 the set of inserted seqs exists only to reject a reused one.
@@ -64,12 +64,10 @@ from .core import CapacityError, MovementLedger, check_raw, clamp
 from .pma import INF_RAW, NEG_INF_RAW, Pma
 
 
-def pred_leaf(mins: list[int], raw: int) -> int | None:
-    """Rightmost leaf holding a key <= raw, or None; `mins` is a heap-order
-    tree (node 1 is the root, the leaves sit at [len // 2, len)) of subtree
-    key minima, INF_RAW where a subtree is empty."""
-    if mins[1] > raw:
-        return None
+def pred_leaf(mins: list[int], raw: int) -> int:
+    """Rightmost leaf holding a key <= raw, which must exist; `mins` is a
+    heap-order tree (node 1 is the root, the leaves sit at [len // 2, len))
+    of subtree key minima, INF_RAW where a subtree is empty."""
     n = len(mins) >> 1
     v = 1
     while v < n:
@@ -79,11 +77,9 @@ def pred_leaf(mins: list[int], raw: int) -> int | None:
     return v - n
 
 
-def succ_leaf(maxs: list[int], raw: int) -> int | None:
-    """Leftmost leaf holding a key > raw, or None; `maxs` is the heap-order
-    tree of subtree key maxima, NEG_INF_RAW where a subtree is empty."""
-    if maxs[1] <= raw:
-        return None
+def succ_leaf(maxs: list[int], raw: int) -> int:
+    """Leftmost leaf holding a key > raw, which must exist; `maxs` is the
+    heap-order tree of subtree key maxima, NEG_INF_RAW where one is empty."""
     n = len(maxs) >> 1
     v = 1
     while v < n:
@@ -145,25 +141,14 @@ class LearnedLLA:
         # the root, leaf i is node n + i; actual (h, node) is rooted at
         # (n >> h) + node).  Every node at or above an actual's root holds
         # the min and max of the keys under it, INF_RAW / NEG_INF_RAW when
-        # there are none; nodes below a root are stale.  Stored keys never
-        # straddle actual boundaries out of order, so pred_leaf and succ_leaf
-        # land on some leaf of the actual holding the predecessor and the
-        # successor.
+        # there are none; nodes below a root are stale, yet pred_leaf and
+        # succ_leaf still end in the actual holding the neighbor they seek.
         self._min = [INF_RAW] * (2 * self.n)
         self._max = [NEG_INF_RAW] * (2 * self.n)
         self._seqs: set[int] = set()  # every seq inserted, to reject reuse
 
     # ------------------------------------------------------------------
-    # neighbor and routing queries
-
-    def neighbor_actuals(self, raw: int) -> tuple[Actual | None, Actual | None]:
-        """Actuals holding the predecessor (last stored key <= raw) and the
-        successor (first stored key > raw) of `raw`, None when the neighbor
-        does not exist."""
-        p = pred_leaf(self._min, raw)
-        s = succ_leaf(self._max, raw)
-        return (None if p is None else self._actual(p),
-                None if s is None else self._actual(s))
+    # routing
 
     def route(self, raw: int, predicted_rank: int) -> tuple[int, int]:
         """Pick the destination actual for a key, as (height, node index).
@@ -292,26 +277,10 @@ class LearnedLLA:
                 out += map(add, filter(None, box.slots), zip(_labels(first, box)))
         return out
 
-    def _actual(self, leaf: int) -> Actual:
-        """The actual owning `leaf`."""
-        h = self._heights[leaf]
-        return Actual(h, leaf >> h, self._boxes[leaf >> h << h])
-
     def actuals(self) -> list[Actual]:
         """Non-empty actuals in rank order (empty ones are implicit)."""
-        return [self._actual(first) for first, box in enumerate(self._boxes)
-                if box is not None]
-
-    def partition(self) -> list[tuple[int, int]]:
-        """The full actual partition as (height, node) pairs, left to right,
-        including empty actuals."""
-        out = []
-        leaf = 0
-        while leaf < self.n:
-            h = self._heights[leaf]
-            out.append((h, leaf >> h))
-            leaf += 1 << h
-        return out
+        return [Actual(h, first >> h, box) for first, (h, box)
+                in enumerate(zip(self._heights, self._boxes)) if box is not None]
 
 
 def witness_error_check(merged: Actual, predicted, true_ranks) -> bool:

@@ -60,9 +60,6 @@ class PredictionVector:
 
     ranks: list[int]
 
-    def __len__(self) -> int:
-        return len(self.ranks)
-
 
 def _round_half_up(num: int, den: int) -> int:
     """round(num/den) with halves going up; den must be positive."""
@@ -150,9 +147,9 @@ def select_predictor(train: SequenceSlice) -> str:
     return "predictor2" if c2 < c1 else "predictor1"
 
 
-def corrupt(pred: PredictionVector, t: int, rng_seed: int) -> PredictionVector:
-    """Push ⌊t·n/100⌋ sampled predictions to their farthest extreme rank,
-    n being the vector's length (the test slice's size).
+def corrupt(ranks: list[int], t: int, rng_seed: int) -> list[int]:
+    """A copy of `ranks` with ⌊t·n/100⌋ sampled predictions pushed to their
+    farthest extreme rank, n being the list's length (the test slice's size).
 
     Sampled entries become 1 or n, whichever is farther from the current
     prediction (ties toward n); the rest are untouched.  Sampling is
@@ -164,7 +161,7 @@ def corrupt(pred: PredictionVector, t: int, rng_seed: int) -> PredictionVector:
         raise ValueError(f"corruption percentage out of range: {t}")
     if rng_seed < 0:
         raise ValueError(f"corruption seed {rng_seed} is negative")
-    ranks = list(pred.ranks)
+    ranks = list(ranks)
     n = len(ranks)
     count = t * n // 100
     if count:
@@ -174,4 +171,4 @@ def corrupt(pred: PredictionVector, t: int, rng_seed: int) -> PredictionVector:
         for i in rng.choice(n, size=count, replace=False):
             r = ranks[i]
             ranks[i] = 1 if r - 1 > n - r else n
-    return PredictionVector(ranks)
+    return ranks

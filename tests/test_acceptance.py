@@ -20,7 +20,7 @@ from listlabel.core import MIN_RAW, MovementLedger
 from listlabel.harness import DatasetSpec, load_dataset, run_robustness, run_synthetic, run_table
 from listlabel.learned import LearnedLLA
 from listlabel.pma import INF_RAW, NEG_INF_RAW, Pma
-from listlabel.predictors import PredictionVector, corrupt
+from listlabel.predictors import corrupt
 from listlabel.apma import Apma
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -156,7 +156,7 @@ def test_criterion_4_worst_case_safety():
         "reversed": [n + 1 - r for r in true],
         "uniform": [rng.randint(1, n) for _ in range(n)],
         "alternating": [1 if i % 2 == 0 else n for i in range(n)],
-        "corrupt-100": corrupt(PredictionVector(true), 100, rng_seed=4).ranks,
+        "corrupt-100": corrupt(true, 100, rng_seed=4),
     }
 
     def run(ranks):
@@ -270,11 +270,18 @@ def _check_structure(lla):
         labels.append(label)
     assert all(a < b for a, b in zip(labels, labels[1:])), "labels not increasing"
 
-    parts = lla.partition()
-    covered = 0
-    for h, _node in parts:
-        covered += 1 << h
-    assert covered == lla.n, "partition does not tile the rank space"
+    # The actuals tile the ranks: every leaf of an aligned actual carries
+    # its height.
+    parts = []
+    heights = lla._heights
+    leaf = 0
+    while leaf < lla.n:
+        h = heights[leaf]
+        assert leaf % (1 << h) == 0, "actual not aligned"
+        assert heights[leaf:leaf + (1 << h)] == [h] * (1 << h), \
+            "partition does not tile the rank space"
+        parts.append((h, leaf >> h))
+        leaf += 1 << h
 
     active = {(rec.height, rec.node) for rec in lla.actuals()}
     root_h = lla.n.bit_length() - 1

@@ -735,6 +735,32 @@ class TestCli:
         assert captured.err.startswith("llabench: ")
         assert loads == [] and selections == []
 
+    @pytest.mark.parametrize(
+        "args, err",
+        [(["robustness", "--k", "8", "--t", "0,10,10"],
+          "llabench: corruption percentages [0, 10, 10] repeat a level\n"),
+         (["curve", "--test-k", "8", "--fractions", "10,50,10"],
+          "llabench: train fractions [10, 50, 10] share a 25-row window\n"),
+         # 1% and 2% of 16 rows both round down to the same empty window
+         (["curve", "--test-k", "4", "--fractions", "1,2"],
+          "llabench: train fractions [1, 2] share a 0-row window\n")],
+        ids=["robustness", "curve", "curve-same-span"],
+    )
+    def test_repeated_list_value_exits_2_before_loading(
+        self, capsys, monkeypatch, selections, args, err
+    ):
+        # A repeated level or training window would run its point twice and
+        # write each of its rows twice.
+        loads = []
+        monkeypatch.setattr(harness, "load_dataset", loads.append)
+        code = cli_main([*args, "--dataset", str(ACTIONS.path), "--value-col", "1",
+                         "--ts-col", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == err
+        assert loads == [] and selections == []
+
     @pytest.mark.parametrize("out", ["missing/dir/o.csv", "."])
     def test_unwritable_out_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch, out):
         runs = []

@@ -24,11 +24,62 @@ def box_labels(box):
     return [(e[0], e[1], pos + 1) for pos, e in enumerate(box.slots) if e is not None]
 
 
+def actual_of(lla, rank):
+    """(height, node) of the actual owning `rank`, clamped to [1, capacity]
+    as route clamps it."""
+    leaf = min(max(rank, 1), lla.capacity) - 1
+    h = lla._heights[leaf]
+    return h, leaf >> h
+
+
+def scan_actuals(lla):
+    """A linear scan of actuals(): the stored keys, ascending, and the
+    (height, node) of the actual holding each."""
+    keys, owners = [], []
+    for rec in lla.actuals():
+        raws = [raw for raw, _ in filter(None, rec.box.slots)]
+        keys += raws
+        owners += [(rec.height, rec.node)] * len(raws)
+    return keys, owners
+
+
+def scan_neighbors(keys, owners, raw):
+    """From a scan: the (height, node) of the actuals holding raw's
+    predecessor (last stored key <= raw) and successor (first stored key >
+    raw), None for a neighbor that does not exist."""
+    i = bisect_right(keys, raw)
+    return owners[i - 1] if i else None, owners[i] if i < len(keys) else None
+
+
+DESCENTS = {"pred_leaf": learned.pred_leaf, "succ_leaf": learned.succ_leaf}
+
+
+def guard_descents(monkeypatch, stored):
+    """Patch pred_leaf and succ_leaf to assert, on every call, the
+    precondition route guarantees them: some key of `stored()`, the stored
+    keys in ascending order, is <= the searched key, or > it.  Returns the
+    names of the descents run, in call order.  A second call replaces the
+    first one's patch."""
+    ran = []
+
+    def guarded(name, inner, holds):
+        def descent(tree, raw):
+            keys = stored()
+            assert keys and holds(keys, raw), (name, raw, keys)
+            ran.append(name)
+            return inner(tree, raw)
+        monkeypatch.setattr(learned, name, descent)
+
+    guarded("pred_leaf", DESCENTS["pred_leaf"], lambda keys, raw: keys[0] <= raw)
+    guarded("succ_leaf", DESCENTS["succ_leaf"], lambda keys, raw: keys[-1] > raw)
+    return ran
+
+
 class TestCapacityShape:
     def test_eight_leaves_forty_eight_slots(self):
         lla = LearnedLLA(8)
         assert lla.n == 8
-        assert lla.partition() == [(0, i) for i in range(8)]
+        assert lla._heights == [0] * 8
         lla.insert(10, 0, 8)
         (rec,) = lla.actuals()
         # the last of eight six-slot leaves owns global slots 43..48
@@ -38,7 +89,7 @@ class TestCapacityShape:
     def test_single_slot_tree_is_its_own_root(self):
         lla = LearnedLLA(1)
         assert lla.n == 1
-        assert lla.partition() == [(0, 0)]
+        assert lla._heights == [0]
 
     def test_odd_capacity_rounds_up_but_clamps_true(self):
         lla = LearnedLLA(5)
@@ -70,15 +121,31 @@ class TestBoundary:
         lla.insert(200, 1, 2)  # the rejected insert left seq 1 unused
         assert lla.global_labels() == [(100, 0, 1), (200, 1, 7)]
 
-    def test_accepts_both_ends_of_the_key_range(self):
+    def test_accepts_both_ends_of_the_key_range(self, monkeypatch):
         lla = LearnedLLA(8)
         for seq, raw in enumerate([0, RAW_MAX, MIN_RAW, RAW_MAX, MIN_RAW]):
             lla.insert(raw, seq, 4)
         assert [r for r, _, _ in lla.global_labels()] == [
             MIN_RAW, MIN_RAW, 0, RAW_MAX, RAW_MAX
         ]
-        assert lla.neighbor_actuals(MIN_RAW)[0] == lla.actuals()[0]
-        assert lla.neighbor_actuals(RAW_MAX)[1] is None
+        (rec,) = lla.actuals()
+        assert (rec.height, rec.node) == (1, 1)
+        ran = guard_descents(monkeypatch, lambda: scan_actuals(lla)[0])
+        # MIN_RAW's predecessor is a stored MIN_RAW, right of rank 1
+        assert lla.route(MIN_RAW, 1) == (1, 1)
+        # RAW_MAX has no successor, so a prediction right of it stands ...
+        assert lla.route(RAW_MAX, 8) == (0, 7)
+        # ... and its predecessor, a stored RAW_MAX, overrides one left of it
+        assert lla.route(RAW_MAX, 1) == (1, 1)
+        assert ran == ["pred_leaf", "pred_leaf"]
+        # a key below every stored one has no predecessor: only the
+        # successor can override, and left of it the prediction stands
+        lla2 = LearnedLLA(8)
+        lla2.insert(0, 0, 4)
+        ran = guard_descents(monkeypatch, lambda: scan_actuals(lla2)[0])
+        assert lla2.route(MIN_RAW, 8) == (0, 3)
+        assert lla2.route(MIN_RAW, 2) == (0, 1)
+        assert ran == ["succ_leaf"]
 
     def test_rejects_reused_seq(self):
         led = MovementLedger()
@@ -112,11 +179,13 @@ class TestRouting:
         lla.insert(400, 0, 4)
         assert lla.route(100, 2) == (0, 1)
 
-    def test_empty_structure_follows_prediction(self):
+    def test_empty_structure_follows_prediction(self, monkeypatch):
         lla = LearnedLLA(8)
-        assert lla.neighbor_actuals(500) == (None, None)
-        for rank in (1, 3, 8):
-            assert lla.route(500, rank) == (0, rank - 1)
+        ran = guard_descents(monkeypatch, lambda: scan_actuals(lla)[0])
+        for raw in (MIN_RAW, 500, RAW_MAX):
+            for rank in (1, 3, 8):
+                assert lla.route(raw, rank) == (0, rank - 1)
+        assert ran == []  # no neighbor exists, so nothing descends
 
     def test_extreme_keys_use_edge_defaults(self):
         lla = LearnedLLA(8)
@@ -143,7 +212,7 @@ class TestMergeAccounting:
         assert charges == [1, 1, 1, 4]
         assert lla.merges == 1
         assert [label for _, _, label in lla.global_labels()] == [1, 4, 7, 10]
-        assert lla.partition()[0] == (1, 0)
+        assert lla._heights[:2] == [1, 1]
 
     def test_overshoot_cascades_upward(self):
         lla = LearnedLLA(16)
@@ -154,7 +223,7 @@ class TestMergeAccounting:
         assert lla.merges == 0
         lla.insert(35, 6, 1)  # overflows the first leaf, then the parent
         assert lla.merges == 2
-        assert lla.partition()[0] == (2, 0)
+        assert lla._heights[:4] == [2] * 4
         for rec in lla.actuals():
             assert rec.box.count * 2 <= 6 << rec.height
 
@@ -281,28 +350,26 @@ def test_witness_boundary_at_half_width():
 # invariants under fuzz
 
 
-def test_tree_searches_match_linear_scan_on_duplicates():
-    """neighbor_actuals and route agree with a scan of actuals() after every
-    insert, on a duplicate-heavy stream whose random predictions merge."""
+def test_tree_searches_match_linear_scan_on_duplicates(monkeypatch):
+    """route agrees with the neighbor rule on a scan of actuals() after every
+    insert, on a duplicate-heavy stream whose random predictions merge, and
+    descends only when a neighbor exists."""
     rng = random.Random(5)
     n = 256
     lla = LearnedLLA(n)
+    keys, owners = [], []
+    guard_descents(monkeypatch, lambda: keys)
     for seq in range(n):
         lla.insert(rng.randrange(24), seq, rng.randint(1, n))
-        spans = [(rec, min(r for r, _ in filter(None, rec.box.slots)),
-                  max(r for r, _ in filter(None, rec.box.slots))) for rec in lla.actuals()]
+        keys[:], owners[:] = scan_actuals(lla)
         for raw in range(-1, 26):
-            pred = next((rec for rec, lo, _ in reversed(spans) if lo <= raw), None)
-            succ = next((rec for rec, _, hi in spans if hi > raw), None)
-            assert lla.neighbor_actuals(raw) == (pred, succ), (seq, raw)
-
+            pred, succ = scan_neighbors(keys, owners, raw)
             rank = rng.randint(1, n)
-            h, node = next((h, node) for h, node in lla.partition()
-                           if (node << h) < rank <= ((node + 1) << h))
-            if pred is not None and pred.node << pred.height > node << h:
-                h, node = pred.height, pred.node
-            elif succ is not None and succ.node << succ.height < node << h:
-                h, node = succ.height, succ.node
+            h, node = actual_of(lla, rank)
+            if pred is not None and pred[1] << pred[0] > node << h:
+                h, node = pred
+            elif succ is not None and succ[1] << succ[0] < node << h:
+                h, node = succ
             assert lla.route(raw, rank) == (h, node), (seq, raw, rank)
     assert lla.merges > 0
 
@@ -310,39 +377,35 @@ def test_tree_searches_match_linear_scan_on_duplicates():
 @pytest.mark.parametrize("noise", [0, 1, 8])
 def test_route_climb_matches_neighbor_rule(noise, monkeypatch):
     """Exact (noise 0), off-by-one (noise 1) and off-by-eight predictions on
-    2^10 distinct keys: after every insert, route agrees with the
-    neighbor_actuals rule on the next key and on stored keys probed one rank
-    either side of their own.  It runs no descent when the prediction
-    stands, exactly pred_leaf when the predecessor overrides it and exactly
-    succ_leaf when the successor does.  Only off-by-eight merges, so only it
-    climbs from actuals above the leaves."""
-    descents = []
-    for name in ("pred_leaf", "succ_leaf"):
-        inner = getattr(learned, name)
-        monkeypatch.setattr(learned, name,
-                            lambda tree, raw, inner=inner, name=name:
-                            descents.append(name) or inner(tree, raw))
+    2^10 distinct keys: after every insert, route agrees with the neighbor
+    rule on a scan of actuals() for the next key and for stored keys probed
+    one rank either side of their own.  It runs no descent when the
+    prediction stands, exactly pred_leaf when the predecessor overrides it
+    and exactly succ_leaf when the successor does, and each descent's
+    neighbor exists.  Only off-by-eight merges, so only it climbs from
+    actuals above the leaves."""
     rng = random.Random(10 + noise)
     n = 1 << 10
     raws = rng.sample(range(10**9), n)
     true = {raw: rank for rank, raw in enumerate(sorted(raws), start=1)}
     preds = [true[raw] + rng.choice((-noise, noise)) for raw in raws]
     lla = LearnedLLA(n)
+    keys, owners = [], []
+    descents = guard_descents(monkeypatch, lambda: keys)
     outcomes = {"override": 0, "kept": 0}
     for i, raw in enumerate(raws):
-        parts = lla.partition()
-        starts = [(node << h) + 1 for h, node in parts]
+        keys[:], owners[:] = scan_actuals(lla)
         probes = [(raw, preds[i])]
         if i:
             old = raws[rng.randrange(i)]
             probes += [(old, true[old] + d) for d in (-1, 1)]
         for key, rank in probes:
-            h, node = parts[bisect_right(starts, min(max(rank, 1), n)) - 1]
-            pred, succ = lla.neighbor_actuals(key)
-            if pred is not None and pred.node << pred.height > node << h:
-                want, ran = (pred.height, pred.node), ["pred_leaf"]
-            elif succ is not None and succ.node << succ.height < node << h:
-                want, ran = (succ.height, succ.node), ["succ_leaf"]
+            h, node = actual_of(lla, rank)
+            pred, succ = scan_neighbors(keys, owners, key)
+            if pred is not None and pred[1] << pred[0] > node << h:
+                want, ran = pred, ["pred_leaf"]
+            elif succ is not None and succ[1] << succ[0] < node << h:
+                want, ran = succ, ["succ_leaf"]
             else:
                 want, ran = (h, node), []
             descents.clear()
@@ -405,13 +468,17 @@ def test_invariants_and_ledger_match_shadow_diff():
         assert len({label for _, _, label in labels}) == len(labels)
 
         if seq % 32 == 31:
-            covered = 0
-            starts = set()
-            for h, node in lla.partition():
-                covered += 1 << h
-                starts.add((node << h) + 1)
-            assert covered == lla.n
+            # every leaf of an actual carries the actual's height, so the
+            # actuals tile the ranks, and a box sits only at a first leaf
+            heights, boxes = lla._heights, lla._boxes
+            leaf = 0
+            while leaf < n:
+                width = 1 << heights[leaf]
+                assert leaf % width == 0
+                assert heights[leaf:leaf + width] == [heights[leaf]] * width
+                assert boxes[leaf + 1:leaf + width] == [None] * (width - 1)
+                leaf += width
             for rec in lla.actuals():
-                assert (rec.node << rec.height) + 1 in starts
+                assert actual_of(lla, (rec.node << rec.height) + 1) == (rec.height, rec.node)
                 assert rec.box.count * 2 <= 6 << rec.height
     assert lla.count == n

@@ -8,7 +8,6 @@ import pytest
 from listlabel import predictors
 from listlabel.core import Key
 from listlabel.predictors import (
-    PredictionVector,
     SequenceSlice,
     best_fit_slope,
     corrupt,
@@ -165,36 +164,37 @@ class TestSelectPredictor:
 
 class TestCorrupt:
     def test_zero_percent_is_identity(self):
-        pred = PredictionVector([3, 1, 4, 1, 5])
-        assert corrupt(pred, 0, rng_seed=9).ranks == [3, 1, 4, 1, 5]
+        pred = [3, 1, 4, 1, 5]
+        assert corrupt(pred, 0, rng_seed=9) == [3, 1, 4, 1, 5]
 
     def test_full_corruption_of_low_ranks_goes_high(self):
-        pred = PredictionVector([1, 2, 2, 1])
-        assert corrupt(pred, 100, rng_seed=9).ranks == [4, 4, 4, 4]
+        pred = [1, 2, 2, 1]
+        assert corrupt(pred, 100, rng_seed=9) == [4, 4, 4, 4]
 
     def test_equidistant_breaks_toward_top(self):
-        pred = PredictionVector([5] * 9)  # rank 5 of 9: both ends 4 away
-        assert corrupt(pred, 100, rng_seed=1).ranks == [9] * 9
+        pred = [5] * 9  # rank 5 of 9: both ends 4 away
+        assert corrupt(pred, 100, rng_seed=1) == [9] * 9
 
     def test_high_ranks_go_low(self):
-        pred = PredictionVector([10, 9] * 5)
-        assert corrupt(pred, 100, rng_seed=1).ranks == [1] * 10
+        pred = [10, 9] * 5
+        assert corrupt(pred, 100, rng_seed=1) == [1] * 10
 
     def test_exact_count_corrupted_deterministically(self):
         base = list(range(2, 42))  # none already at an endpoint
-        first = corrupt(PredictionVector(list(base)), 25, rng_seed=5)
-        again = corrupt(PredictionVector(list(base)), 25, rng_seed=5)
-        assert first.ranks == again.ranks
-        changed = sum(1 for a, b in zip(base, first.ranks) if a != b)
+        first = corrupt(base, 25, rng_seed=5)
+        again = corrupt(base, 25, rng_seed=5)
+        assert base == list(range(2, 42))  # the input list is left alone
+        assert first == again
+        changed = sum(1 for a, b in zip(base, first) if a != b)
         assert changed == 10  # floor(25 * 40 / 100)
 
     @pytest.mark.parametrize("t", [0, 25, 100])
     def test_negative_seed_rejected_at_every_level(self, t):
         with pytest.raises(ValueError, match="seed -1 is negative"):
-            corrupt(PredictionVector([1, 2, 3, 4]), t, rng_seed=-1)
+            corrupt([1, 2, 3, 4], t, rng_seed=-1)
 
     def test_bad_percent_rejected(self):
         with pytest.raises(ValueError):
-            corrupt(PredictionVector([1]), 101, rng_seed=0)
+            corrupt([1], 101, rng_seed=0)
         with pytest.raises(ValueError):
-            corrupt(PredictionVector([1]), -1, rng_seed=0)
+            corrupt([1], -1, rng_seed=0)
