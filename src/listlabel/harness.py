@@ -509,27 +509,27 @@ def _synthesize(
     """Build (keys, predictions, true_ranks, dataset label) for one kind."""
     rng = random.Random(seed)
     if kind == "sequential":
-        raws = [i * 10**7 for i in range(1, n + 1)]
+        keys = list(map(Key, [i * 10**7 for i in range(1, n + 1)], range(n)))
         true = list(range(1, n + 1))
         preds = list(true)
         label = "synth-sequential"
     elif kind == "hammer":
         # The largest key arrives first; everything after lands just below
         # it, hammering the same gap.
-        raws = [n * 10**7] + [i * 10**7 for i in range(1, n)]
+        keys = list(map(Key, [n * 10**7] + [i * 10**7 for i in range(1, n)], range(n)))
         true = [n] + list(range(1, n))
         preds = list(true)
         label = "synth-hammer"
     elif kind == "random":
-        raws = rng.sample(range(1, 10**12), n)
-        true = _true_ranks([Key(r, i) for i, r in enumerate(raws)])
+        keys = list(map(Key, rng.sample(range(1, 10**12), n), range(n)))
+        true = _true_ranks(keys)
         preds = list(true)
         label = "synth-random"
     elif kind == "noisy-eta":
         if eta is None or eta < 0:
             raise ConfigError("noisy-eta needs eta >= 0")
-        raws = rng.sample(range(1, 10**12), n)
-        true = _true_ranks([Key(r, i) for i, r in enumerate(raws)])
+        keys = list(map(Key, rng.sample(range(1, 10**12), n), range(n)))
+        true = _true_ranks(keys)
         preds = [clamp(r + rng.randint(-eta, eta), 1, n) for r in true]
         label = f"synth-noisy-eta:eta={eta}"
     elif kind == "stochastic":
@@ -538,7 +538,7 @@ def _synthesize(
         if not (isfinite(mu) and isfinite(s)) or s < 0:
             raise ConfigError(f"stochastic needs a finite mu and a finite s >= 0, "
                               f"got mu={mu}, s={s}")
-        raws = sorted(rng.sample(range(1, 10**12), n))
+        keys = list(map(Key, sorted(rng.sample(range(1, 10**12), n)), range(n)))
         true = list(range(1, n + 1))
         # An error beyond +-2n clamps to the same rank as +-2n does; bounding
         # it first keeps a huge finite mu or s from overflowing to inf.
@@ -549,7 +549,6 @@ def _synthesize(
         raise ConfigError(
             f"unknown synthetic kind {kind!r}; pick from {SYNTHETIC_KINDS}"
         )
-    keys = [Key(raw, i) for i, raw in enumerate(raws)]
     return keys, preds, true, label
 
 
@@ -570,12 +569,17 @@ def run_synthetic(
     adds rounded normal(mu, s^2) error and arrives in sorted order.  Keys
     are distinct, so every merge is checked for its error witness and any
     violation raises.  Bad parameters (a non-finite mu or s, a negative s,
-    a missing eta, a negative seed) are a ConfigError raised before any run.
+    a missing eta, a negative seed, an eta or mu or s the kind does not
+    read) are a ConfigError raised before any run.
     """
     if n < 2 or n & (n - 1):
         raise ConfigError(f"n must be a power of two >= 2, got {n}")
     if seed < 0:
         raise ConfigError(f"seed {seed} is negative")
+    if eta is not None and kind != "noisy-eta":
+        raise ConfigError(f"eta is a noisy-eta parameter; {kind} does not read it")
+    if (mu is not None or s is not None) and kind != "stochastic":
+        raise ConfigError(f"mu and s are stochastic parameters; {kind} does not read them")
     keys, predictions, true_ranks, label = _synthesize(kind, n, seed, eta, mu, s)
     return _rows(structures, label, keys, predictions, true_ranks, train=0,
                  check_witness=True, seed=seed)

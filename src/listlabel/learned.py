@@ -34,8 +34,8 @@ one fresh box -- possibly cascading upward -- which is where prediction error
 turns into movement cost: a merge only happens when some element's
 prediction missed by at least half the merged rank width.  A merge works on
 whole lists: `filter` and `compress` pick each child's entries and their old
-global labels out of the child's slot list, the parent's box is bulk-loaded
-from them, and the relabels are one `map(ne)` of new labels against old.
+global labels out of its slot list, `_fill` moves those very tuples into the
+parent's fresh box, and the relabels are one `map(ne)` of new labels on old.
 The parent's root already holds the min and max of everything it gathers,
 so a merge leaves the trees alone.
 
@@ -44,9 +44,9 @@ owning actual per leaf and the boxes indexed by their actual's first leaf;
 an actual's ranks and slot offset follow from (height, node).  Every box is
 built as `factory(slot_count, None)`, so boxes charge nothing and the wrapper
 does all the accounting: the moves each box insert returns, and the
-relabels of each merge.  `factory` may be a box class such as `Pma` or
-`Apma`.  Inspection (`actuals`, the merge listener) returns
-`Actual(height, node, box)` tuples built on demand.
+relabels of each merge.  A merge fills its box with `_fill`, so `factory`
+must build a `Pma` or a subclass such as `Apma`.  Inspection (`actuals`, the
+merge listener) returns `Actual(height, node, box)` tuples built on demand.
 
 The wrapper keeps no predictions: a prediction only routes its insert, and
 the set of inserted seqs exists only to reject a reused one.
@@ -57,7 +57,7 @@ anyway.
 from __future__ import annotations
 
 from itertools import compress
-from operator import add, itemgetter, ne
+from operator import add, ne
 from typing import Callable, Iterator, NamedTuple
 
 from .core import CapacityError, MovementLedger, check_raw, clamp
@@ -232,13 +232,13 @@ class LearnedLLA:
         a single fresh actual; returns the parent's first leaf.
 
         Gathers every element stored under the parent (their concatenation in
-        actual order is already sorted) with each one's old global label,
-        bulk-loads a new box, and charges one movement per element whose
-        global label actually changed.  Gather and count are whole-list
-        passes: `filter` and `compress` pick each child's entries and labels
-        out of its slot list, and the moves are one `map(ne)` of the new
-        labels against the old.  The parent's root in the min/max trees
-        already covers every gathered key, so the trees need no change.
+        actual order is sorted and was checked at insert) with each one's
+        old global label, moves those tuples into a new box (`_fill`), and
+        charges one movement per element whose global label changed.
+        Gather and count are whole-list passes: `filter` and `compress` pick
+        each child's entries and labels out of its slot list, and the moves
+        are one `map(ne)` of the new labels against the old.  The parent's
+        root in the min/max trees already covers every gathered key.
         """
         heights, boxes = self._heights, self._boxes
         ph = heights[first] + 1
@@ -256,7 +256,7 @@ class LearnedLLA:
                 old += _labels(leaf, child)
             leaf += 1 << heights[leaf]
         box = self.factory(6 << ph, None)
-        box.init(list(map(itemgetter(0), entries)), list(map(itemgetter(1), entries)))
+        box._fill(entries)
         self.ledger.record_moves(sum(map(ne, _labels(first, box), old)))
         heights[first:end] = [ph] * (end - first)
         boxes[first:end] = [box] + [None] * (end - first - 1)

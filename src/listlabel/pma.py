@@ -13,10 +13,10 @@ labels of untouched elements never change.
 
 Movements are counted per element whose slot (label) actually changes; an
 element that a rebalance happens to leave in place costs nothing.  Each
-stored entry is a distinct tuple object (insert and init each build a fresh
-one, and shifts and rebalances only move references), so a rebalance counts
-its moves by identity: an entry stayed exactly when its new slot held that
-same object before.
+stored entry is a distinct tuple object (insert and init build fresh ones,
+`_fill` keeps the ones it is handed, shifts and rebalances move references),
+so a rebalance counts its moves by identity: an entry stayed exactly when its
+new slot held that same object before.
 
 The only per-leaf state is a non-decreasing row of leaf minima.  A non-empty
 leaf holds its smallest key (its first entry: keys ascend with the slots), an
@@ -136,7 +136,8 @@ class Pma:
         int, one pairwise order test, and check_raw on the two ends, which
         bound every key of a sorted list.  A list that fails the conversion
         or the order test is checked key by key, so the error names its
-        first bad key.  Entry i of c lands at slot i*m // c (even_layout).
+        first bad key.  The checked keys and seqs are then paired into fresh
+        tuples that `_fill` lays out.
         """
         c = len(raws)
         if c > self.slot_count:
@@ -154,13 +155,18 @@ class Pma:
             check_raw(raw)
         if unsorted:
             raise ValueError("init expects sorted keys")
-        slots = self.slots
-        for pos, entry in zip(even_layout(self.slot_count, c), zip(raws, seqs)):
-            slots[pos] = entry
-        self.count = c
-        self._rebuild_minima(0, self.slot_count)
+        self._fill(list(zip(raws, seqs)))
         if self.ledger is not None:
             self.ledger.record_init(c)
+
+    def _fill(self, entries: list[tuple[int, int]]) -> None:
+        """Store sorted, checked entries, these very tuples, in an empty
+        array: entry i of c at slot i*m // c (even_layout)."""
+        slots = self.slots
+        for pos, entry in zip(even_layout(self.slot_count, len(entries)), entries):
+            slots[pos] = entry
+        self.count = len(entries)
+        self._rebuild_minima(0, self.slot_count)
 
     def insert(self, raw: int, seq: int = 0) -> int:
         """Insert a key, returning the movements of already-present elements.

@@ -706,6 +706,27 @@ class TestCli:
         assert captured.err.startswith("llabench: ")
         assert runs == []
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--kind", "stochastic", "--mu", "0", "--s", "1", "--eta", "3"],
+            ["--kind", "random", "--eta", "64"],
+            ["--kind", "noisy-eta", "--eta", "4", "--mu", "0"],
+            ["--kind", "hammer", "--s", "2"],
+        ],
+    )
+    def test_synth_flag_the_kind_does_not_read_exits_2_before_any_run(
+        self, capsys, monkeypatch, flags
+    ):
+        runs = []
+        monkeypatch.setattr(harness, "_rows", lambda *a, **kw: runs.append(a))
+        code = cli_main(["synth", "--n", "8", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("llabench: ") and "does not read" in captured.err
+        assert runs == []
+
     def test_negative_synth_seed_exits_2_before_any_run(self, capsys, monkeypatch):
         # random.Random(-3) draws what random.Random(3) draws, so --seed -3
         # would write the rows of --seed 3 under another seed.

@@ -328,6 +328,64 @@ def test_rank_one_routing_equals_growing_chain(stream, n, cls):
     assert led_a.total_movements <= 2 * led_b.total_movements
 
 
+@pytest.mark.parametrize("cls", [Pma, Apma])
+@pytest.mark.parametrize("stream", ["rank-one-cascade", "duplicates"])
+def test_merge_moves_child_entries_into_the_parent_box(stream, cls, monkeypatch):
+    """A merge hands the very tuples its children held to the parent box:
+    no key is checked again, and the box it builds has the slots and leaf
+    minima that public init gives the same keys in a fresh box."""
+    if stream == "rank-one-cascade":
+        n = 4096
+        rng = random.Random(43)
+        inserts = [(raw, 1) for raw in rng.sample(range(10**9), n)]
+    else:
+        n = 256
+        rng = random.Random(5)
+        inserts = [(rng.randrange(24), rng.randint(1, n)) for _ in range(n)]
+
+    checks = []
+    real_check = learned.check_raw
+
+    def counted(raw):
+        checks.append(raw)
+        return real_check(raw)
+
+    monkeypatch.setattr(learned, "check_raw", counted)
+    monkeypatch.setattr("listlabel.pma.check_raw", counted)
+
+    lla = LearnedLLA(n, factory=cls)
+    merged_heights = []
+    inner_merge = lla.merge_parent
+
+    def spying_merge(first):
+        ph = lla._heights[first] + 1
+        lo = first >> ph << ph
+        held = [e for box in lla._boxes[lo:lo + (1 << ph)] if box is not None
+                for e in filter(None, box.slots)]
+        before = len(checks)
+        out = inner_merge(first)
+        assert len(checks) == before  # no check_raw inside a merge
+        box = lla._boxes[out]
+        moved = list(filter(None, box.slots))
+        assert len(moved) == len(held) == box.count
+        assert all(a is b for a, b in zip(moved, held))
+        fresh = cls(6 << ph)
+        fresh.init([raw for raw, _ in held], [seq for _, seq in held])
+        del checks[before:]  # the reference init's own checks
+        assert box.slots == fresh.slots and box._min == fresh._min
+        merged_heights.append(ph)
+        return out
+
+    lla.merge_parent = spying_merge
+    for seq, (raw, rank) in enumerate(inserts):
+        lla.insert(raw, seq, rank)
+    assert len(checks) == 2 * n  # LearnedLLA.insert and the box insert
+    if stream == "rank-one-cascade":
+        assert merged_heights == list(range(1, 12))
+    else:
+        assert max(merged_heights) >= 3
+
+
 # ----------------------------------------------------------------------
 # merge witnesses
 
