@@ -33,10 +33,8 @@ def make_stream():
         fixed_point_parse(f"{3 * i + rng.uniform(-40, 40):.4f}")
         for i in range(2 * N)
     ]
-    train = SequenceSlice([Key(r, i) for i, r in enumerate(raws[:N])])
-    test = SequenceSlice(
-        [Key(r, N + i) for i, r in enumerate(raws[N:])], start_offset=N
-    )
+    train = SequenceSlice(list(map(Key, raws[:N])))
+    test = SequenceSlice(list(map(Key, raws[N:])), start_offset=N)
     return train, test
 
 

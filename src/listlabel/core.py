@@ -28,14 +28,9 @@ MIN_RAW = -(2**63)
 
 
 class Key(NamedTuple):
-    """A stored key: fixed-point raw value plus arrival sequence number.
-
-    Ordering is by raw value; `seq` only disambiguates duplicates (their
-    relative order is arbitrary as far as correctness is concerned).
-    """
+    """A loaded key, its fixed-point raw value; only `load_dataset` builds one."""
 
     raw: int
-    seq: int = 0
 
 
 def check_raw(raw) -> int:
@@ -69,6 +64,7 @@ class UndefinedCostError(ZeroDivisionError):
 
 # ASCII digits only: \d would also admit other scripts' digits.
 _NUMBER_RE = re.compile(r"^[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)$")
+_INT_DIGITS = len(str(RAW_MAX // SCALE))
 
 
 def fixed_point_parse(text: str, line: int | None = None) -> int:
@@ -84,8 +80,10 @@ def fixed_point_parse(text: str, line: int | None = None) -> int:
     if not _NUMBER_RE.match(t):
         raise ParseError(f"{where}not a plain decimal number: {text!r}")
     sign = -1 if t[0] == "-" else 1
-    t = t.lstrip("+-")
-    int_part, _, frac_part = t.partition(".")
+    int_part, _, frac_part = t.lstrip("+-").partition(".")
+    int_part = int_part.lstrip("0")
+    if len(int_part) > _INT_DIGITS:  # before int(), which caps a string's digits
+        raise ParseError(f"{where}value out of range: {text!r}")
     magnitude = int(int_part or "0") * SCALE
     frac = frac_part[:7].ljust(7, "0")
     magnitude += int(frac)

@@ -24,7 +24,7 @@ import statistics
 import sys
 from dataclasses import astuple, dataclass, fields, replace
 from math import isfinite, isnan
-from operator import sub
+from operator import index, sub
 from pathlib import Path
 
 from .apma import Apma
@@ -81,18 +81,16 @@ class DatasetSpec:
     given, rows are stably sorted by that column before use (numerically
     when every value parses as a number, lexicographically otherwise --
     ISO-8601 strings order correctly either way); otherwise file order is
-    kept.  `max_rows` truncates after ordering.  Duplicate values are
-    retained.  A negative column or `max_rows` is a ConfigError.
+    kept.  Duplicate values are retained; a negative column is a ConfigError.
     """
 
     path: str | Path
     value_column: int = 0
     timestamp_column: int | None = None
-    max_rows: int | None = None
     name: str | None = None
 
     def __post_init__(self):
-        for name in ("value_column", "timestamp_column", "max_rows"):
+        for name in ("value_column", "timestamp_column"):
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise ConfigError(f"{name} {value} is negative")
@@ -104,10 +102,11 @@ class DatasetSpec:
 def load_dataset(spec: DatasetSpec) -> SequenceSlice:
     """Read the value column of a text table into an arrival-ordered slice.
 
-    The file is read as UTF-8; a byte-order mark at its start is skipped.
-    Raises DataError with a 1-based line number for anything malformed:
-    unreadable file, missing column, a value that is not a decimal number,
-    or a NaN among numeric timestamps (it would silently misorder the rows).
+    The file is read as UTF-8, to its end; a byte-order mark at its start is
+    skipped.  Raises DataError with a 1-based line number for anything
+    malformed on any line: unreadable file, missing column, a value that is
+    not a decimal number, or a NaN among numeric timestamps (it would
+    silently misorder the rows).
     """
     path = Path(spec.path)
     try:
@@ -119,13 +118,8 @@ def load_dataset(spec: DatasetSpec) -> SequenceSlice:
     stamps: list[str] = []
     stamp_lines: list[int] = []
     comma = None  # decided by the first data line
-    # Without a timestamp column the file order is the arrival order, so we
-    # can stop reading as soon as max_rows values are in hand.
-    stream_limit = spec.max_rows if spec.timestamp_column is None else None
     with fh:
         for lineno, line in enumerate(fh, start=1):
-            if stream_limit is not None and len(raws) >= stream_limit:
-                break
             text = line.strip()
             if not text or text.startswith("#"):
                 continue
@@ -164,13 +158,9 @@ def load_dataset(spec: DatasetSpec) -> SequenceSlice:
                 raise DataError(
                     f"line {stamp_lines[i]}: timestamp {stamps[i]!r} is not a number"
                 )
-        order = sorted(range(len(raws)), key=order_key.__getitem__)
-        raws = [raws[i] for i in order]
-        if spec.max_rows is not None:
-            raws = raws[: spec.max_rows]
+        raws = [raws[i] for i in sorted(range(len(raws)), key=order_key.__getitem__)]
 
-    keys = [Key(raw, i) for i, raw in enumerate(raws)]
-    return SequenceSlice(keys, start_offset=0)
+    return SequenceSlice(list(map(Key, raws)), start_offset=0)
 
 
 # ----------------------------------------------------------------------
@@ -200,16 +190,15 @@ class ExperimentResult:
     stddev: float | None = None
 
 
-def _true_ranks(keys: list[Key]) -> list[int]:
+def _true_ranks(raws: list[int]) -> list[int]:
     """Final rank of each arrival under the structure's total order.
 
-    Ties on raw value break by arrival position, which is exactly how the
-    structures compare entries, so these ranks match the final left-to-right
-    order of the loaded array.
+    The sort is stable, so ties on raw value break by arrival position,
+    which is exactly how the structures compare entries: these ranks match
+    the final left-to-right order of the loaded array.
     """
-    order = sorted(range(len(keys)), key=lambda i: (keys[i].raw, i))
-    ranks = [0] * len(keys)
-    for rank, i in enumerate(order, start=1):
+    ranks = [0] * len(raws)
+    for rank, i in enumerate(sorted(range(len(raws)), key=raws.__getitem__), start=1):
         ranks[i] = rank
     return ranks
 
@@ -217,7 +206,7 @@ def _true_ranks(keys: list[Key]) -> list[int]:
 def _run_config(
     structure: str,
     dataset: str,
-    test_keys: list[Key],
+    raws: list[int],
     predictions: list[int] | None,
     eta_max: int | None,
     *,
@@ -226,13 +215,13 @@ def _run_config(
     check_witness: bool = False,
     seed: int | None = None,
 ) -> ExperimentResult:
-    """Load one structure with the test slice and account its movements.
+    """Load one structure with the test raws and account its movements.
 
     `predictions` are ranks within the test slice (1..len); None routes
     everything with rank 1, the prediction-free baseline.  Ranks shift by
     one inside because the sentinel occupies rank 1 of the structure.
     """
-    t = len(test_keys)
+    t = len(raws)
     ledger = MovementLedger(first_placement_excluded=True)
     ranks = [1] * t if predictions is None else [p + 1 for p in predictions]
 
@@ -260,8 +249,8 @@ def _run_config(
     lla.insert(MIN_RAW, 0, 1)
     ledger.reset()
 
-    for seq, (key, rank) in enumerate(zip(test_keys, ranks, strict=True), start=1):
-        lla.insert(key.raw, seq, rank)
+    for seq, (raw, rank) in enumerate(zip(raws, ranks, strict=True), start=1):
+        lla.insert(raw, seq, rank)
 
     return ExperimentResult(
         structure=structure,
@@ -296,13 +285,10 @@ def _predict(structures, train: SequenceSlice, test: SequenceSlice) -> list[int]
 def _load(spec: DatasetSpec, need: int, what: str) -> list[Key]:
     """The first `need` keys of the dataset in arrival order; ConfigError
     naming `what` the rows are for if there are fewer."""
-    if spec.max_rows is None and spec.timestamp_column is None:
-        spec = replace(spec, max_rows=need)
     data = load_dataset(spec)
     if len(data) < need:
-        raise ConfigError(
-            f"{spec.label()}: need {need} rows for {what}, found {len(data)}"
-        )
+        raise ConfigError(f"{spec.label()}: need {need} rows for {what}, "
+                          f"found {len(data)}")
     return data.keys[:need]
 
 
@@ -325,17 +311,17 @@ def _split(keys: list[Key], k: int) -> tuple[SequenceSlice, SequenceSlice]:
     return SequenceSlice(keys[:t]), SequenceSlice(keys[t : 2 * t], start_offset=t)
 
 
-def _rows(structures, dataset, keys, preds, true_ranks, **kw) -> list[ExperimentResult]:
-    """One run per structure over the same keys: learned rows get the
+def _rows(structures, dataset, raws, preds, true_ranks, **kw) -> list[ExperimentResult]:
+    """One run per structure over the same raws: learned rows get the
     predictions `preds` and their largest rank error, baselines None
     (rank-1 routing)."""
     eta_max = None
     if preds is not None:
         eta_max = max(map(abs, map(sub, preds, true_ranks)), default=0)
     return [
-        _run_config(s, dataset, keys, preds, eta_max, true_ranks=true_ranks, **kw)
+        _run_config(s, dataset, raws, preds, eta_max, true_ranks=true_ranks, **kw)
         if _learned(s)
-        else _run_config(s, dataset, keys, None, None, true_ranks=true_ranks, **kw)
+        else _run_config(s, dataset, raws, None, None, true_ranks=true_ranks, **kw)
         for s in structures
     ]
 
@@ -373,8 +359,9 @@ def run_scaling(
     predictions = [_predict(structures, train, test) for train, test in windows]
     results = []
     for (train, test), preds in zip(windows, predictions):
-        results += _rows(structures, spec.label(), test.keys, preds,
-                         _true_ranks(test.keys), train=len(train))
+        raws = [key.raw for key in test.keys]
+        results += _rows(structures, spec.label(), raws, preds, _true_ranks(raws),
+                         train=len(train))
     return results
 
 
@@ -415,7 +402,8 @@ def run_learning_curve(
         spans.append(span)
     keys = _load(spec, 2 * t, f"test_k={test_k}")
     test = SequenceSlice(keys[t:], start_offset=t)
-    true_ranks = _true_ranks(test.keys)
+    raws = [key.raw for key in test.keys]
+    true_ranks = _true_ranks(raws)
 
     predictions = [
         _predict(structures, SequenceSlice(keys[t - span : t], start_offset=t - span), test)
@@ -424,7 +412,7 @@ def run_learning_curve(
     ]
     results = []
     for span, preds in zip(spans, predictions):
-        results += _rows(structures, spec.label(), test.keys, preds, true_ranks,
+        results += _rows(structures, spec.label(), raws, preds, true_ranks,
                          train=span)
     return results
 
@@ -448,13 +436,18 @@ def run_robustness(
     to the previous seed's (every draw at t=0 or t=100 is) reuses its rows.
     Rows come in `structures` order, a learned structure's levels in
     `t_values` order.
-    An empty list of corruption levels, a level outside [0, 100], a repeated
-    level, fewer than one repeat or a negative first seed (base_seed + 1) is a
-    ConfigError, raised before any load or run.
+    An empty or repeating list of levels, a non-integer level or seed, a
+    level outside [0, 100], fewer than one repeat or a negative first seed
+    (base_seed + 1) is a ConfigError, raised before any load or run.
     """
     t_values = list(t_values)
     if not t_values:
         raise ConfigError("no corruption percentages given")
+    try:
+        list(map(index, [base_seed, *t_values]))
+    except TypeError:
+        raise ConfigError(f"corruption percentages {t_values} and seed {base_seed} "
+                          "must be integers") from None
     if len(set(t_values)) < len(t_values):
         raise ConfigError(f"corruption percentages {t_values} repeat a level")
     for t_pct in t_values:
@@ -468,12 +461,13 @@ def run_robustness(
     train, test = _split(_load_k(spec, k), k)
     label = spec.label()
     predictions = _predict(structures, train, test)
-    true_ranks = _true_ranks(test.keys)
+    raws = [key.raw for key in test.keys]
+    true_ranks = _true_ranks(raws)
     learned = [s for s in structures if _learned(s)]
 
     rows = {
         r.structure: replace(r, mean=r.amortized_cost, stddev=0.0)
-        for r in _rows([s for s in structures if not _learned(s)], label, test.keys,
+        for r in _rows([s for s in structures if not _learned(s)], label, raws,
                        None, true_ranks, train=len(train))
     }
     for t_pct in t_values if learned else ():
@@ -481,7 +475,7 @@ def run_robustness(
         for r in range(1, repeats + 1):
             ranks = corrupt(predictions, t_pct, base_seed + r)
             runs.append(runs[-1] if ranks == drawn else
-                        _rows(learned, label, test.keys, ranks, true_ranks,
+                        _rows(learned, label, raws, ranks, true_ranks,
                               train=len(train)))
             drawn = ranks
         for s, seeded in zip(learned, zip(*runs)):
@@ -505,31 +499,31 @@ def run_robustness(
 
 def _synthesize(
     kind: str, n: int, seed: int, eta: int | None, mu: float | None, s: float | None
-) -> tuple[list[Key], list[int], list[int], str]:
-    """Build (keys, predictions, true_ranks, dataset label) for one kind."""
+) -> tuple[list[int], list[int], list[int], str]:
+    """Build (raws, predictions, true_ranks, dataset label) for one kind."""
     rng = random.Random(seed)
     if kind == "sequential":
-        keys = list(map(Key, [i * 10**7 for i in range(1, n + 1)], range(n)))
+        raws = [i * 10**7 for i in range(1, n + 1)]
         true = list(range(1, n + 1))
         preds = list(true)
         label = "synth-sequential"
     elif kind == "hammer":
         # The largest key arrives first; everything after lands just below
         # it, hammering the same gap.
-        keys = list(map(Key, [n * 10**7] + [i * 10**7 for i in range(1, n)], range(n)))
+        raws = [n * 10**7] + [i * 10**7 for i in range(1, n)]
         true = [n] + list(range(1, n))
         preds = list(true)
         label = "synth-hammer"
     elif kind == "random":
-        keys = list(map(Key, rng.sample(range(1, 10**12), n), range(n)))
-        true = _true_ranks(keys)
+        raws = rng.sample(range(1, 10**12), n)
+        true = _true_ranks(raws)
         preds = list(true)
         label = "synth-random"
     elif kind == "noisy-eta":
         if eta is None or eta < 0:
             raise ConfigError("noisy-eta needs eta >= 0")
-        keys = list(map(Key, rng.sample(range(1, 10**12), n), range(n)))
-        true = _true_ranks(keys)
+        raws = rng.sample(range(1, 10**12), n)
+        true = _true_ranks(raws)
         preds = [clamp(r + rng.randint(-eta, eta), 1, n) for r in true]
         label = f"synth-noisy-eta:eta={eta}"
     elif kind == "stochastic":
@@ -538,7 +532,7 @@ def _synthesize(
         if not (isfinite(mu) and isfinite(s)) or s < 0:
             raise ConfigError(f"stochastic needs a finite mu and a finite s >= 0, "
                               f"got mu={mu}, s={s}")
-        keys = list(map(Key, sorted(rng.sample(range(1, 10**12), n)), range(n)))
+        raws = sorted(rng.sample(range(1, 10**12), n))
         true = list(range(1, n + 1))
         # An error beyond +-2n clamps to the same rank as +-2n does; bounding
         # it first keeps a huge finite mu or s from overflowing to inf.
@@ -549,7 +543,7 @@ def _synthesize(
         raise ConfigError(
             f"unknown synthetic kind {kind!r}; pick from {SYNTHETIC_KINDS}"
         )
-    return keys, preds, true, label
+    return raws, preds, true, label
 
 
 def run_synthetic(
@@ -580,8 +574,8 @@ def run_synthetic(
         raise ConfigError(f"eta is a noisy-eta parameter; {kind} does not read it")
     if (mu is not None or s is not None) and kind != "stochastic":
         raise ConfigError(f"mu and s are stochastic parameters; {kind} does not read them")
-    keys, predictions, true_ranks, label = _synthesize(kind, n, seed, eta, mu, s)
-    return _rows(structures, label, keys, predictions, true_ranks, train=0,
+    raws, predictions, true_ranks, label = _synthesize(kind, n, seed, eta, mu, s)
+    return _rows(structures, label, raws, predictions, true_ranks, train=0,
                  check_witness=True, seed=seed)
 
 

@@ -21,6 +21,7 @@ any comparison, so repeated runs are bit-identical.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -154,9 +155,15 @@ def corrupt(ranks: list[int], t: int, rng_seed: int) -> list[int]:
     Sampled entries become 1 or n, whichever is farther from the current
     prediction (ties toward n); the rest are untouched.  Sampling is
     uniform without replacement from a seeded generator, so a given
-    (t, seed) pair always corrupts the same indices.  A t outside [0, 100]
-    or a negative seed is a ValueError, whether or not anything is sampled.
+    (t, seed) pair always corrupts the same indices.  A non-integer t or
+    seed, a t outside [0, 100] or a negative seed is a ValueError, whether or
+    not anything is sampled.
     """
+    try:
+        t, rng_seed = operator.index(t), operator.index(rng_seed)
+    except TypeError:
+        raise ValueError(f"corruption percentage {t!r} and seed {rng_seed!r} "
+                         "must be integers") from None
     if not 0 <= t <= 100:
         raise ValueError(f"corruption percentage out of range: {t}")
     if rng_seed < 0:

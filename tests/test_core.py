@@ -51,16 +51,23 @@ class TestFixedPointParse:
         with pytest.raises(ParseError, match="line 7:"):
             fixed_point_parse("junk", line=7)
 
+    def test_leading_zeros_past_the_int_digit_limit(self):
+        # more digits than CPython's int() accepts from a string, value 1.0
+        assert fixed_point_parse("0" * 4400 + "1") == 10**7
+        assert fixed_point_parse("-" + "0" * 4400 + "1.5") == -15_000_000
+
+    def test_too_many_integer_digits_is_out_of_range(self):
+        with pytest.raises(ParseError, match="line 3: value out of range"):
+            fixed_point_parse("9" * 5000, line=3)
+        with pytest.raises(ParseError, match="value out of range"):
+            fixed_point_parse("1" + "0" * 12)  # 13 digits, just past RAW_MAX
+
 
 class TestKeyOrdering:
-    def test_orders_by_raw_then_sequence(self):
-        assert Key(5, 0) < Key(6, 0)
-        assert Key(5, 0) < Key(5, 1)  # equal values: earlier arrival first
-        assert sorted([Key(3, 2), Key(3, 0), Key(1, 5)]) == [
-            Key(1, 5),
-            Key(3, 0),
-            Key(3, 2),
-        ]
+    def test_orders_by_raw(self):
+        assert Key._fields == ("raw",)
+        assert Key(5) < Key(6)
+        assert sorted([Key(3), Key(3), Key(1)]) == [Key(1), Key(3), Key(3)]
 
 
 class TestMovementLedger:

@@ -13,6 +13,8 @@ this file as a script (`PYTHONPATH=src python tests/test_golden.py`) and
 review the diff.
 """
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -52,6 +54,17 @@ def test_cli_csv_bytes_unchanged(name, tmp_path):
     out = tmp_path / f"{name}.csv"
     assert cli_main([*CASES[name], "--out", str(out)]) == 0
     assert out.read_bytes() == (EXPECTED / f"{name}.csv").read_bytes()
+
+
+def test_default_out_writes_the_csv_bytes_to_stdout():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "listlabel.cli", *CASES["synth-hammer"]],
+                          env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    assert proc.stdout == (EXPECTED / "synth-hammer.csv").read_bytes()
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ import pytest
 
 from listlabel import harness
 from listlabel.cli import main as cli_main
-from listlabel.core import MIN_RAW, SCALE, Key, MovementLedger
+from listlabel.core import MIN_RAW, SCALE, MovementLedger
 from listlabel.harness import (
     CSV_HEADER,
     ConfigError,
@@ -36,7 +36,6 @@ class TestLoadDataset:
         p.write_text("# header\nu1\t3.5\tx\n\nu2  -1.25  y\n")
         got = load_dataset(DatasetSpec(p, value_column=1))
         assert [k.raw for k in got.keys] == [35_000_000, -12_500_000]
-        assert [k.seq for k in got.keys] == [0, 1]
 
     def test_comma_delimiter_autodetected(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -48,11 +47,7 @@ class TestLoadDataset:
         p = tmp_path / "d.txt"
         p.write_text("5\n5\n5\n")
         got = load_dataset(DatasetSpec(p))
-        assert [(k.raw, k.seq) for k in got.keys] == [
-            (5 * SCALE, 0),
-            (5 * SCALE, 1),
-            (5 * SCALE, 2),
-        ]
+        assert [k.raw for k in got.keys] == [5 * SCALE] * 3
 
     def test_numeric_timestamps_sort_numerically_and_stably(self, tmp_path):
         p = tmp_path / "d.txt"
@@ -68,23 +63,6 @@ class TestLoadDataset:
         got = load_dataset(DatasetSpec(p, value_column=0, timestamp_column=1))
         assert [k.raw // SCALE for k in got.keys] == [2, 3, 1]
 
-    def test_max_rows_truncates_after_ordering(self, tmp_path):
-        p = tmp_path / "d.txt"
-        p.write_text("1 30\n2 10\n3 20\n")
-        got = load_dataset(
-            DatasetSpec(p, value_column=0, timestamp_column=1, max_rows=2)
-        )
-        assert [k.raw // SCALE for k in got.keys] == [2, 3]
-
-    @pytest.mark.parametrize("ts_col", [None, 1])
-    def test_zero_max_rows_gives_an_empty_slice(self, tmp_path, ts_col):
-        p = tmp_path / "d.txt"
-        p.write_text("1 30\n2 10\n3 20\n")
-        got = load_dataset(
-            DatasetSpec(p, value_column=0, timestamp_column=ts_col, max_rows=0)
-        )
-        assert got.keys == []
-
     @pytest.mark.parametrize("text", ["1.5\t10\n2.5\t20\n", "# note\n1.5\t10\n2.5\t20\n"])
     def test_byte_order_mark_is_skipped(self, tmp_path, text):
         # spreadsheet "CSV UTF-8" exports start with one; it must neither
@@ -93,9 +71,9 @@ class TestLoadDataset:
         plain.write_text(text, encoding="utf-8")
         marked.write_text(text, encoding="utf-8-sig")
         assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
-        want = [(k.raw, k.seq) for k in load_dataset(DatasetSpec(plain)).keys]
-        assert want == [(15_000_000, 0), (25_000_000, 1)]
-        assert [(k.raw, k.seq) for k in load_dataset(DatasetSpec(marked)).keys] == want
+        want = [k.raw for k in load_dataset(DatasetSpec(plain)).keys]
+        assert want == [15_000_000, 25_000_000]
+        assert [k.raw for k in load_dataset(DatasetSpec(marked)).keys] == want
 
     def test_bad_value_reports_line_number(self, tmp_path):
         p = tmp_path / "d.txt"
@@ -129,11 +107,27 @@ class TestLoadDataset:
         assert captured.out == ""
         assert "line 9" in captured.err
 
-    @pytest.mark.parametrize(
-        "field", ["value_column", "timestamp_column", "max_rows"])
+    @pytest.mark.parametrize("field", ["value_column", "timestamp_column"])
     def test_negative_column_or_row_count_rejected(self, tmp_path, field):
         with pytest.raises(ConfigError, match=field):
             DatasetSpec(tmp_path / "d.txt", **{field: -1})
+
+    @pytest.mark.parametrize("ts_col", [None, 1])
+    def test_malformed_row_past_the_rows_a_run_needs(self, tmp_path, ts_col):
+        # the whole file is read, with or without a timestamp column
+        p = tmp_path / "d.txt"
+        p.write_text("".join(f"{i} {i}\n" for i in range(8)) + "nope 9\n")
+        with pytest.raises(DataError, match="line 9"):
+            run_table(DatasetSpec(p, timestamp_column=ts_col), 1, ("pma",))
+
+    def test_cli_value_past_the_int_digit_limit_exits_3(self, tmp_path, capsys):
+        p = tmp_path / "d.txt"
+        p.write_text("1\n2\n" + "9" * 5000 + "\n3\n4\n")
+        code = cli_main(["table", "--dataset", str(p), "--k", "1"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("llabench: line 3: value out of range")
 
 
 # ----------------------------------------------------------------------
@@ -421,6 +415,17 @@ class TestRobustness:
             run_robustness(ACTIONS, 8, [t], repeats=2, base_seed=-5)
         assert loads == [] and selections == [] and runs == []
 
+    @pytest.mark.parametrize("t_values, base_seed", [([12.5], 0), ([0, 25], 1.5)])
+    def test_non_integer_level_or_seed_rejected_before_any_load(
+        self, monkeypatch, selections, t_values, base_seed
+    ):
+        loads, runs = [], []
+        monkeypatch.setattr(harness, "load_dataset", loads.append)
+        monkeypatch.setattr(harness, "_run_config", lambda *a, **kw: runs.append(a))
+        with pytest.raises(ConfigError, match="must be integers"):
+            run_robustness(ACTIONS, 8, t_values, repeats=2, base_seed=base_seed)
+        assert loads == [] and selections == [] and runs == []
+
     def test_seed_minus_one_corrupts_from_seed_zero(self, monkeypatch):
         seeds = []
         inner = harness.corrupt
@@ -443,26 +448,26 @@ class TestWitnessWiring:
     @staticmethod
     def stream():
         rng = random.Random(4)
-        keys = [Key(raw, i) for i, raw in enumerate(rng.sample(range(10**9), 256))]
-        true_ranks = harness._true_ranks(keys)
+        raws = rng.sample(range(10**9), 256)
+        true_ranks = harness._true_ranks(raws)
         preds = [min(max(r + rng.randint(-8, 8), 1), 256) for r in true_ranks]
-        return keys, preds, true_ranks
+        return raws, preds, true_ranks
 
     @pytest.mark.parametrize("structure", ["learned-pma", "learned-apma", "pma"])
     def test_real_ranks_witness_every_merge(self, structure):
-        keys, preds, true_ranks = self.stream()
+        raws, preds, true_ranks = self.stream()
         if structure == "pma":
             preds = None
-        row = harness._run_config(structure, "w", keys, preds, None, train=0,
+        row = harness._run_config(structure, "w", raws, preds, None, train=0,
                                   true_ranks=true_ranks, check_witness=True)
         assert row.merges > 0
 
     @pytest.mark.parametrize("structure", ["learned-pma", "pma"])
     def test_ranks_equal_to_routing_fail_the_first_merge(self, structure):
-        keys, preds, _ = self.stream()
-        routed = [1] * len(keys) if structure == "pma" else preds
+        raws, preds, _ = self.stream()
+        routed = [1] * len(raws) if structure == "pma" else preds
         with pytest.raises(AssertionError, match="has no element with prediction error"):
-            harness._run_config(structure, "w", keys,
+            harness._run_config(structure, "w", raws,
                                 None if structure == "pma" else preds, None,
                                 train=0, true_ranks=routed, check_witness=True)
 

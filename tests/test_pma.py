@@ -13,7 +13,7 @@ from itertools import count, repeat
 import pytest
 
 from listlabel.apma import Apma
-from listlabel.core import MIN_RAW, RAW_MAX, CapacityError, Key, MovementLedger
+from listlabel.core import MIN_RAW, RAW_MAX, CapacityError, MovementLedger
 from listlabel.pma import INF_RAW, LEAD_RAW, TAU_LEAF, TAU_ROOT, Pma, geometry
 
 
@@ -424,8 +424,7 @@ def test_duplicates_keep_arrival_order():
     pma = Pma(64)
     for seq in range(10):
         pma.insert(42, seq)
-    keys = [Key(e[0], e[1]) for e in pma.slots if e is not None]
-    assert keys == [Key(42, s) for s in range(10)]
+    assert [e for e in pma.slots if e is not None] == [(42, s) for s in range(10)]
 
 
 def test_ledger_gets_insert_and_movement_charges():

@@ -18,7 +18,7 @@ from listlabel.predictors import (
 
 
 def slice_of(raws, offset=0):
-    return SequenceSlice([Key(r, i) for i, r in enumerate(raws)], offset)
+    return SequenceSlice(list(map(Key, raws)), offset)
 
 
 class TestEmpiricalRank:
@@ -198,3 +198,10 @@ class TestCorrupt:
             corrupt([1], 101, rng_seed=0)
         with pytest.raises(ValueError):
             corrupt([1], -1, rng_seed=0)
+
+    @pytest.mark.parametrize("t, seed", [(12.5, 1), (50, 1.5), (0, 1.5), (100, "1")])
+    def test_non_integer_percent_or_seed_rejected(self, t, seed):
+        # a ValueError from the library whether or not anything is sampled,
+        # never numpy's TypeError
+        with pytest.raises(ValueError, match="must be integers"):
+            corrupt(list(range(1, 9)), t, rng_seed=seed)
