@@ -149,7 +149,7 @@ class Apma(Pma):
         w_open = sum(weights)
         while True:
             if w_open == 0 or free_rem < (k - len(pins)) * min_free:
-                return even_layout(size, c)
+                return list(even_layout(size, c))
             j = k
             for w, f in front.items():
                 if f < j:

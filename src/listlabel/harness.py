@@ -292,9 +292,17 @@ def _load(spec: DatasetSpec, need: int, what: str) -> list[Key]:
     return data.keys[:need]
 
 
+def _index(value, name: str) -> int:
+    """operator.index(value); ConfigError naming the parameter if it fails."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ConfigError(f"{name}={value!r}: parameters must be integers") from None
+
+
 def _rows_for(k: int, name: str = "k") -> int:
-    """2^k, the row count a size exponent stands for; ConfigError if k < 0."""
-    if k < 0:
+    """2^k, the rows a size exponent stands for; ConfigError unless k is an int >= 0."""
+    if _index(k, name) < 0:
         raise ConfigError(f"{name}={k} is negative")
     return 1 << k
 
@@ -345,10 +353,10 @@ def run_scaling(
 ) -> list[ExperimentResult]:
     """The table protocol at every k in k_range; the train/test columns
     carry the window size 2^k.  The dataset is read once, for the largest
-    k, and every k's windows are its prefix.  A negative k, too few rows for
-    the largest k, or a training window too small to pick a predictor on, is
-    a ConfigError raised before any run: every k's predictions are made
-    first."""
+    k, and every k's windows are its prefix.  A negative or non-integer k
+    is a ConfigError raised before any load; too few rows for the largest k,
+    or a training window too small to pick a predictor on, is one raised
+    before any run: every k's predictions are made first."""
     k_range = list(k_range)
     for k in k_range:
         _rows_for(k)
@@ -377,7 +385,7 @@ def run_learning_curve(
     the f% of 2^test_k rows immediately before it.  f=0 skips prediction
     entirely, so the learned rows degenerate to rank-1 routing.  The train
     column distinguishes sweep points.  An empty fraction list, a negative
-    test_k or fraction, a fraction whose span exceeds 2^test_k rows, or two
+    or non-integer test_k or fraction, a span over 2^test_k rows, or two
     fractions with one span (a repeated fraction, say), is a ConfigError
     raised before any load or run; a training window too small to pick a
     predictor on is one raised before any run, since every point's
@@ -389,7 +397,7 @@ def run_learning_curve(
         raise ConfigError("no train fractions given")
     spans = []
     for fraction in train_fractions:
-        if fraction < 0:
+        if _index(fraction, "train fraction") < 0:
             raise ConfigError(f"negative train fraction {fraction}")
         span = t * fraction // 100
         if span > t:
@@ -436,26 +444,21 @@ def run_robustness(
     to the previous seed's (every draw at t=0 or t=100 is) reuses its rows.
     Rows come in `structures` order, a learned structure's levels in
     `t_values` order.
-    An empty or repeating list of levels, a non-integer level or seed, a
-    level outside [0, 100], fewer than one repeat or a negative first seed
+    An empty or repeating list of levels, a non-integer parameter, a level
+    outside [0, 100], fewer than one repeat or a negative first seed
     (base_seed + 1) is a ConfigError, raised before any load or run.
     """
     t_values = list(t_values)
     if not t_values:
         raise ConfigError("no corruption percentages given")
-    try:
-        list(map(index, [base_seed, *t_values]))
-    except TypeError:
-        raise ConfigError(f"corruption percentages {t_values} and seed {base_seed} "
-                          "must be integers") from None
+    for t_pct in t_values:
+        if not 0 <= _index(t_pct, "corruption percentage") <= 100:
+            raise ConfigError(f"corruption percentage {t_pct} outside [0, 100]")
     if len(set(t_values)) < len(t_values):
         raise ConfigError(f"corruption percentages {t_values} repeat a level")
-    for t_pct in t_values:
-        if not 0 <= t_pct <= 100:
-            raise ConfigError(f"corruption percentage {t_pct} outside [0, 100]")
-    if repeats < 1:
+    if _index(repeats, "repeats") < 1:
         raise ConfigError(f"repeats must be at least 1, got {repeats}")
-    if base_seed + 1 < 0:
+    if _index(base_seed, "base_seed") + 1 < 0:
         raise ConfigError(f"seed {base_seed} makes the first corruption seed "
                           f"{base_seed + 1} negative")
     train, test = _split(_load_k(spec, k), k)

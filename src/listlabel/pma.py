@@ -15,8 +15,8 @@ Movements are counted per element whose slot (label) actually changes; an
 element that a rebalance happens to leave in place costs nothing.  Each
 stored entry is a distinct tuple object (insert and init build fresh ones,
 `_fill` keeps the ones it is handed, shifts and rebalances move references),
-so a rebalance counts its moves by identity: an entry stayed exactly when its
-new slot held that same object before.
+so a rebalance counts by identity as it stores each entry at its streamed
+offset: a move unless the new slot held that same object before.
 
 The only per-leaf state is a non-decreasing row of leaf minima.  A non-empty
 leaf holds its smallest key (its first entry: keys ascend with the slots), an
@@ -30,9 +30,10 @@ its range.  Densities are counted from the slots of the range at hand.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterable, Iterator
 from functools import cache
-from itertools import compress, islice, repeat
-from operator import floordiv, gt, index, is_not
+from itertools import islice, repeat
+from operator import floordiv, gt, index
 
 from .core import CapacityError, MovementLedger, check_raw
 
@@ -90,10 +91,10 @@ def geometry(slot_count: int) -> tuple[int, int, int, int, tuple[float, ...]]:
     return leaf, depth, leaf << depth, 1 << depth, cap
 
 
-def even_layout(size: int, c: int) -> list[int]:
-    """Offsets i*size // c for i < c: c entries spread evenly over size
-    slots, left-anchored, remainder gaps pushed right."""
-    return list(map(floordiv, range(0, size * c, size), repeat(c)))
+def even_layout(size: int, c: int) -> Iterator[int]:
+    """Offsets i*size // c for i < c, as a lazy map read once: c entries
+    spread evenly over size slots, left-anchored, remainder gaps right."""
+    return map(floordiv, range(0, size * c, size), repeat(c))
 
 
 class Pma:
@@ -105,12 +106,12 @@ class Pma:
 
     A variant has two extension points: `_place(t, entry)`, which stores
     every inserted key and returns where it landed, and `_layout(entries,
-    lo, size, old, pending_raw)`, which picks the slots of a rebalanced range
-    as offsets from lo, given the range's old slot segment `old`.
+    lo, size, old, pending_raw)`, which yields a rebalanced range's slots as
+    ascending offsets from lo, read once, given its old slot segment `old`.
 
     Each stored entry is its own tuple object; `_rebalance` counts moves by
-    identity and relies on it, so a variant must store the entries it is
-    given, never an equal copy.
+    identity while it stores them, so a variant must store the entries it
+    is given, never an equal copy.
     """
 
     def __init__(self, slot_count: int, ledger: MovementLedger | None = None):
@@ -293,10 +294,10 @@ class Pma:
         size: int,
         old: list[tuple[int, int] | None],
         pending_raw: int,
-    ) -> list[int]:
-        """Ascending offsets in [0, size) for `entries` in the slots
-        [lo, lo+size): even spread, left-anchored, remainder gaps pushed
-        right.  Entry i goes to slot lo + offset i.
+    ) -> Iterable[int]:
+        """An iterable, read once, of ascending offsets in [0, size) for
+        `entries` in the slots [lo, lo+size): even_layout's lazy map.  Entry
+        i goes to slot lo + offset i.
 
         `old` is the range's slot segment before the redistribution, so
         old[i] is what slot lo + i held; the even layout ignores it, as it
@@ -309,17 +310,18 @@ class Pma:
         """Redistribute the slots [lo, hi), the range of the tree node the
         density walk stopped at; returns how many elements moved.  The walk
         only gets here from a child above its threshold, so the range holds
-        entries.  An entry stayed exactly when its new slot held that same
-        tuple object before, so the moves are counted by identity."""
+        entries.  One loop stores them at the layout's offsets: each moved
+        unless its new slot held that same tuple, counted by identity."""
         old = self.slots[lo:hi]
         entries = list(filter(None, old))
-        offsets = self._layout(entries, lo, hi - lo, old, pending_raw)
-        seg = [None] * (hi - lo)
-        for p, entry in zip(offsets, entries):
+        seg, moved = [None] * (hi - lo), len(entries)
+        for p, entry in zip(self._layout(entries, lo, hi - lo, old, pending_raw), entries):
             seg[p] = entry
+            if old[p] is entry:
+                moved -= 1
         self.slots[lo:hi] = seg
         self._rebuild_minima(lo, hi)
-        return sum(map(is_not, compress(old, seg), entries))
+        return moved
 
     def _rebuild_minima(self, lo: int, hi: int) -> None:
         """Recompute the leaf minima of the slots [lo, hi), whole leaves:

@@ -17,7 +17,7 @@ from listlabel.apma import Apma
 from listlabel.core import MovementLedger
 from listlabel.learned import LearnedLLA
 from listlabel.pma import TAU_LEAF, Pma
-from test_pma import raws_sorted
+from test_pma import RecountingPma, raws_sorted
 
 
 def even(c: int, size: int) -> list[int]:
@@ -387,21 +387,8 @@ def test_key_below_all_lands_right_before_the_first_key(size):
     assert reached > 0
 
 
-class RecountingApma(Apma):
-    """Recounts each rebalance's moves by position: the entries keep their
-    order, so the i-th entry moved exactly when the i-th occupied slot of
-    the range changed."""
-
-    rebalances = 0
-
-    def _rebalance(self, lo, hi, pending_raw):
-        before = self.slots[lo:hi]
-        moved = super()._rebalance(lo, hi, pending_raw)
-        old = [p for p, e in enumerate(before) if e is not None]
-        new = [p for p, e in enumerate(self.slots[lo:hi]) if e is not None]
-        assert moved == sum(o != n for o, n in zip(old, new)), (lo, hi)
-        self.rebalances += 1
-        return moved
+class RecountingApma(RecountingPma, Apma):
+    """An Apma whose every rebalance recounts its moves by position."""
 
 
 @pytest.mark.parametrize("size", [96, 768])
@@ -419,7 +406,7 @@ def test_rebalance_moves_match_a_positional_recount(size, order):
     a = RecountingApma(size)
     for raw in raws:
         a.insert(raw, 0)
-    assert a.rebalances > 0 and raws_sorted(a.slots)
+    assert a.sizes and raws_sorted(a.slots)
 
 
 class TestOpaqueSeq:

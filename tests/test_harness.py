@@ -235,6 +235,26 @@ def test_scaling_window_too_small_to_select_from_rejected_before_any_run(monkeyp
     assert runs == []
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: run_table(ACTIONS, 6.0), "k=6.0"),
+    (lambda: run_scaling(ACTIONS, [6.0]), "k=6.0"),
+    (lambda: run_learning_curve(ACTIONS, 6, [12.5]), "train fraction=12.5"),
+    (lambda: run_learning_curve(ACTIONS, 6.0, [50]), "test_k=6.0"),
+    (lambda: run_robustness(ACTIONS, 6, [0], repeats=2.5), "repeats=2.5"),
+    (lambda: run_robustness(ACTIONS, 6.0, [0], repeats=2), "k=6.0"),
+], ids=["table", "scaling", "curve-fraction", "curve-test_k", "robustness-repeats",
+        "robustness-k"])
+def test_non_integer_parameter_rejected_before_any_load(monkeypatch, selections, call, name):
+    # Unchecked, each reaches Python's TypeError (in `1 << k`, a float slice
+    # or `range(1, repeats + 1)`), some only after the blind rows have run.
+    loads, runs = [], []
+    monkeypatch.setattr(harness, "load_dataset", loads.append)
+    monkeypatch.setattr(harness, "_run_config", lambda *a, **kw: runs.append(a))
+    with pytest.raises(ConfigError, match=f"{name}: parameters must be integers"):
+        call()
+    assert loads == [] and selections == [] and runs == []
+
+
 class TestLearningCurve:
     def test_zero_fraction_equals_blind_baseline(self, tmp_path):
         spec = write_drift(tmp_path / "d.txt")

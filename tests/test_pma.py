@@ -14,7 +14,7 @@ import pytest
 
 from listlabel.apma import Apma
 from listlabel.core import MIN_RAW, RAW_MAX, CapacityError, MovementLedger
-from listlabel.pma import INF_RAW, LEAD_RAW, TAU_LEAF, TAU_ROOT, Pma, geometry
+from listlabel.pma import INF_RAW, LEAD_RAW, TAU_LEAF, TAU_ROOT, Pma, even_layout, geometry
 
 
 def raws_sorted(slots) -> bool:
@@ -358,6 +358,80 @@ def test_matches_reference_with_equal_entries():
         m = rng.choice([rng.randint(2, 64), 96, 192, 384])
         raws = [rng.randint(0, 4) for _ in range(m + 1)]
         _drive(Pma(m), ReferencePma(m), raws, ("equal", trial), seqs=repeat(0))
+
+
+class RecountingPma(Pma):
+    """Recounts each rebalance's moves by position: the entries keep their
+    order, so the i-th entry moved exactly when the i-th occupied slot of
+    the range changed.  Records the size of every rebalanced range.
+    test_apma.py mixes it into Apma."""
+
+    def __init__(self, slot_count):
+        super().__init__(slot_count)
+        self.sizes = []
+
+    def _rebalance(self, lo, hi, pending_raw):
+        before = self.slots[lo:hi]
+        moved = super()._rebalance(lo, hi, pending_raw)
+        old = [p for p, e in enumerate(before) if e is not None]
+        new = [p for p, e in enumerate(self.slots[lo:hi]) if e is not None]
+        assert moved == sum(o != n for o, n in zip(old, new)), (lo, hi)
+        self.sizes.append(hi - lo)
+        return moved
+
+
+def test_big_rebalances_match_a_positional_recount():
+    """ReferencePma checks ranges of at most 384 slots; hammer's slowest
+    inserts rebalance thousands.  Wrapper-sized boxes up to 6 << 10 slots,
+    filled to the root's threshold, every seq 0 so that equal keys make
+    equal entries: only a count by identity matches the recount.  A one-key
+    stream appends at the right end and rebalances only small ranges."""
+    rng = random.Random(20261019)
+    big = {}
+    for h in (4, 7, 10):
+        m = 6 << h
+        n = m // 2 + 1
+        streams = {
+            "hammer": [n] + [i // 2 for i in range(n - 1)],
+            "one-key": [7] * n,
+            "random": [rng.randint(0, 10**6) for _ in range(n)],
+        }
+        for order, raws in streams.items():
+            box = RecountingPma(m)
+            for raw in raws:
+                box.insert(raw, 0)
+            assert box.sizes and raws_sorted(box.slots), (order, m)
+            big[order] = big.get(order, 0) + sum(size >= 1000 for size in box.sizes)
+    assert big["hammer"] > 0 and big["random"] > 0, big
+
+
+class ListLayoutPma(Pma):
+    def _layout(self, *args):
+        return list(super()._layout(*args))
+
+
+class GeneratorLayoutPma(Pma):
+    def _layout(self, *args):
+        return (p for p in super()._layout(*args))
+
+
+@pytest.mark.parametrize("m", [96, 1536])
+def test_layout_read_once_or_as_a_list_stores_alike(m):
+    """`_layout` may return any iterable: a one-shot generator and a list
+    give the same slots and the same moves on every insert."""
+    rng = random.Random(m)
+    for raws in ([m] + list(range(m)), [rng.randint(0, 50) for _ in range(m)]):
+        once, listed = GeneratorLayoutPma(m), ListLayoutPma(m)
+        with pytest.raises(CapacityError):
+            for seq, raw in enumerate(raws):
+                assert once.insert(raw, seq) == listed.insert(raw, seq), seq
+                assert once.slots == listed.slots, seq
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 48, 100, 384])
+def test_even_layout_is_the_floor_spread(size):
+    for c in range(size + 1):
+        assert list(even_layout(size, c)) == [i * size // c for i in range(c)], c
 
 
 # ----------------------------------------------------------------------
