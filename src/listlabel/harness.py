@@ -14,6 +14,11 @@ Amortized costs count label changes per insert with first placements
 excluded, so a run whose predictions are exact reports 0.0.  A result is
 exactly one CSV row: its fields are the columns, in order, and nothing
 else, so repeated runs with the same seed write identical bytes.
+
+Each step has one job: every protocol checks all its parameters before it
+loads, generates or runs anything; `_run_config` loads one structure and
+returns its counts; `_rows` runs each structure over one test slice and is
+the only builder of rows.
 """
 
 from __future__ import annotations
@@ -81,7 +86,8 @@ class DatasetSpec:
     given, rows are stably sorted by that column before use (numerically
     when every value parses as a number, lexicographically otherwise --
     ISO-8601 strings order correctly either way); otherwise file order is
-    kept.  Duplicate values are retained; a negative column is a ConfigError.
+    kept.  Duplicate values are retained.  A column that is negative or not
+    an integer is a ConfigError, raised on construction.
     """
 
     path: str | Path
@@ -92,7 +98,7 @@ class DatasetSpec:
     def __post_init__(self):
         for name in ("value_column", "timestamp_column"):
             value = getattr(self, name)
-            if value is not None and value < 0:
+            if value is not None and _index(value, name) < 0:
                 raise ConfigError(f"{name} {value} is negative")
 
     def label(self) -> str:
@@ -203,65 +209,42 @@ def _true_ranks(raws: list[int]) -> list[int]:
     return ranks
 
 
-def _run_config(
-    structure: str,
-    dataset: str,
-    raws: list[int],
-    predictions: list[int] | None,
-    eta_max: int | None,
-    *,
-    train: int,
-    true_ranks: list[int],
-    check_witness: bool = False,
-    seed: int | None = None,
-) -> ExperimentResult:
-    """Load one structure with the test raws and account its movements.
+def _run_config(structure: str, raws: list[int], predictions: list[int] | None,
+                truth: list[int] | None = None) -> tuple[float, int]:
+    """Load one structure with the raws; return (amortized cost, merges).
 
-    `predictions` are ranks within the test slice (1..len); None routes
-    everything with rank 1, the prediction-free baseline.  Ranks shift by
-    one inside because the sentinel occupies rank 1 of the structure.
+    `predictions` are ranks within the raws (1..len); None routes everything
+    with rank 1, the prediction-free baseline.  Ranks shift by one inside
+    because the sentinel occupies rank 1 of the structure.  Given the true
+    ranks `truth`, every merge is checked for its error witness, and the
+    first merge without one raises AssertionError.
     """
     t = len(raws)
     ledger = MovementLedger(first_placement_excluded=True)
     ranks = [1] * t if predictions is None else [p + 1 for p in predictions]
 
     listener = None
-    if check_witness:
+    if truth is not None:
         # Indexed by seq: the sentinel is seq 0 at rank 1, key i is seq i + 1.
         routed = [1, *ranks]
-        truth = [1, *(rank + 1 for rank in true_ranks)]
+        shifted = [1, *(rank + 1 for rank in truth)]
 
         def listener(_lla: LearnedLLA, merged) -> None:
-            if not witness_error_check(merged, routed, truth):
+            if not witness_error_check(merged, routed, shifted):
                 raise AssertionError(
-                    f"{structure}/{dataset}: merged rank window at "
-                    f"{(merged.node << merged.height) + 1} width "
-                    f"{1 << merged.height} has no "
-                    "element with prediction error >= half the window"
-                )
+                    f"{structure}: merged rank window at {(merged.node << merged.height) + 1} "
+                    f"width {1 << merged.height} has no element with prediction error >= "
+                    "half the window")
 
-    lla = LearnedLLA(
-        t + 1,
-        factory=Apma if structure.endswith("apma") else Pma,
-        ledger=ledger,
-        merge_listener=listener,
-    )
+    lla = LearnedLLA(t + 1, factory=Apma if structure.endswith("apma") else Pma,
+                     ledger=ledger, merge_listener=listener)
     lla.insert(MIN_RAW, 0, 1)
     ledger.reset()
 
     for seq, (raw, rank) in enumerate(zip(raws, ranks, strict=True), start=1):
         lla.insert(raw, seq, rank)
 
-    return ExperimentResult(
-        structure=structure,
-        dataset=dataset,
-        train=train,
-        test=t,
-        amortized_cost=ledger.amortized_cost(),
-        merges=lla.merges,
-        eta_max=eta_max,
-        seed=seed,
-    )
+    return ledger.amortized_cost(), lla.merges
 
 
 def _learned(structure: str) -> bool:
@@ -271,8 +254,9 @@ def _learned(structure: str) -> bool:
 
 def _predict(structures, train: SequenceSlice, test: SequenceSlice) -> list[int] | None:
     """Pick a predictor on the training slice and predict the test ranks;
-    None, with neither run, when no row of `structures` reads predictions."""
-    if not any(map(_learned, structures)):
+    None, with neither run, when the training slice is empty or no row of
+    `structures` reads predictions."""
+    if not (len(train) and any(map(_learned, structures))):
         return None
     try:
         chosen = select_predictor(train)
@@ -319,19 +303,36 @@ def _split(keys: list[Key], k: int) -> tuple[SequenceSlice, SequenceSlice]:
     return SequenceSlice(keys[:t]), SequenceSlice(keys[t : 2 * t], start_offset=t)
 
 
-def _rows(structures, dataset, raws, preds, true_ranks, **kw) -> list[ExperimentResult]:
-    """One run per structure over the same raws: learned rows get the
-    predictions `preds` and their largest rank error, baselines None
-    (rank-1 routing)."""
+def _rows(structures, dataset, raws, preds, true_ranks, *, train: int,
+          seed: int | None = None, check_witness: bool = False) -> list[ExperimentResult]:
+    """One run and one row per structure over the same raws, the only place a
+    row is built: learned rows route by `preds` and carry their largest rank
+    error, baselines route at rank 1 and carry None.  With `check_witness`,
+    every merge is checked against `true_ranks`."""
     eta_max = None
     if preds is not None:
         eta_max = max(map(abs, map(sub, preds, true_ranks)), default=0)
-    return [
-        _run_config(s, dataset, raws, preds, eta_max, true_ranks=true_ranks, **kw)
-        if _learned(s)
-        else _run_config(s, dataset, raws, None, None, true_ranks=true_ranks, **kw)
-        for s in structures
-    ]
+    truth = true_ranks if check_witness else None
+    rows = []
+    for s in structures:
+        learned = _learned(s)
+        cost, merges = _run_config(s, raws, preds if learned else None, truth)
+        rows.append(ExperimentResult(s, dataset, train, len(raws), cost, merges,
+                                     eta_max if learned else None, seed))
+    return rows
+
+
+def _window_rows(structures, dataset: str, windows) -> list[ExperimentResult]:
+    """The rows of every (train, test) slice pair in `windows`, in order.
+    Every window's predictions are made first, so a training window too small
+    to pick a predictor on is a ConfigError that no run precedes."""
+    predictions = [_predict(structures, train, test) for train, test in windows]
+    results = []
+    for (train, test), preds in zip(windows, predictions):
+        raws = [key.raw for key in test.keys]
+        results += _rows(structures, dataset, raws, preds, _true_ranks(raws),
+                         train=len(train))
+    return results
 
 
 # ----------------------------------------------------------------------
@@ -363,14 +364,7 @@ def run_scaling(
     if not k_range:
         return []
     keys = _load_k(spec, max(k_range))
-    windows = [_split(keys, k) for k in k_range]
-    predictions = [_predict(structures, train, test) for train, test in windows]
-    results = []
-    for (train, test), preds in zip(windows, predictions):
-        raws = [key.raw for key in test.keys]
-        results += _rows(structures, spec.label(), raws, preds, _true_ranks(raws),
-                         train=len(train))
-    return results
+    return _window_rows(structures, spec.label(), [_split(keys, k) for k in k_range])
 
 
 def run_learning_curve(
@@ -410,19 +404,8 @@ def run_learning_curve(
         spans.append(span)
     keys = _load(spec, 2 * t, f"test_k={test_k}")
     test = SequenceSlice(keys[t:], start_offset=t)
-    raws = [key.raw for key in test.keys]
-    true_ranks = _true_ranks(raws)
-
-    predictions = [
-        _predict(structures, SequenceSlice(keys[t - span : t], start_offset=t - span), test)
-        if span else None
-        for span in spans
-    ]
-    results = []
-    for span, preds in zip(spans, predictions):
-        results += _rows(structures, spec.label(), raws, preds, true_ranks,
-                         train=span)
-    return results
+    windows = [(SequenceSlice(keys[t - span : t], start_offset=t - span), test) for span in spans]
+    return _window_rows(structures, spec.label(), windows)
 
 
 def run_robustness(
@@ -502,51 +485,31 @@ def run_robustness(
 
 def _synthesize(
     kind: str, n: int, seed: int, eta: int | None, mu: float | None, s: float | None
-) -> tuple[list[int], list[int], list[int], str]:
-    """Build (raws, predictions, true_ranks, dataset label) for one kind."""
+) -> tuple[list[int], list[int], list[int]]:
+    """(raws, predictions, true ranks) for one kind whose parameters
+    run_synthetic has checked."""
     rng = random.Random(seed)
     if kind == "sequential":
         raws = [i * 10**7 for i in range(1, n + 1)]
-        true = list(range(1, n + 1))
-        preds = list(true)
-        label = "synth-sequential"
     elif kind == "hammer":
         # The largest key arrives first; everything after lands just below
         # it, hammering the same gap.
         raws = [n * 10**7] + [i * 10**7 for i in range(1, n)]
-        true = [n] + list(range(1, n))
-        preds = list(true)
-        label = "synth-hammer"
-    elif kind == "random":
-        raws = rng.sample(range(1, 10**12), n)
-        true = _true_ranks(raws)
-        preds = list(true)
-        label = "synth-random"
-    elif kind == "noisy-eta":
-        if eta is None or eta < 0:
-            raise ConfigError("noisy-eta needs eta >= 0")
-        raws = rng.sample(range(1, 10**12), n)
-        true = _true_ranks(raws)
-        preds = [clamp(r + rng.randint(-eta, eta), 1, n) for r in true]
-        label = f"synth-noisy-eta:eta={eta}"
     elif kind == "stochastic":
-        if mu is None or s is None:
-            raise ConfigError("stochastic needs mu and s")
-        if not (isfinite(mu) and isfinite(s)) or s < 0:
-            raise ConfigError(f"stochastic needs a finite mu and a finite s >= 0, "
-                              f"got mu={mu}, s={s}")
         raws = sorted(rng.sample(range(1, 10**12), n))
-        true = list(range(1, n + 1))
+    else:
+        raws = rng.sample(range(1, 10**12), n)
+    true = _true_ranks(raws)
+    if kind == "noisy-eta":
+        preds = [clamp(r + rng.randint(-eta, eta), 1, n) for r in true]
+    elif kind == "stochastic":
         # An error beyond +-2n clamps to the same rank as +-2n does; bounding
         # it first keeps a huge finite mu or s from overflowing to inf.
         preds = [clamp(r + round(clamp(rng.gauss(mu, s), -2 * n, 2 * n)), 1, n)
                  for r in true]
-        label = f"synth-stochastic:mu={mu};s={s}"
     else:
-        raise ConfigError(
-            f"unknown synthetic kind {kind!r}; pick from {SYNTHETIC_KINDS}"
-        )
-    return raws, preds, true, label
+        preds = true
+    return raws, preds, true
 
 
 def run_synthetic(
@@ -565,10 +528,14 @@ def run_synthetic(
     perturbs each true rank uniformly in [-eta, +eta] (clamped); stochastic
     adds rounded normal(mu, s^2) error and arrives in sorted order.  Keys
     are distinct, so every merge is checked for its error witness and any
-    violation raises.  Bad parameters (a non-finite mu or s, a negative s,
-    a missing eta, a negative seed, an eta or mu or s the kind does not
-    read) are a ConfigError raised before any run.
+    violation raises.  Bad parameters (an unknown kind, a non-integer n,
+    seed or eta, a non-finite mu or s, a negative s, eta or seed, a missing
+    eta, mu or s, an eta or mu or s the kind does not read) are a
+    ConfigError raised before anything is generated or run.
     """
+    if kind not in SYNTHETIC_KINDS:
+        raise ConfigError(f"unknown synthetic kind {kind!r}; pick from {SYNTHETIC_KINDS}")
+    n, seed = _index(n, "n"), _index(seed, "seed")
     if n < 2 or n & (n - 1):
         raise ConfigError(f"n must be a power of two >= 2, got {n}")
     if seed < 0:
@@ -577,9 +544,17 @@ def run_synthetic(
         raise ConfigError(f"eta is a noisy-eta parameter; {kind} does not read it")
     if (mu is not None or s is not None) and kind != "stochastic":
         raise ConfigError(f"mu and s are stochastic parameters; {kind} does not read them")
-    raws, predictions, true_ranks, label = _synthesize(kind, n, seed, eta, mu, s)
+    if kind == "noisy-eta" and (eta is None or (eta := _index(eta, "eta")) < 0):
+        raise ConfigError("noisy-eta needs eta >= 0")
+    if kind == "stochastic" and (mu is None or s is None):
+        raise ConfigError("stochastic needs mu and s")
+    if kind == "stochastic" and not (isfinite(mu) and isfinite(s) and s >= 0):
+        raise ConfigError(f"stochastic needs a finite mu and a finite s >= 0, got mu={mu}, s={s}")
+    label = {"noisy-eta": f"synth-noisy-eta:eta={eta}",
+             "stochastic": f"synth-stochastic:mu={mu};s={s}"}.get(kind, f"synth-{kind}")
+    raws, predictions, true_ranks = _synthesize(kind, n, seed, eta, mu, s)
     return _rows(structures, label, raws, predictions, true_ranks, train=0,
-                 check_witness=True, seed=seed)
+                 seed=seed, check_witness=True)
 
 
 # ----------------------------------------------------------------------

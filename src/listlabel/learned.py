@@ -57,7 +57,7 @@ anyway.
 from __future__ import annotations
 
 from itertools import compress
-from operator import add, ne
+from operator import add, index, ne
 from typing import Callable, Iterator, NamedTuple
 
 from .core import CapacityError, MovementLedger, check_raw, clamp
@@ -109,10 +109,10 @@ def _labels(first: int, box: Pma) -> Iterator[int]:
 class LearnedLLA:
     """List labeling with predicted ranks and black-box sorted arrays.
 
-    `capacity` is the number of elements the structure must accept; the rank
-    tree is sized to the next power of two but predictions clamp to the true
-    capacity.  `factory(slot_count, ledger)` builds the black boxes (classic
-    PMA by default) and is always passed ledger=None: all movement
+    `capacity` (an int) is the number of elements the structure must accept;
+    the rank tree is sized to the next power of two but predictions clamp to
+    the true capacity.  `factory(slot_count, ledger)` builds the black boxes
+    (classic PMA by default) and is always passed ledger=None: all movement
     accounting lands in `ledger`, charged by the wrapper.
     """
 
@@ -123,6 +123,7 @@ class LearnedLLA:
         ledger: MovementLedger | None = None,
         merge_listener: Callable[["LearnedLLA", Actual], None] | None = None,
     ):
+        capacity = index(capacity)
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity

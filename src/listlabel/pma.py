@@ -100,6 +100,7 @@ def even_layout(size: int, c: int) -> Iterator[int]:
 class Pma:
     """The array itself.  Entries are (raw, seq) int pairs; labels are 1-based.
 
+    A slot count that is not an int is a TypeError, whatever `geometry` cached.
     If `ledger` is given, inserts and init charge it; otherwise an insert
     only returns its movement count (a wrapper that does its own accounting
     passes ledger=None).
@@ -116,7 +117,7 @@ class Pma:
 
     def __init__(self, slot_count: int, ledger: MovementLedger | None = None):
         (self.leaf_size, self.depth, self.slot_count, self.num_leaves,
-         self._cap) = geometry(slot_count)
+         self._cap) = geometry(index(slot_count))
         self.ledger = ledger
         self.slots: list[tuple[int, int] | None] = [None] * self.slot_count
         self.count = 0
@@ -132,12 +133,8 @@ class Pma:
 
         Everything is checked before the first slot is written: CapacityError
         if the keys do not fit, ValueError on a non-empty array, for a `seqs`
-        of another length, for a key check_raw rejects, or for unsorted keys.
-        The checks are whole-list passes: one conversion of every key to
-        int, one pairwise order test, and check_raw on the two ends, which
-        bound every key of a sorted list.  A list that fails the conversion
-        or the order test is checked key by key, so the error names its
-        first bad key.  The checked keys and seqs are then paired into fresh
+        of another length, for the first key check_raw rejects, or for
+        unsorted keys.  The checked keys and seqs are then paired into fresh
         tuples that `_fill` lays out.
         """
         c = len(raws)
@@ -147,14 +144,8 @@ class Pma:
             raise ValueError("init on a non-empty array")
         if len(seqs) != c:
             raise ValueError(f"{c} keys but {len(seqs)} sequence numbers")
-        try:
-            raws = list(map(index, raws))
-        except TypeError:
-            raws = list(map(check_raw, raws))  # raises, naming the bad key
-        unsorted = any(map(gt, raws, islice(raws, 1, None)))
-        for raw in raws if unsorted else raws[:1] + raws[-1:]:
-            check_raw(raw)
-        if unsorted:
+        raws = list(map(check_raw, raws))
+        if any(map(gt, raws, islice(raws, 1, None))):
             raise ValueError("init expects sorted keys")
         self._fill(list(zip(raws, seqs)))
         if self.ledger is not None:

@@ -112,6 +112,12 @@ class TestLoadDataset:
         with pytest.raises(ConfigError, match=field):
             DatasetSpec(tmp_path / "d.txt", **{field: -1})
 
+    @pytest.mark.parametrize("field, value", [("value_column", 1.5), ("timestamp_column", 3.0)])
+    def test_non_integer_column_rejected(self, tmp_path, field, value):
+        # unchecked, it fails only at load, indexing a row's cells
+        with pytest.raises(ConfigError, match=f"{field}={value}: parameters must be integers"):
+            DatasetSpec(tmp_path / "d.txt", **{field: value})
+
     @pytest.mark.parametrize("ts_col", [None, 1])
     def test_malformed_row_past_the_rows_a_run_needs(self, tmp_path, ts_col):
         # the whole file is read, with or without a timestamp column
@@ -478,18 +484,16 @@ class TestWitnessWiring:
         raws, preds, true_ranks = self.stream()
         if structure == "pma":
             preds = None
-        row = harness._run_config(structure, "w", raws, preds, None, train=0,
-                                  true_ranks=true_ranks, check_witness=True)
-        assert row.merges > 0
+        _, merges = harness._run_config(structure, raws, preds, true_ranks)
+        assert merges > 0
 
     @pytest.mark.parametrize("structure", ["learned-pma", "pma"])
     def test_ranks_equal_to_routing_fail_the_first_merge(self, structure):
         raws, preds, _ = self.stream()
         routed = [1] * len(raws) if structure == "pma" else preds
         with pytest.raises(AssertionError, match="has no element with prediction error"):
-            harness._run_config(structure, "w", raws,
-                                None if structure == "pma" else preds, None,
-                                train=0, true_ranks=routed, check_witness=True)
+            harness._run_config(structure, raws,
+                                None if structure == "pma" else preds, routed)
 
 
 class TestSynthetic:
@@ -502,6 +506,33 @@ class TestSynthetic:
             run_synthetic("stochastic", 128, seed=1, mu=0.0)  # s missing
         with pytest.raises(ConfigError):
             run_synthetic("色々", 128, seed=1)
+
+    @pytest.mark.parametrize("kind, n, kw, name", [
+        ("random", 64.0, {}, "n=64.0"),
+        ("random", 64, {"seed": 1.5}, "seed=1.5"),
+        ("noisy-eta", 64, {"eta": 2.5}, "eta=2.5"),
+    ], ids=["n", "seed", "eta"])
+    def test_non_integer_parameter_rejected_before_any_run(self, monkeypatch, kind, n, kw,
+                                                           name):
+        # Unchecked, n=64.0 dies in `n & (n - 1)`, eta=2.5 in randrange, and
+        # seed=1.5 runs and writes 1.500000 in the seed column.
+        runs = []
+        monkeypatch.setattr(harness, "_run_config", lambda *a, **kw: runs.append(a))
+        with pytest.raises(ConfigError, match=f"{name}: parameters must be integers"):
+            run_synthetic(kind, n, **kw)
+        assert runs == []
+
+    def test_bool_seed_is_written_as_its_integer(self):
+        (row,) = run_synthetic("random", 64, seed=True, structures=("pma",))
+        assert row.seed == 1 and type(row.seed) is int
+        assert row == run_synthetic("random", 64, seed=1, structures=("pma",))[0]
+
+    def test_every_merge_is_checked_for_its_witness(self, monkeypatch):
+        # With witnesses found everywhere, a run that merges proves nothing;
+        # a check that always fails must stop it at the first merge.
+        monkeypatch.setattr(harness, "witness_error_check", lambda *a: False)
+        with pytest.raises(AssertionError, match="learned-pma: merged rank window"):
+            run_synthetic("noisy-eta", 512, seed=5, eta=16, structures=("learned-pma",))
 
     def test_stochastic_zero_spread_is_valid(self):
         (row,) = run_synthetic("stochastic", 64, seed=1, mu=0.0, s=0.0,

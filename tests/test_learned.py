@@ -104,6 +104,10 @@ class TestCapacityShape:
         with pytest.raises(CapacityError):
             lla.insert(60, 5, 1)
 
+    def test_non_integer_capacity_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            LearnedLLA(2.5)
+
 
 class TestBoundary:
     @pytest.mark.parametrize(

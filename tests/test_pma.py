@@ -39,6 +39,16 @@ class TestPlanLayout:
         leaf, depth, total = geometry(5)[:3]
         assert total >= 5 and leaf << depth == total
 
+    @pytest.mark.parametrize("sizes", [[10.0], [12, 12.0]], ids=["fresh", "after-int"])
+    def test_non_integer_size_is_a_type_error(self, sizes):
+        # Pma(12.0) must not pass on the strength of geometry's cache entry
+        # for 12.
+        *earlier, size = sizes
+        for m in earlier:
+            Pma(m)
+        with pytest.raises(TypeError):
+            Pma(size)
+
     def test_fewer_than_two_slots_rejected(self):
         for m in (1, 0, -6):
             with pytest.raises(ValueError):
