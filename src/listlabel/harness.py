@@ -16,9 +16,10 @@ exactly one CSV row: its fields are the columns, in order, and nothing
 else, so repeated runs with the same seed write identical bytes.
 
 Each step has one job: every protocol checks all its parameters before it
-loads, generates or runs anything; `_run_config` loads one structure and
-returns its counts; `_rows` runs each structure over one test slice and is
-the only builder of rows.
+loads, generates or runs anything (`structures` among them: names from
+STRUCTURES, never a bare str); `_run_config` loads one structure and returns
+its counts; `_rows` runs each structure over one test slice and is the only
+builder of rows.
 """
 
 from __future__ import annotations
@@ -284,6 +285,25 @@ def _index(value, name: str) -> int:
         raise ConfigError(f"{name}={value!r}: parameters must be integers") from None
 
 
+def _finite(value, name: str) -> bool:
+    """math.isfinite(value); ConfigError naming the parameter if value is
+    not a real number."""
+    try:
+        return isfinite(value)
+    except TypeError:
+        raise ConfigError(f"{name}={value!r}: parameters must be real numbers") from None
+
+
+def _check_structures(structures) -> None:
+    """ConfigError unless `structures` is a collection of names from
+    STRUCTURES; a bare str would run one row per character."""
+    if isinstance(structures, str):
+        raise ConfigError(f"structures={structures!r}: pass a tuple of names, not a str")
+    for s in structures:
+        if s not in STRUCTURES:
+            raise ConfigError(f"unknown structure {s!r}; pick from {STRUCTURES}")
+
+
 def _rows_for(k: int, name: str = "k") -> int:
     """2^k, the rows a size exponent stands for; ConfigError unless k is an int >= 0."""
     if _index(k, name) < 0:
@@ -358,6 +378,7 @@ def run_scaling(
     is a ConfigError raised before any load; too few rows for the largest k,
     or a training window too small to pick a predictor on, is one raised
     before any run: every k's predictions are made first."""
+    _check_structures(structures)
     k_range = list(k_range)
     for k in k_range:
         _rows_for(k)
@@ -385,6 +406,7 @@ def run_learning_curve(
     predictor on is one raised before any run, since every point's
     predictions are made first.
     """
+    _check_structures(structures)
     t = _rows_for(test_k, "test_k")
     train_fractions = list(train_fractions)
     if not train_fractions:
@@ -431,6 +453,7 @@ def run_robustness(
     outside [0, 100], fewer than one repeat or a negative first seed
     (base_seed + 1) is a ConfigError, raised before any load or run.
     """
+    _check_structures(structures)
     t_values = list(t_values)
     if not t_values:
         raise ConfigError("no corruption percentages given")
@@ -528,11 +551,13 @@ def run_synthetic(
     perturbs each true rank uniformly in [-eta, +eta] (clamped); stochastic
     adds rounded normal(mu, s^2) error and arrives in sorted order.  Keys
     are distinct, so every merge is checked for its error witness and any
-    violation raises.  Bad parameters (an unknown kind, a non-integer n,
-    seed or eta, a non-finite mu or s, a negative s, eta or seed, a missing
-    eta, mu or s, an eta or mu or s the kind does not read) are a
-    ConfigError raised before anything is generated or run.
+    violation raises.  Bad parameters (an unknown kind or structure, a
+    non-integer n, seed or eta, a mu or s that is not a finite real number,
+    a negative s, eta or seed, a missing eta, mu or s, an eta or mu or s the
+    kind does not read) are a ConfigError raised before anything is
+    generated or run.
     """
+    _check_structures(structures)
     if kind not in SYNTHETIC_KINDS:
         raise ConfigError(f"unknown synthetic kind {kind!r}; pick from {SYNTHETIC_KINDS}")
     n, seed = _index(n, "n"), _index(seed, "seed")
@@ -548,7 +573,7 @@ def run_synthetic(
         raise ConfigError("noisy-eta needs eta >= 0")
     if kind == "stochastic" and (mu is None or s is None):
         raise ConfigError("stochastic needs mu and s")
-    if kind == "stochastic" and not (isfinite(mu) and isfinite(s) and s >= 0):
+    if kind == "stochastic" and not (_finite(mu, "mu") and _finite(s, "s") and s >= 0):
         raise ConfigError(f"stochastic needs a finite mu and a finite s >= 0, got mu={mu}, s={s}")
     label = {"noisy-eta": f"synth-noisy-eta:eta={eta}",
              "stochastic": f"synth-stochastic:mu={mu};s={s}"}.get(kind, f"synth-{kind}")

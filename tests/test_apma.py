@@ -17,6 +17,7 @@ from listlabel.apma import Apma
 from listlabel.core import MovementLedger
 from listlabel.learned import LearnedLLA
 from listlabel.pma import TAU_LEAF, Pma
+from test_acceptance import _spied_classes
 from test_pma import RecountingPma, raws_sorted
 
 
@@ -389,6 +390,31 @@ def test_key_below_all_lands_right_before_the_first_key(size):
 
 class RecountingApma(RecountingPma, Apma):
     """An Apma whose every rebalance recounts its moves by position."""
+
+
+@pytest.mark.parametrize("spied", ["SpiedApma", "RecountingApma"])
+def test_a_mixin_before_apma_sees_every_place_and_rebalance(spied, monkeypatch):
+    """Apma calls Pma's `_place` directly, not through super(); a mixin
+    listed before Apma, as criterion 7's spy and RecountingApma are, still
+    wraps every `_place` and `_rebalance` that Pma runs, from the first
+    insert into the empty box on."""
+    calls = {"_place": 0, "_rebalance": 0}
+    for name in calls:
+        def counted(self, *args, inner=getattr(Pma, name), name=name):
+            calls[name] += 1
+            return inner(self, *args)
+        monkeypatch.setattr(Pma, name, counted)
+    state = {"in_merge": False, "events": [], "shifts": 0, "rebalances": 0}
+    box = _spied_classes(state)[1](96) if spied == "SpiedApma" else RecountingApma(96)
+    raws = [49] + list(range(1, 49))  # hammer: 49 keys, as many as 96 slots take
+    for seq, raw in enumerate(raws):
+        box.insert(raw, seq)
+    assert calls["_place"] == len(raws) and calls["_rebalance"] > 0
+    if spied == "SpiedApma":
+        assert state["rebalances"] == calls["_rebalance"]
+        assert len(state["events"]) == calls["_place"] + calls["_rebalance"]
+    else:
+        assert len(box.sizes) == calls["_rebalance"]
 
 
 @pytest.mark.parametrize("size", [96, 768])

@@ -261,6 +261,29 @@ def test_non_integer_parameter_rejected_before_any_load(monkeypatch, selections,
     assert loads == [] and selections == [] and runs == []
 
 
+@pytest.mark.parametrize("structures", [("pma", "learned-foo"), "pma"],
+                         ids=["unknown-name", "bare-str"])
+@pytest.mark.parametrize("call", [
+    lambda st: run_table(ACTIONS, 6, st),
+    lambda st: run_scaling(ACTIONS, [6], st),
+    lambda st: run_learning_curve(ACTIONS, 6, [50], st),
+    lambda st: run_robustness(ACTIONS, 6, [0], structures=st),
+    lambda st: run_synthetic("random", 64, structures=st),
+], ids=["table", "scaling", "curve", "robustness", "synthetic"])
+def test_unknown_structure_rejected_before_any_load(monkeypatch, selections, call,
+                                                    structures):
+    # Unchecked, an unknown name ran as a blind `Pma` row (a learned one if
+    # it began "learned"), and a bare str ran one blind row per character.
+    loads, made, runs = [], [], []
+    monkeypatch.setattr(harness, "load_dataset", loads.append)
+    monkeypatch.setattr(harness, "_synthesize", lambda *a: made.append(a))
+    monkeypatch.setattr(harness, "_run_config", lambda *a, **kw: runs.append(a))
+    with pytest.raises(ConfigError, match="learned-foo" if isinstance(structures, tuple)
+                       else "not a str"):
+        call(structures)
+    assert loads == made == runs == selections == []
+
+
 class TestLearningCurve:
     def test_zero_fraction_equals_blind_baseline(self, tmp_path):
         spec = write_drift(tmp_path / "d.txt")
@@ -521,6 +544,19 @@ class TestSynthetic:
         with pytest.raises(ConfigError, match=f"{name}: parameters must be integers"):
             run_synthetic(kind, n, **kw)
         assert runs == []
+
+    @pytest.mark.parametrize("kw, name", [
+        ({"mu": "0", "s": 1.0}, "mu='0'"),
+        ({"mu": 0.0, "s": "1"}, "s='1'"),
+    ], ids=["mu", "s"])
+    def test_non_real_spread_rejected_before_any_run(self, monkeypatch, kw, name):
+        # Unchecked, a str reaches `isfinite` and raises TypeError.
+        made, runs = [], []
+        monkeypatch.setattr(harness, "_synthesize", lambda *a: made.append(a))
+        monkeypatch.setattr(harness, "_run_config", lambda *a, **kw: runs.append(a))
+        with pytest.raises(ConfigError, match=f"{name}: parameters must be real numbers"):
+            run_synthetic("stochastic", 64, **kw)
+        assert made == runs == []
 
     def test_bool_seed_is_written_as_its_integer(self):
         (row,) = run_synthetic("random", 64, seed=True, structures=("pma",))

@@ -14,7 +14,7 @@ import pytest
 
 from listlabel import learned
 from listlabel.apma import Apma
-from listlabel.core import MIN_RAW, RAW_MAX, CapacityError, MovementLedger
+from listlabel.core import MIN_RAW, RAW_MAX, CapacityError, MovementLedger, clamp
 from listlabel.learned import LearnedLLA, witness_error_check
 from listlabel.pma import Pma
 
@@ -201,6 +201,17 @@ class TestRouting:
         lla = LearnedLLA(8)
         assert lla.route(500, -17) == lla.route(500, 1)
         assert lla.route(500, 10**9) == lla.route(500, 8)
+
+    @pytest.mark.parametrize("rank", [0, 1, 5, 6])
+    def test_ranks_at_and_past_capacity_route_as_clamped(self, rank):
+        # Capacity 5 in a tree of 8 leaves: ranks past 5 clamp to 5, not 8.
+        lla = LearnedLLA(5)
+        clamped = clamp(rank, 1, 5)
+        assert lla.route(500, rank) == lla.route(500, clamped) == (0, clamped - 1)
+        for seq, (raw, r) in enumerate([(300, 2), (700, 4)]):
+            lla.insert(raw, seq, r)
+        for raw in (MIN_RAW, 300, 500, 700, RAW_MAX):
+            assert lla.route(raw, rank) == lla.route(raw, clamped), raw
 
 
 class TestMergeAccounting:

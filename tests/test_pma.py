@@ -493,6 +493,39 @@ class TestPlace:
         assert pma.slots == before[:12] + before[13:] + [self.E]
 
 
+class TestFirstKey:
+    """A box's first key skips the search and the walk: it goes straight to
+    slot 0 and takes the same tail as every other insert.  Sizes 6, 12, 24
+    and 96 have leaves of 3 * 2^j slots, 64 has power-of-two leaves."""
+
+    SIZES = [6, 12, 24, 96, 64]
+    KEYS = [MIN_RAW, 0, RAW_MAX]
+
+    @pytest.mark.parametrize("cls", [Pma, Apma])
+    @pytest.mark.parametrize("m", SIZES)
+    @pytest.mark.parametrize("raw", KEYS)
+    def test_lands_in_slot_zero_and_takes_the_shared_tail(self, cls, m, raw):
+        led = MovementLedger()
+        box = cls(m, ledger=led)
+        assert box.insert(raw, 5) == 0
+        assert box.slots == [(raw, 5)] + [None] * (box.slot_count - 1)
+        assert box._min == [raw] + [INF_RAW] * (box.num_leaves - 1)
+        assert box.count == 1
+        # charged once: one insert, its own placement and no moves
+        assert (led.total_inserts, led.total_movements) == (1, 1)
+        if cls is Apma:
+            assert box.histogram == [1] + [0] * (box.num_leaves - 1)
+            assert box._since_decay == 1
+
+    @pytest.mark.parametrize("cls", [Pma, Apma])
+    @pytest.mark.parametrize("m", SIZES)
+    @pytest.mark.parametrize("first", KEYS)
+    @pytest.mark.parametrize("second", KEYS)
+    def test_second_key_matches_reference(self, cls, m, first, second):
+        # below, equal to or above the first key
+        _drive(cls(m), ReferencePma(m), [first, second], (cls.__name__, m, first, second))
+
+
 def test_sorted_after_random_workload():
     rng = random.Random(5)
     pma = Pma(1024)
