@@ -1,9 +1,10 @@
 """llabench: run labeling benchmarks from the command line.
 
-Each subcommand maps onto one harness protocol and writes CSV to --out
-(default stdout).  Exit codes: 0 on success, 2 for configuration problems
-(bad flags, an --out that cannot be opened for writing, not enough rows,
-inconsistent parameters), 3 for data problems (missing or malformed
+Each subcommand maps onto one harness protocol, named once beside its
+flags as the parser's `run(args, structures)` default, and writes CSV to
+--out (default stdout).  Exit codes: 0 on success, 2 for configuration
+problems (bad flags, an --out that cannot be opened for writing, not enough
+rows, inconsistent parameters), 3 for data problems (missing or malformed
 dataset files).  On exit 2 or 3 an --out file this run created is removed;
 one that existed before is left as it was.
 """
@@ -36,6 +37,12 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
         ) from None
+
+
+def _dataset(args) -> DatasetSpec:
+    return DatasetSpec(
+        args.dataset, value_column=args.value_col, timestamp_column=args.ts_col
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -83,6 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="train on the first 2^k rows, insert the next 2^k",
     )
     p.add_argument("--k", type=int, required=True)
+    p.set_defaults(run=lambda a, st: run_table(_dataset(a), a.k, st))
 
     p = sub.add_parser(
         "scaling",
@@ -91,6 +99,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--k-min", type=int, required=True)
     p.add_argument("--k-max", type=int, required=True)
+
+    def scaling(a, st):
+        if a.k_min > a.k_max:
+            raise ConfigError(f"--k-min {a.k_min} exceeds --k-max {a.k_max}")
+        return run_scaling(_dataset(a), range(a.k_min, a.k_max + 1), st)
+
+    p.set_defaults(run=scaling)
 
     p = sub.add_parser(
         "curve",
@@ -105,6 +120,9 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="F,F,...",
         help="training window sizes as %% of the test slice "
         "(default: 5,10,25,50,100)",
+    )
+    p.set_defaults(
+        run=lambda a, st: run_learning_curve(_dataset(a), a.test_k, a.fractions, st)
     )
 
     p = sub.add_parser(
@@ -127,6 +145,11 @@ def _build_parser() -> argparse.ArgumentParser:
         default=0,
         help="base seed; repeat r corrupts with seed+r (default: 0)",
     )
+    p.set_defaults(
+        run=lambda a, st: run_robustness(
+            _dataset(a), a.k, a.t, repeats=a.repeats, base_seed=a.seed, structures=st
+        )
+    )
 
     p = sub.add_parser(
         "synth",
@@ -141,6 +164,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--s", type=float, default=None, help="error stddev for stochastic"
     )
     p.add_argument("--seed", type=int, default=1)
+    p.set_defaults(
+        run=lambda a, st: run_synthetic(
+            a.kind, a.n, seed=a.seed, eta=a.eta, mu=a.mu, s=a.s, structures=st
+        )
+    )
 
     return parser
 
@@ -160,46 +188,7 @@ def main(argv: list[str] | None = None) -> int:
             except OSError as exc:
                 raise ConfigError(f"--out {args.out}: {exc.strerror or exc}") from None
             created = not existed
-        if args.command == "synth":
-            results = run_synthetic(
-                args.kind,
-                args.n,
-                seed=args.seed,
-                eta=args.eta,
-                mu=args.mu,
-                s=args.s,
-                structures=structures,
-            )
-        else:
-            spec = DatasetSpec(
-                args.dataset,
-                value_column=args.value_col,
-                timestamp_column=args.ts_col,
-            )
-            if args.command == "table":
-                results = run_table(spec, args.k, structures)
-            elif args.command == "scaling":
-                if args.k_min > args.k_max:
-                    raise ConfigError(
-                        f"--k-min {args.k_min} exceeds --k-max {args.k_max}"
-                    )
-                results = run_scaling(
-                    spec, range(args.k_min, args.k_max + 1), structures
-                )
-            elif args.command == "curve":
-                results = run_learning_curve(
-                    spec, args.test_k, args.fractions, structures
-                )
-            else:
-                results = run_robustness(
-                    spec,
-                    args.k,
-                    args.t,
-                    repeats=args.repeats,
-                    base_seed=args.seed,
-                    structures=structures,
-                )
-        emit_csv(results, args.out)
+        emit_csv(args.run(args, structures), args.out)
     except (ConfigError, DataError) as exc:
         print(f"llabench: {exc}", file=sys.stderr)
         if created:

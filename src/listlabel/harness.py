@@ -16,10 +16,11 @@ exactly one CSV row: its fields are the columns, in order, and nothing
 else, so repeated runs with the same seed write identical bytes.
 
 Each step has one job: every protocol checks all its parameters before it
-loads, generates or runs anything (`structures` among them: names from
-STRUCTURES, never a bare str); `_run_config` loads one structure and returns
-its counts; `_rows` runs each structure over one test slice and is the only
-builder of rows.
+loads, generates or runs anything (`structures` among them: distinct names
+from STRUCTURES, never a bare str); `_window` cuts every (train, test) pair;
+`_run_config` loads one structure and returns its counts; `_rows` runs each
+structure over one test slice and is the only builder of a run's row; and
+`_summary` builds each robustness row from its per-seed rows.
 """
 
 from __future__ import annotations
@@ -125,6 +126,7 @@ def load_dataset(spec: DatasetSpec) -> SequenceSlice:
     stamps: list[str] = []
     stamp_lines: list[int] = []
     comma = None  # decided by the first data line
+    last = max(spec.value_column, spec.timestamp_column or 0)  # the highest column read
     with fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
@@ -136,21 +138,17 @@ def load_dataset(spec: DatasetSpec) -> SequenceSlice:
                 cells = [c.strip() for c in text.split(",")]
             else:
                 cells = text.split()
-            if spec.value_column >= len(cells):
+            if last >= len(cells):
+                missing = (spec.value_column if spec.value_column >= len(cells)
+                           else spec.timestamp_column)
                 raise DataError(
-                    f"line {lineno}: no column {spec.value_column} "
-                    f"(row has {len(cells)})"
+                    f"line {lineno}: no column {missing} (row has {len(cells)})"
                 )
             try:
                 raws.append(fixed_point_parse(cells[spec.value_column], line=lineno))
             except ParseError as exc:
                 raise DataError(str(exc)) from None
             if spec.timestamp_column is not None:
-                if spec.timestamp_column >= len(cells):
-                    raise DataError(
-                        f"line {lineno}: no column {spec.timestamp_column} "
-                        f"(row has {len(cells)})"
-                    )
                 stamps.append(cells[spec.timestamp_column])
                 stamp_lines.append(lineno)
 
@@ -267,14 +265,15 @@ def _predict(structures, train: SequenceSlice, test: SequenceSlice) -> list[int]
         raise ConfigError(f"training slice of {len(train)}: {exc}") from None
 
 
-def _load(spec: DatasetSpec, need: int, what: str) -> list[Key]:
-    """The first `need` keys of the dataset in arrival order; ConfigError
-    naming `what` the rows are for if there are fewer."""
+def _load(spec: DatasetSpec, t: int, what: str) -> list[Key]:
+    """The first 2t keys of the dataset in arrival order, enough for every
+    `_window` at position t; ConfigError naming `what` the rows are for if
+    there are fewer."""
     data = load_dataset(spec)
-    if len(data) < need:
-        raise ConfigError(f"{spec.label()}: need {need} rows for {what}, "
+    if len(data) < 2 * t:
+        raise ConfigError(f"{spec.label()}: need {2 * t} rows for {what}, "
                           f"found {len(data)}")
-    return data.keys[:need]
+    return data.keys[:2 * t]
 
 
 def _index(value, name: str) -> int:
@@ -295,13 +294,16 @@ def _finite(value, name: str) -> bool:
 
 
 def _check_structures(structures) -> None:
-    """ConfigError unless `structures` is a collection of names from
-    STRUCTURES; a bare str would run one row per character."""
+    """ConfigError unless `structures` is a collection of distinct names from
+    STRUCTURES; a bare str would run one row per character, a repeated name
+    one row per repeat."""
     if isinstance(structures, str):
         raise ConfigError(f"structures={structures!r}: pass a tuple of names, not a str")
     for s in structures:
         if s not in STRUCTURES:
             raise ConfigError(f"unknown structure {s!r}; pick from {STRUCTURES}")
+    if len(set(structures)) < len(structures):
+        raise ConfigError(f"structures {structures} repeat a name")
 
 
 def _rows_for(k: int, name: str = "k") -> int:
@@ -311,22 +313,17 @@ def _rows_for(k: int, name: str = "k") -> int:
     return 1 << k
 
 
-def _load_k(spec: DatasetSpec, k: int) -> list[Key]:
-    """The first 2·2^k rows: train and test windows for size exponent k."""
-    t = _rows_for(k)
-    return _load(spec, 2 * t, f"k={k} (train and test of {t} each)")
-
-
-def _split(keys: list[Key], k: int) -> tuple[SequenceSlice, SequenceSlice]:
-    """First 2^k keys to train on, next 2^k to insert."""
-    t = 1 << k
-    return SequenceSlice(keys[:t]), SequenceSlice(keys[t : 2 * t], start_offset=t)
+def _window(keys: list[Key], t: int, span: int) -> tuple[SequenceSlice, SequenceSlice]:
+    """The one cut of a (train, test) pair: the `span` keys just before
+    position t to train on, keys [t, 2t) to insert."""
+    return (SequenceSlice(keys[t - span : t], start_offset=t - span),
+            SequenceSlice(keys[t : 2 * t], start_offset=t))
 
 
 def _rows(structures, dataset, raws, preds, true_ranks, *, train: int,
           seed: int | None = None, check_witness: bool = False) -> list[ExperimentResult]:
     """One run and one row per structure over the same raws, the only place a
-    row is built: learned rows route by `preds` and carry their largest rank
+    run's row is built: learned rows route by `preds` and carry their largest rank
     error, baselines route at rank 1 and carry None.  With `check_witness`,
     every merge is checked against `true_ranks`."""
     eta_max = None
@@ -355,6 +352,18 @@ def _window_rows(structures, dataset: str, windows) -> list[ExperimentResult]:
     return results
 
 
+def _summary(name: str, seeded) -> ExperimentResult:
+    """The robustness row `name` from its per-seed rows: the mean cost and
+    its population stddev, the rounded mean merge count and the worst
+    eta_max.  A baseline is a one-seed summary: its cost as is, stddev 0.0."""
+    costs = [r.amortized_cost for r in seeded]
+    mean = statistics.fmean(costs)
+    return replace(seeded[0], structure=name, amortized_cost=mean,
+                   merges=round(statistics.fmean(r.merges for r in seeded)),
+                   eta_max=max(r.eta_max for r in seeded), mean=mean,
+                   stddev=statistics.pstdev(costs))
+
+
 # ----------------------------------------------------------------------
 # experiment protocols
 
@@ -374,18 +383,22 @@ def run_scaling(
 ) -> list[ExperimentResult]:
     """The table protocol at every k in k_range; the train/test columns
     carry the window size 2^k.  The dataset is read once, for the largest
-    k, and every k's windows are its prefix.  A negative or non-integer k
-    is a ConfigError raised before any load; too few rows for the largest k,
-    or a training window too small to pick a predictor on, is one raised
-    before any run: every k's predictions are made first."""
+    k, and every k's windows are its prefix.  A negative, non-integer or
+    repeated k is a ConfigError raised before any load; too few rows for the
+    largest k, or a training window too small to pick a predictor on, is one
+    raised before any run: every k's predictions are made first."""
     _check_structures(structures)
     k_range = list(k_range)
     for k in k_range:
         _rows_for(k)
+    if len(set(k_range)) < len(k_range):
+        raise ConfigError(f"k values {k_range} repeat a size")
     if not k_range:
         return []
-    keys = _load_k(spec, max(k_range))
-    return _window_rows(structures, spec.label(), [_split(keys, k) for k in k_range])
+    t = 1 << max(k_range)
+    keys = _load(spec, t, f"k={max(k_range)} (train and test of {t} each)")
+    return _window_rows(structures, spec.label(),
+                        [_window(keys, 1 << k, 1 << k) for k in k_range])
 
 
 def run_learning_curve(
@@ -424,10 +437,8 @@ def run_learning_curve(
         if span in spans:
             raise ConfigError(f"train fractions {train_fractions} share a {span}-row window")
         spans.append(span)
-    keys = _load(spec, 2 * t, f"test_k={test_k}")
-    test = SequenceSlice(keys[t:], start_offset=t)
-    windows = [(SequenceSlice(keys[t - span : t], start_offset=t - span), test) for span in spans]
-    return _window_rows(structures, spec.label(), windows)
+    keys = _load(spec, t, f"test_k={test_k}")
+    return _window_rows(structures, spec.label(), [_window(keys, t, span) for span in spans])
 
 
 def run_robustness(
@@ -449,11 +460,12 @@ def run_robustness(
     to the previous seed's (every draw at t=0 or t=100 is) reuses its rows.
     Rows come in `structures` order, a learned structure's levels in
     `t_values` order.
-    An empty or repeating list of levels, a non-integer parameter, a level
-    outside [0, 100], fewer than one repeat or a negative first seed
-    (base_seed + 1) is a ConfigError, raised before any load or run.
+    An empty or repeating list of levels, a negative k, a non-integer
+    parameter, a level outside [0, 100], fewer than one repeat or a negative
+    first seed (base_seed + 1) is a ConfigError, raised before any load or run.
     """
     _check_structures(structures)
+    size = _rows_for(k)
     t_values = list(t_values)
     if not t_values:
         raise ConfigError("no corruption percentages given")
@@ -467,18 +479,17 @@ def run_robustness(
     if _index(base_seed, "base_seed") + 1 < 0:
         raise ConfigError(f"seed {base_seed} makes the first corruption seed "
                           f"{base_seed + 1} negative")
-    train, test = _split(_load_k(spec, k), k)
+    keys = _load(spec, size, f"k={k} (train and test of {size} each)")
+    train, test = _window(keys, size, size)
     label = spec.label()
     predictions = _predict(structures, train, test)
     raws = [key.raw for key in test.keys]
     true_ranks = _true_ranks(raws)
     learned = [s for s in structures if _learned(s)]
 
-    rows = {
-        r.structure: replace(r, mean=r.amortized_cost, stddev=0.0)
-        for r in _rows([s for s in structures if not _learned(s)], label, raws,
-                       None, true_ranks, train=len(train))
-    }
+    blind = iter(_rows([s for s in structures if not _learned(s)], label, raws,
+                       None, true_ranks, train=len(train)))
+    levels = []
     for t_pct in t_values if learned else ():
         runs, drawn = [], None
         for r in range(1, repeats + 1):
@@ -487,23 +498,12 @@ def run_robustness(
                         _rows(learned, label, raws, ranks, true_ranks,
                               train=len(train)))
             drawn = ranks
-        for s, seeded in zip(learned, zip(*runs)):
-            costs = [r.amortized_cost for r in seeded]
-            mean = statistics.fmean(costs)
-            rows[f"{s}:t={t_pct}"] = replace(
-                seeded[0],
-                structure=f"{s}:t={t_pct}",
-                amortized_cost=mean,
-                merges=round(statistics.fmean(r.merges for r in seeded)),
-                eta_max=max(r.eta_max for r in seeded),
-                mean=mean,
-                stddev=statistics.pstdev(costs),
-            )
-    return [
-        row
-        for s in structures
-        for row in ([rows[f"{s}:t={t}"] for t in t_values] if _learned(s) else [rows[s]])
-    ]
+        levels.append([_summary(f"{s}:t={t_pct}", seeded)
+                       for s, seeded in zip(learned, zip(*runs))])
+    # Each learned structure's rows across levels, in `learned` order.
+    by_learned = zip(*levels)
+    return [row for s in structures
+            for row in (next(by_learned) if _learned(s) else [_summary(s, [next(blind)])])]
 
 
 def _synthesize(

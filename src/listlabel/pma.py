@@ -178,8 +178,8 @@ class Pma:
         raw = check_raw(raw)
         if self.count > self._cap[0]:
             raise CapacityError("root above density threshold")
-        # An empty box is below every threshold, and `_target` sends any key
-        # to slot 0 there: its first key needs neither the search nor the walk.
+        # An empty box is below every threshold and has no key to place next
+        # to: its first key goes to slot 0 with neither the search nor the walk.
         moved = t = 0
         if self.count:
             t = self._target(raw)
@@ -227,8 +227,8 @@ class Pma:
 
     def _target(self, raw: int) -> int:
         """The slot the key wants: right after the last stored key <= raw,
-        else right before the first stored key, else 0.  That slot may be
-        taken, and it may equal slot_count.
+        else right before the first stored key; the box must hold a key.
+        That slot may be taken, and it may equal slot_count.
 
         The last leaf with a minimum <= raw holds the predecessor, unless it
         is LEAD_RAW (an empty leaf past the first key repeats the next
@@ -243,8 +243,6 @@ class Pma:
                 t -= 1
                 e = slots[t - 1]
             return t
-        if mins[q] == INF_RAW:
-            return 0
         lo = q * L
         for pos in range(lo, lo + L):
             if slots[pos] is not None:

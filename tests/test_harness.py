@@ -86,6 +86,10 @@ class TestLoadDataset:
         p.write_text("1 2\n3\n")
         with pytest.raises(DataError, match="line 2"):
             load_dataset(DatasetSpec(p, value_column=1))
+        # the value is there, its timestamp column is not
+        p.write_text("1 2\n3 4\n5\n")
+        with pytest.raises(DataError, match=r"line 3: no column 1 \(row has 1\)"):
+            load_dataset(DatasetSpec(p, timestamp_column=1))
 
     def test_missing_file_is_data_error(self, tmp_path):
         with pytest.raises(DataError):
@@ -261,15 +265,18 @@ def test_non_integer_parameter_rejected_before_any_load(monkeypatch, selections,
     assert loads == [] and selections == [] and runs == []
 
 
-@pytest.mark.parametrize("structures", [("pma", "learned-foo"), "pma"],
-                         ids=["unknown-name", "bare-str"])
-@pytest.mark.parametrize("call", [
+PROTOCOL_CALLS = pytest.mark.parametrize("call", [
     lambda st: run_table(ACTIONS, 6, st),
     lambda st: run_scaling(ACTIONS, [6], st),
     lambda st: run_learning_curve(ACTIONS, 6, [50], st),
     lambda st: run_robustness(ACTIONS, 6, [0], structures=st),
     lambda st: run_synthetic("random", 64, structures=st),
 ], ids=["table", "scaling", "curve", "robustness", "synthetic"])
+
+
+@pytest.mark.parametrize("structures", [("pma", "learned-foo"), "pma"],
+                         ids=["unknown-name", "bare-str"])
+@PROTOCOL_CALLS
 def test_unknown_structure_rejected_before_any_load(monkeypatch, selections, call,
                                                     structures):
     # Unchecked, an unknown name ran as a blind `Pma` row (a learned one if
@@ -282,6 +289,29 @@ def test_unknown_structure_rejected_before_any_load(monkeypatch, selections, cal
                        else "not a str"):
         call(structures)
     assert loads == made == runs == selections == []
+
+
+@PROTOCOL_CALLS
+def test_repeated_structure_rejected_before_any_load(monkeypatch, selections, call):
+    # Unchecked, each repeat wrote its own copy of the rows, and robustness
+    # ran every draw once per repeat.
+    loads, made, runs = [], [], []
+    monkeypatch.setattr(harness, "load_dataset", loads.append)
+    monkeypatch.setattr(harness, "_synthesize", lambda *a: made.append(a))
+    monkeypatch.setattr(harness, "_run_config", lambda *a, **kw: runs.append(a))
+    with pytest.raises(ConfigError, match="repeat a name"):
+        call(("pma", "learned-pma", "pma"))
+    assert loads == made == runs == selections == []
+
+
+def test_scaling_repeated_k_rejected_before_any_load(monkeypatch, selections):
+    # Unchecked, a repeated k wrote the same rows twice.
+    loads, runs = [], []
+    monkeypatch.setattr(harness, "load_dataset", loads.append)
+    monkeypatch.setattr(harness, "_run_config", lambda *a, **kw: runs.append(a))
+    with pytest.raises(ConfigError, match=r"k values \[4, 5, 4\] repeat a size"):
+        run_scaling(ACTIONS, [4, 5, 4], ("pma",))
+    assert loads == runs == selections == []
 
 
 class TestLearningCurve:
