@@ -5,71 +5,14 @@ a rank-prediction-aware allocator, plus the rank predictors and benchmark
 harness used to evaluate them on real and synthetic insertion streams.
 """
 
-from .core import (
-    SCALE,
-    MIN_RAW,
-    CapacityError,
-    Key,
-    MovementLedger,
-    ParseError,
-    UndefinedCostError,
-    fixed_point_parse,
-)
-from .pma import Pma
-from .apma import Apma
-from .learned import LearnedLLA, witness_error_check
-from .predictors import (
-    PredictionVector,
-    SequenceSlice,
-    corrupt,
-    predictor1,
-    predictor2,
-    select_predictor,
-)
-from .harness import (
-    STRUCTURES,
-    ConfigError,
-    DataError,
-    DatasetSpec,
-    ExperimentResult,
-    emit_csv,
-    load_dataset,
-    run_learning_curve,
-    run_robustness,
-    run_scaling,
-    run_synthetic,
-    run_table,
-)
+from .core import *
+from .pma import *
+from .apma import *
+from .learned import *
+from .predictors import *
+from .harness import *
+from . import apma, core, harness, learned, pma, predictors
 
-__all__ = [
-    "SCALE",
-    "MIN_RAW",
-    "CapacityError",
-    "Key",
-    "MovementLedger",
-    "ParseError",
-    "UndefinedCostError",
-    "fixed_point_parse",
-    "Pma",
-    "Apma",
-    "LearnedLLA",
-    "witness_error_check",
-    "PredictionVector",
-    "SequenceSlice",
-    "corrupt",
-    "predictor1",
-    "predictor2",
-    "select_predictor",
-    "STRUCTURES",
-    "ConfigError",
-    "DataError",
-    "DatasetSpec",
-    "ExperimentResult",
-    "emit_csv",
-    "load_dataset",
-    "run_learning_curve",
-    "run_robustness",
-    "run_scaling",
-    "run_synthetic",
-    "run_table",
-]
+# Each module's __all__ declares its public names; the package exports them all.
+__all__ = [*core.__all__, *pma.__all__, *apma.__all__, *learned.__all__,
+           *predictors.__all__, *harness.__all__]

@@ -47,6 +47,8 @@ from operator import floordiv, itemgetter, ne
 from .core import MovementLedger
 from .pma import TAU_LEAF, Pma, even_layout
 
+__all__ = ["Apma"]
+
 
 class Apma(Pma):
     """A `Pma` whose `_place` votes and whose `_layout` follows the votes.

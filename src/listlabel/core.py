@@ -14,6 +14,17 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
+__all__ = [
+    "SCALE",
+    "MIN_RAW",
+    "CapacityError",
+    "Key",
+    "MovementLedger",
+    "ParseError",
+    "UndefinedCostError",
+    "fixed_point_parse",
+]
+
 # Keys are signed 64-bit fixed-point values with 7 fractional decimal digits.
 # That is enough to hold GPS coordinates exactly as they appear in check-in
 # datasets and plain integer IDs alike (IDs scale by 10^7 and stay well inside
@@ -28,7 +39,7 @@ MIN_RAW = -(2**63)
 
 
 class Key(NamedTuple):
-    """A loaded key, its fixed-point raw value; only `load_dataset` builds one."""
+    """A loaded key, its fixed-point raw value, as `load_dataset` returns it."""
 
     raw: int
 

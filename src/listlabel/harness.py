@@ -16,11 +16,12 @@ exactly one CSV row: its fields are the columns, in order, and nothing
 else, so repeated runs with the same seed write identical bytes.
 
 Each step has one job: every protocol checks all its parameters before it
-loads, generates or runs anything (`structures` among them: distinct names
-from STRUCTURES, never a bare str); `_window` cuts every (train, test) pair;
-`_run_config` loads one structure and returns its counts; `_rows` runs each
-structure over one test slice and is the only builder of a run's row; and
-`_summary` builds each robustness row from its per-seed rows.
+loads, generates or runs anything (`structures` among them: a sequence of
+distinct names from STRUCTURES, never a bare str or a set); `_window` cuts
+every (train, test) pair; `_run_config` loads one structure and returns its
+counts; `_rows` runs each structure over one test slice and is the only
+builder of a run's row; and `_summary` builds each robustness row from its
+per-seed rows.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import csv
 import random
 import statistics
 import sys
+from collections.abc import Sequence
 from dataclasses import astuple, dataclass, fields, replace
 from math import isfinite, isnan
 from operator import index, sub
@@ -294,11 +296,12 @@ def _finite(value, name: str) -> bool:
 
 
 def _check_structures(structures) -> None:
-    """ConfigError unless `structures` is a collection of distinct names from
-    STRUCTURES; a bare str would run one row per character, a repeated name
-    one row per repeat."""
-    if isinstance(structures, str):
-        raise ConfigError(f"structures={structures!r}: pass a tuple of names, not a str")
+    """ConfigError unless `structures` is a sequence of distinct names from
+    STRUCTURES; a bare str would run one row per character, a set its rows in
+    string-hash order, and a repeated name one row per repeat."""
+    if isinstance(structures, str) or not isinstance(structures, Sequence):
+        raise ConfigError(f"structures={structures!r}: pass a tuple of names, "
+                          f"not a {type(structures).__name__}")
     for s in structures:
         if s not in STRUCTURES:
             raise ConfigError(f"unknown structure {s!r}; pick from {STRUCTURES}")

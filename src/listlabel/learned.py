@@ -63,6 +63,8 @@ from typing import Callable, Iterator, NamedTuple
 from .core import CapacityError, MovementLedger, check_raw, clamp
 from .pma import INF_RAW, NEG_INF_RAW, Pma
 
+__all__ = ["LearnedLLA", "witness_error_check"]
+
 
 def pred_leaf(mins: list[int], raw: int) -> int:
     """Rightmost leaf holding a key <= raw, which must exist; `mins` is a
@@ -157,8 +159,14 @@ class LearnedLLA:
         The predicted actual wins unless the predecessor lies right of it
         (insert there) or the successor lies left of it (insert there) —
         otherwise sorted order inside the boxes would break.
+        `predicted_rank` is any integer `operator.index` takes (numpy's
+        too), clamped to [1, capacity]; anything else is a ValueError.
         """
-        leaf = clamp(predicted_rank, 1, self.capacity) - 1
+        try:
+            leaf = clamp(index(predicted_rank), 1, self.capacity) - 1
+        except TypeError:
+            raise ValueError(
+                f"predicted rank must be an integer, not {predicted_rank!r}") from None
         h = self._heights[leaf]
         mins, maxs = self._min, self._max
         # The climb (see the module docstring).  The actual's own keys decide
@@ -192,7 +200,8 @@ class LearnedLLA:
         `seq` is an opaque payload that names the element: it is never
         compared, so placement depends on keys and predictions alone.
         Raises ValueError, before anything changes, for a key check_raw
-        rejects or a `seq` already inserted.
+        rejects, a `seq` already inserted or a predicted rank that `route`
+        rejects.
         """
         raw = check_raw(raw)
         if seq in self._seqs:

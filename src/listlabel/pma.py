@@ -38,6 +38,8 @@ from operator import floordiv, gt, index
 
 from .core import CapacityError, MovementLedger, check_raw
 
+__all__ = ["Pma"]
+
 # Keys lie in [MIN_RAW, RAW_MAX] (see check_raw).  INF_RAW and NEG_INF_RAW mark
 # empty subtrees of LearnedLLA's min/max trees; INF_RAW and LEAD_RAW, one below
 # the legal key MIN_RAW == NEG_INF_RAW, mark empty leaves of Pma's leaf minima.

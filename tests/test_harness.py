@@ -11,6 +11,7 @@ from listlabel.cli import main as cli_main
 from listlabel.core import MIN_RAW, SCALE, MovementLedger
 from listlabel.harness import (
     CSV_HEADER,
+    STRUCTURES,
     ConfigError,
     DataError,
     DatasetSpec,
@@ -274,19 +275,22 @@ PROTOCOL_CALLS = pytest.mark.parametrize("call", [
 ], ids=["table", "scaling", "curve", "robustness", "synthetic"])
 
 
-@pytest.mark.parametrize("structures", [("pma", "learned-foo"), "pma"],
-                         ids=["unknown-name", "bare-str"])
+@pytest.mark.parametrize("structures", [("pma", "learned-foo"), "pma",
+                                        (s for s in STRUCTURES), set(STRUCTURES)],
+                         ids=["unknown-name", "bare-str", "generator", "set"])
 @PROTOCOL_CALLS
 def test_unknown_structure_rejected_before_any_load(monkeypatch, selections, call,
                                                     structures):
     # Unchecked, an unknown name ran as a blind `Pma` row (a learned one if
-    # it began "learned"), and a bare str ran one blind row per character.
+    # it began "learned"), a bare str ran one blind row per character, a
+    # generator reached a TypeError taking its len(), and a set wrote its
+    # rows in string-hash order, which differs between processes.
     loads, made, runs = [], [], []
     monkeypatch.setattr(harness, "load_dataset", loads.append)
     monkeypatch.setattr(harness, "_synthesize", lambda *a: made.append(a))
     monkeypatch.setattr(harness, "_run_config", lambda *a, **kw: runs.append(a))
     with pytest.raises(ConfigError, match="learned-foo" if isinstance(structures, tuple)
-                       else "not a str"):
+                       else f"not a {type(structures).__name__}"):
         call(structures)
     assert loads == made == runs == selections == []
 

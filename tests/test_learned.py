@@ -163,6 +163,26 @@ class TestBoundary:
         lla.insert(200, 8, 8)  # a fresh seq still goes in
         assert lla.global_labels() == [(100, 7, 1), (200, 8, 43)]
 
+    @pytest.mark.parametrize("rank", [3.0, 100.5, float("nan")],
+                             ids=["in-range", "out-of-range", "nan"])
+    def test_rejects_non_integer_rank_before_any_change(self, rank):
+        # Unchecked, 3.0 and NaN reached a TypeError indexing the leaf
+        # heights, and 100.5 was clamped and routed at rank 8.
+        led = MovementLedger()
+        lla = LearnedLLA(8, ledger=led)
+        with pytest.raises(ValueError, match="predicted rank"):
+            lla.insert(10, 0, rank)
+        assert lla.count == 0
+        assert lla.global_labels() == []
+        assert (led.total_inserts, led.total_movements) == (0, 0)
+
+    def test_numpy_integer_rank_routes_as_int(self):
+        np = pytest.importorskip("numpy")
+        as_int, as_numpy = LearnedLLA(8), LearnedLLA(8)
+        as_int.insert(10, 0, 3)
+        as_numpy.insert(10, 0, np.int64(3))
+        assert as_numpy.global_labels() == as_int.global_labels() == [(10, 0, 13)]
+
 
 class TestRouting:
     def test_predecessor_right_of_prediction_wins(self):

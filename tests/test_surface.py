@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import listlabel
+from listlabel import apma, core, harness, learned, pma, predictors
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -31,6 +32,18 @@ def test_benchmark_imports_are_exported(script):
     ]
     assert names, f"{script} imports nothing from listlabel"
     assert sorted(set(names) - set(listlabel.__all__)) == []
+
+
+def test_package_surface_is_the_modules_own_lists():
+    modules = [core, pma, apma, learned, predictors, harness]
+    names = [name for module in modules for name in module.__all__]
+    assert listlabel.__all__ == names
+    assert len(set(names)) == len(names)
+    for module in modules:
+        for name in module.__all__:
+            obj = vars(module)[name]
+            assert getattr(listlabel, name) is obj, name
+            assert getattr(obj, "__module__", module.__name__) == module.__name__, name
 
 
 def test_benchmark_selftest_passes():
