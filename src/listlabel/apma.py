@@ -62,7 +62,6 @@ class Apma(Pma):
     def __init__(self, slot_count: int, ledger: MovementLedger | None = None):
         Pma.__init__(self, slot_count, ledger)
         self.histogram = [0] * self.num_leaves
-        self.decay_period = self.leaf_size * 4
         self._since_decay = 0
 
     def _place(self, t: int, entry: tuple[int, int]) -> tuple[int, int]:
@@ -70,7 +69,7 @@ class Apma(Pma):
         pos, moved = Pma._place(self, t, entry)
         self.histogram[pos // self.leaf_size] += 1
         self._since_decay += 1
-        if self._since_decay >= self.decay_period:
+        if self._since_decay >= self.leaf_size * 4:
             self.histogram = [h >> 1 for h in self.histogram]
             self._since_decay = 0
         return pos, moved

@@ -37,6 +37,10 @@ RAW_MAX = 92 * 10**17  # |value| <= 9.2e11 after scaling
 # excluded from all reported statistics.
 MIN_RAW = -(2**63)
 
+# "No key here" markers, above and below every key (see check_raw).
+INF_RAW = 2**63 - 1
+NEG_INF_RAW = MIN_RAW - 1
+
 
 class Key(NamedTuple):
     """A loaded key, its fixed-point raw value, as `load_dataset` returns it."""
@@ -47,10 +51,11 @@ class Key(NamedTuple):
 def check_raw(raw) -> int:
     """Return `raw` as an int if it is a storable key, else raise ValueError.
 
-    Keys are integers in [MIN_RAW, RAW_MAX].  The structures' search trees
-    mark empty subtrees with a value above RAW_MAX, and a float (NaN above
-    all) compares in ways sorted order cannot survive, so both are rejected
-    before anything is stored.
+    Keys are integers in [MIN_RAW, RAW_MAX].  Every search over stored keys
+    (a Pma's leaf minima, LearnedLLA's min/max trees) marks "no key here"
+    with INF_RAW above that range or NEG_INF_RAW below it, so a marker never
+    equals a key.  A float (NaN above all) compares in ways sorted order
+    cannot survive, so it is rejected too, before anything is stored.
     """
     try:
         raw = operator.index(raw)

@@ -37,7 +37,7 @@ from operator import index, sub
 from pathlib import Path
 
 from .apma import Apma
-from .core import MIN_RAW, Key, MovementLedger, ParseError, clamp, fixed_point_parse
+from .core import MIN_RAW, SCALE, Key, MovementLedger, ParseError, clamp, fixed_point_parse
 from .learned import LearnedLLA, witness_error_check
 from .pma import Pma
 from .predictors import (
@@ -469,11 +469,12 @@ def run_robustness(
     """
     _check_structures(structures)
     size = _rows_for(k)
-    t_values = list(t_values)
+    # Each level as the int it names, so a row reads t=1 for True, not t=True.
+    t_values = [_index(t_pct, "corruption percentage") for t_pct in t_values]
     if not t_values:
         raise ConfigError("no corruption percentages given")
     for t_pct in t_values:
-        if not 0 <= _index(t_pct, "corruption percentage") <= 100:
+        if not 0 <= t_pct <= 100:
             raise ConfigError(f"corruption percentage {t_pct} outside [0, 100]")
     if len(set(t_values)) < len(t_values):
         raise ConfigError(f"corruption percentages {t_values} repeat a level")
@@ -516,11 +517,11 @@ def _synthesize(
     run_synthetic has checked."""
     rng = random.Random(seed)
     if kind == "sequential":
-        raws = [i * 10**7 for i in range(1, n + 1)]
+        raws = [i * SCALE for i in range(1, n + 1)]
     elif kind == "hammer":
         # The largest key arrives first; everything after lands just below
         # it, hammering the same gap.
-        raws = [n * 10**7] + [i * 10**7 for i in range(1, n)]
+        raws = [n * SCALE] + [i * SCALE for i in range(1, n)]
     elif kind == "stochastic":
         raws = sorted(rng.sample(range(1, 10**12), n))
     else:

@@ -15,7 +15,8 @@ one, to the successor's actual if that lies left of it, and to the predicted
 actual otherwise.  Routing only ever names an actual, never a leaf, so the
 keys live in a heap-order min/max tree on the n rank leaves that is exact
 only at and above actual roots: every such node holds the min and max of the
-keys stored under it, and nodes below a root keep stale values.  The trees
+keys stored under it (core's INF_RAW and NEG_INF_RAW, outside every key,
+if there are none), and nodes below a root keep stale values.  The trees
 are laid out in heap order and searched by `pred_leaf` and `succ_leaf`, and
 a descent that reaches an actual's root stays inside that actual whatever
 it finds below.  Routing first climbs from the predicted
@@ -60,8 +61,8 @@ from itertools import compress
 from operator import add, index, ne
 from typing import Callable, Iterator, NamedTuple
 
-from .core import CapacityError, MovementLedger, check_raw, clamp
-from .pma import INF_RAW, NEG_INF_RAW, Pma
+from .core import INF_RAW, NEG_INF_RAW, CapacityError, MovementLedger, check_raw, clamp
+from .pma import Pma
 
 __all__ = ["LearnedLLA", "witness_error_check"]
 

@@ -21,11 +21,11 @@ offset: a move unless the new slot held that same object before.
 
 The only per-leaf state is a non-decreasing row of leaf minima.  A non-empty
 leaf holds its smallest key (its first entry: keys ascend with the slots), an
-empty one the next non-empty leaf's, INF_RAW if there is none, and LEAD_RAW,
-below every key, if no key precedes it.  One bisect finds the leaf of a key's
-predecessor, an insert lowers at most its own leaf's minimum, and a
-redistribution, which keeps its range's minimum, rewrites the row only inside
-its range.  Densities are counted from the slots of the range at hand.
+empty one the next non-empty leaf's, INF_RAW if there is none, or NEG_INF_RAW
+if no key precedes it (core's markers outside the keys).  One bisect finds the
+leaf of a key's predecessor, an insert lowers at most its own leaf's minimum,
+and a redistribution, which keeps its range's minimum, rewrites the row only
+inside its range.  Densities are counted from the slots of the range at hand.
 """
 
 from __future__ import annotations
@@ -36,17 +36,9 @@ from functools import cache
 from itertools import islice, repeat
 from operator import floordiv, gt, index
 
-from .core import CapacityError, MovementLedger, check_raw
+from .core import INF_RAW, NEG_INF_RAW, CapacityError, MovementLedger, check_raw
 
 __all__ = ["Pma"]
-
-# Keys lie in [MIN_RAW, RAW_MAX] (see check_raw).  INF_RAW and NEG_INF_RAW mark
-# empty subtrees of LearnedLLA's min/max trees; INF_RAW and LEAD_RAW, one below
-# the legal key MIN_RAW == NEG_INF_RAW, mark empty leaves of Pma's leaf minima.
-INF_RAW = 2**63 - 1
-NEG_INF_RAW = -(2**63)
-LEAD_RAW = NEG_INF_RAW - 1
-
 
 # Upper density thresholds at the root and at the leaves (see geometry).
 TAU_ROOT = 0.5
@@ -217,7 +209,7 @@ class Pma:
         # minimum precedes it.
         mins = self._min
         j = pos // self.leaf_size
-        if mins[j] > raw or mins[j] == LEAD_RAW:
+        if mins[j] > raw or mins[j] == NEG_INF_RAW:
             mins[j] = raw
         self.count += 1
         if self.ledger is not None:
@@ -233,12 +225,12 @@ class Pma:
         That slot may be taken, and it may equal slot_count.
 
         The last leaf with a minimum <= raw holds the predecessor, unless it
-        is LEAD_RAW (an empty leaf past the first key repeats the next
+        is NEG_INF_RAW (an empty leaf past the first key repeats the next
         non-empty leaf's minimum); else the leaf after it is the first
         non-empty one."""
         mins, L, slots = self._min, self.leaf_size, self.slots
         q = bisect_right(mins, raw)
-        if q and mins[q - 1] != LEAD_RAW:
+        if q and mins[q - 1] != NEG_INF_RAW:
             t = q * L
             e = slots[t - 1]
             while e is None or e[0] > raw:
@@ -338,5 +330,5 @@ class Pma:
             if entry is not None:
                 carry, top = entry[0], j
             mins[j] = carry
-        if top < end and (first == 0 or mins[first - 1] == LEAD_RAW):
-            mins[first:top] = repeat(LEAD_RAW, top - first)
+        if top < end and (first == 0 or mins[first - 1] == NEG_INF_RAW):
+            mins[first:top] = repeat(NEG_INF_RAW, top - first)

@@ -16,10 +16,11 @@ from pathlib import Path
 
 import pytest
 
-from listlabel.core import MIN_RAW, MovementLedger
+from listlabel import harness
+from listlabel.core import INF_RAW, MIN_RAW, NEG_INF_RAW, MovementLedger
 from listlabel.harness import DatasetSpec, load_dataset, run_robustness, run_synthetic, run_table
 from listlabel.learned import LearnedLLA
-from listlabel.pma import INF_RAW, NEG_INF_RAW, Pma
+from listlabel.pma import Pma
 from listlabel.predictors import corrupt
 from listlabel.apma import Apma
 
@@ -173,6 +174,45 @@ def test_criterion_4_worst_case_safety():
     costs = {name: run(ranks) for name, ranks in adversaries.items()}
     for name, cost in costs.items():
         assert cost <= 2 * baseline, (name, cost, baseline)
+
+
+def test_criterion_4_twin_hammer_order_and_apma_boxes():
+    """Criterion 4's adversaries, plus 1% corruption, loaded the way every
+    protocol loads them (harness._run_config), with both box kinds.
+
+    On hammer order one early key sent to an extreme rank sits in the
+    rightmost actual; every later key's predecessor lies there, so `route`
+    sends it there too and the learned row pays what its own blind box
+    pays, not up to twice that.  On random order the Apma-boxed row must
+    stay within criterion 4's 2x of blind apma.
+    """
+    n = 2**14
+
+    def adversaries(true):
+        rng = random.Random(4)
+        return {
+            "reversed": [n + 1 - r for r in true],
+            "uniform": [rng.randint(1, n) for _ in range(n)],
+            "alternating": [1 if i % 2 == 0 else n for i in range(n)],
+            "corrupt-100": corrupt(true, 100, rng_seed=4),
+            "corrupt-1": corrupt(true, 1, rng_seed=4),
+        }
+
+    def cost(structure, raws, ranks):
+        return harness._run_config(structure, raws, ranks)[0]
+
+    raws, _, true = harness._synthesize("hammer", n, 0, None, None, None)
+    for box in ("pma", "apma"):
+        blind = cost(box, raws, None)
+        for name, ranks in adversaries(true).items():
+            learned = cost(f"learned-{box}", raws, ranks)
+            assert learned <= 1.05 * blind, ("hammer", box, name, learned, blind)
+
+    raws = random.Random(9).sample(range(1, 10**12), n)
+    blind = cost("apma", raws, None)
+    for name, ranks in adversaries(harness._true_ranks(raws)).items():
+        learned = cost("learned-apma", raws, ranks)
+        assert learned <= 2 * blind, ("random", name, learned, blind)
 
 
 # ----------------------------------------------------------------------

@@ -195,7 +195,7 @@ class TestInsertHeat:
         # 256 leaves of 16, one key each: 3 periods of random inserts never
         # fill a leaf, so no rebalance spends the heat between boundaries
         a = Apma(4096)
-        L, k, period = a.leaf_size, a.num_leaves, a.decay_period
+        L, k, period = a.leaf_size, a.num_leaves, a.leaf_size * 4
         a.init([1000 * j for j in range(k)], range(k))
         a._rebalance = None  # any rebalance would fail the test loudly
         rng = random.Random(4)

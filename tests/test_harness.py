@@ -597,6 +597,14 @@ class TestSynthetic:
         assert row.seed == 1 and type(row.seed) is int
         assert row == run_synthetic("random", 64, seed=1, structures=("pma",))[0]
 
+    def test_bool_corruption_level_is_written_as_its_integer(self):
+        def run(t):
+            return run_robustness(ACTIONS, 6, [t], repeats=1, structures=("learned-pma",))
+
+        (row,) = run(True)
+        assert row.structure == "learned-pma:t=1"
+        assert [row] == run(1)
+
     def test_every_merge_is_checked_for_its_witness(self, monkeypatch):
         # With witnesses found everywhere, a run that merges proves nothing;
         # a check that always fails must stop it at the first merge.

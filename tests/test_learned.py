@@ -14,7 +14,7 @@ import pytest
 
 from listlabel import learned
 from listlabel.apma import Apma
-from listlabel.core import MIN_RAW, RAW_MAX, CapacityError, MovementLedger, clamp
+from listlabel.core import INF_RAW, MIN_RAW, NEG_INF_RAW, RAW_MAX, CapacityError, MovementLedger, clamp
 from listlabel.learned import LearnedLLA, witness_error_check
 from listlabel.pma import Pma
 
@@ -437,6 +437,76 @@ def test_witness_boundary_at_half_width():
     assert witness_error_check(rec, predicted, truth_with_error)
     truth_equal_to_predictions = {seq: 1 for seq in range(4)}
     assert not witness_error_check(rec, predicted, truth_equal_to_predictions)
+
+
+# ----------------------------------------------------------------------
+# "no key here" markers
+
+
+def _is_key(v):
+    return MIN_RAW <= v <= RAW_MAX
+
+
+def test_sentinel_alone_reads_as_a_key_in_both_trees():
+    lla = LearnedLLA(8)
+    lla.insert(MIN_RAW, 0, 1)
+    assert lla._max[1] == lla._min[1] == MIN_RAW
+    assert lla._max[1] != NEG_INF_RAW
+
+
+def test_no_key_markers_lie_outside_the_key_domain():
+    """A min/max node at or above the actual roots holds keys exactly when
+    keys lie under it, else INF_RAW and NEG_INF_RAW; a box's leaf minima
+    hold a marker exactly on the empty leaves with no key after them
+    (INF_RAW) or before them (NEG_INF_RAW).  Neither marker is a key."""
+    assert not _is_key(INF_RAW) and not _is_key(NEG_INF_RAW)
+    rng = random.Random(26)
+    lla = LearnedLLA(257)
+    lla.insert(MIN_RAW, 0, 1)  # a sentinel-only actual stays at leaf 0
+    for seq in range(1, 61):
+        lla.insert(rng.randrange(RAW_MAX), seq, rng.randint(100, 140))
+    assert lla.merges > 0
+    exact, leaf, n = set(), 0, lla.n
+    while leaf < n:
+        h = lla._heights[leaf]
+        v = (n >> h) + (leaf >> h)
+        while v:
+            exact.add(v)
+            v >>= 1
+        leaf += 1 << h
+    empty = 0
+    for v in exact:
+        width = n >> v.bit_length() - 1  # leaves under node v
+        lo = (v - (n // width)) * width
+        held = any(box is not None for box in lla._boxes[lo:lo + width])
+        assert _is_key(lla._min[v]) == _is_key(lla._max[v]) == held, v
+        if not held:
+            assert (lla._min[v], lla._max[v]) == (INF_RAW, NEG_INF_RAW), v
+            empty += 1
+    assert empty
+
+    # Into an Apma, descending keys leave empty leaves before and after the
+    # keys, and a hammer stream leaves them between keys.
+    leading = inner = trailing = 0
+    for raws in (range(12, 0, -1), [96, *range(1, 24)]):
+        box = Apma(96)
+        for seq, raw in enumerate(raws):
+            box.insert(raw, seq)
+        L = box.leaf_size
+        held = [any(box.slots[j * L:j * L + L]) for j in range(box.num_leaves)]
+        for j, v in enumerate(box._min):
+            if held[j]:
+                assert _is_key(v), j
+            elif not any(held[j:]):
+                assert v == INF_RAW, j
+                trailing += 1
+            elif not any(held[:j]):
+                assert v == NEG_INF_RAW, j
+                leading += 1
+            else:
+                assert _is_key(v), j
+                inner += 1
+    assert leading and inner and trailing
 
 
 # ----------------------------------------------------------------------

@@ -13,8 +13,8 @@ from itertools import count, repeat
 import pytest
 
 from listlabel.apma import Apma
-from listlabel.core import MIN_RAW, RAW_MAX, CapacityError, MovementLedger
-from listlabel.pma import INF_RAW, LEAD_RAW, TAU_LEAF, TAU_ROOT, Pma, even_layout, geometry
+from listlabel.core import INF_RAW, MIN_RAW, NEG_INF_RAW, RAW_MAX, CapacityError, MovementLedger
+from listlabel.pma import TAU_LEAF, TAU_ROOT, Pma, even_layout, geometry
 
 
 def raws_sorted(slots) -> bool:
@@ -263,7 +263,7 @@ class ReferencePma:
 def _assert_leaf_minima(real, tag):
     """The row of leaf minima, one value per leaf: the smallest key of a
     non-empty leaf; for an empty leaf the smallest key after it, INF_RAW if
-    there is none; LEAD_RAW on the empty leaves before the first key.
+    there is none; NEG_INF_RAW on the empty leaves before the first key.
     Returns the row."""
     L = real.leaf_size
     leaf_keys = [[e[0] for e in real.slots[j * L:(j + 1) * L] if e is not None]
@@ -274,7 +274,7 @@ def _assert_leaf_minima(real, tag):
         want.append(after)
     want.reverse()
     lead = next((j for j, keys in enumerate(leaf_keys) if keys), 0)
-    want[:lead] = [LEAD_RAW] * lead
+    want[:lead] = [NEG_INF_RAW] * lead
     assert real._min == want, tag
     return want
 
@@ -336,7 +336,7 @@ def test_matches_reference_on_every_insert():
 def test_apma_leaf_minima_after_every_insert(m):
     """Apma has no reference, but its row of leaf minima must match its
     slots after every insert.  A descending stream splits at gap 0, which
-    packs every key right and leaves leading empty leaves (LEAD_RAW); the
+    packs every key right and leaves leading empty leaves (NEG_INF_RAW); the
     hammer and random streams leave empty leaves between keys that hold
     the next leaf's minimum."""
     rng = random.Random(m)
@@ -352,8 +352,8 @@ def test_apma_leaf_minima_after_every_insert(m):
             for seq, raw in enumerate(raws):
                 box.insert(raw, seq)
                 row = _assert_leaf_minima(box, (order, seq))
-                lead |= row[0] == LEAD_RAW
-                inner |= any(LEAD_RAW < v < INF_RAW and not any(box.slots[j * L:j * L + L])
+                lead |= row[0] == NEG_INF_RAW
+                inner |= any(NEG_INF_RAW < v < INF_RAW and not any(box.slots[j * L:j * L + L])
                              for j, v in enumerate(row))
         assert raws_sorted(box.slots)
         assert lead if order == "descending" else inner, order
