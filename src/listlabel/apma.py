@@ -129,50 +129,39 @@ class Apma(Pma):
 
         Cost: the leaves are handled as maximal runs of equal weight, found
         by one C-speed scan of `weights`.  The Python work is per pin (one
-        step over the distinct weights) and per run (one `map`, where a
-        pinned leaf is a run of its own); the work per leaf and per entry is
-        C.
+        scan of the runs) and per run (one `map`, where a pinned leaf is a
+        run of its own); the work per leaf and per entry is C.
         """
         L = self.leaf_size
         k = size // L
         min_free = L - int(TAU_LEAF * L)
 
-        # The bounds of the maximal runs of equal weight; per distinct weight,
-        # its front (lowest open leaf, k once all are pinned) and the end of
-        # its last run.
+        # The maximal runs of equal weight, as [first open leaf, end, weight].
         bounds = [0, *compress(range(1, k), map(ne, islice(weights, 1, None), weights)), k]
-        front, stop = {}, {}
-        for s, e in zip(bounds, islice(bounds, 1, None)):
-            w = weights[s]
-            front.setdefault(w, s)
-            stop[w] = e
+        runs = [[s, e, weights[s]] for s, e in zip(bounds, islice(bounds, 1, None))]
 
         # Waterfall: pin the lowest open leaf whose proportional share breaks
         # a guard rail (above the leaf size, or below the free-slot floor),
         # then re-split the remainder over the open leaves by weight until
         # the shares stand.  Whether a leaf breaks a rail depends on its
-        # weight alone, so the lowest breaker is the lowest front among the
-        # weights that break one.
+        # weight alone, and each run's pinned leaves are a prefix of it, so
+        # the lowest breaker is the head of the first open run that breaks one.
         pins: dict[int, int] = {}
         free_rem = size - c
         w_open = sum(weights)
         while True:
             if w_open == 0 or free_rem < (k - len(pins)) * min_free:
                 return list(even_layout(size, c))
-            j = k
-            for w, f in front.items():
-                if f < j:
-                    if free_rem * w > L * w_open:
-                        j, fix = f, L
-                    elif free_rem * w < min_free * w_open:
-                        j, fix = f, min_free
-            if j == k:
+            for run in runs:
+                j, e, w = run
+                if j < e and not min_free * w_open <= free_rem * w <= L * w_open:
+                    break
+            else:
                 break
-            w = weights[j]
-            pins[j] = fix
+            run[0] += 1
+            pins[j] = fix = L if free_rem * w > L * w_open else min_free
             free_rem -= fix
             w_open -= w
-            front[w] = weights.index(w, j + 1) if j + 1 < stop[w] else k
 
         # A run of leaves with equal element share n / w_open of slots (an
         # open run of one weight, or a pinned leaf) is one even spread: it

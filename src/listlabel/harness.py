@@ -286,13 +286,17 @@ def _index(value, name: str) -> int:
         raise ConfigError(f"{name}={value!r}: parameters must be integers") from None
 
 
-def _finite(value, name: str) -> bool:
-    """math.isfinite(value); ConfigError naming the parameter if value is
-    not a real number."""
+def _real(value, name: str) -> float:
+    """value as a finite float, -0.0 read as 0.0; ConfigError naming the
+    parameter if value is not a real number or has no finite float."""
     try:
-        return isfinite(value)
+        if isfinite(value):
+            return float(value) + 0.0
     except TypeError:
         raise ConfigError(f"{name}={value!r}: parameters must be real numbers") from None
+    except OverflowError:
+        pass
+    raise ConfigError(f"{name} must be finite and fit a float")
 
 
 def _check_structures(structures) -> None:
@@ -490,10 +494,11 @@ def run_robustness(
     raws = [key.raw for key in test.keys]
     true_ranks = _true_ranks(raws)
     learned = [s for s in structures if _learned(s)]
+    blind = [s for s in structures if not _learned(s)]
 
-    blind = iter(_rows([s for s in structures if not _learned(s)], label, raws,
-                       None, true_ranks, train=len(train)))
-    levels = []
+    rows = {s: [_summary(s, [row])] for s, row in
+            zip(blind, _rows(blind, label, raws, None, true_ranks, train=len(train)))}
+    rows.update((s, []) for s in learned)
     for t_pct in t_values if learned else ():
         runs, drawn = [], None
         for r in range(1, repeats + 1):
@@ -502,12 +507,9 @@ def run_robustness(
                         _rows(learned, label, raws, ranks, true_ranks,
                               train=len(train)))
             drawn = ranks
-        levels.append([_summary(f"{s}:t={t_pct}", seeded)
-                       for s, seeded in zip(learned, zip(*runs))])
-    # Each learned structure's rows across levels, in `learned` order.
-    by_learned = zip(*levels)
-    return [row for s in structures
-            for row in (next(by_learned) if _learned(s) else [_summary(s, [next(blind)])])]
+        for s, seeded in zip(learned, zip(*runs)):
+            rows[s].append(_summary(f"{s}:t={t_pct}", seeded))
+    return [row for s in structures for row in rows[s]]
 
 
 def _synthesize(
@@ -553,13 +555,13 @@ def run_synthetic(
 
     sequential/hammer/random feed the learned rows exact ranks; noisy-eta
     perturbs each true rank uniformly in [-eta, +eta] (clamped); stochastic
-    adds rounded normal(mu, s^2) error and arrives in sorted order.  Keys
-    are distinct, so every merge is checked for its error witness and any
-    violation raises.  Bad parameters (an unknown kind or structure, a
-    non-integer n, seed or eta, a mu or s that is not a finite real number,
-    a negative s, eta or seed, a missing eta, mu or s, an eta or mu or s the
-    kind does not read) are a ConfigError raised before anything is
-    generated or run.
+    adds rounded normal(mu, s^2) error and arrives in sorted order, its
+    label writing mu and s as floats (-0.0 as 0.0).  Keys are distinct, so
+    every merge is checked for its error witness and any violation raises.
+    Bad parameters (an unknown kind or structure, a non-integer n, seed or
+    eta, a mu or s that is not a real number with a finite float, a negative
+    s, eta or seed, a missing eta, mu or s, an eta or mu or s the kind does
+    not read) are a ConfigError raised before anything is generated or run.
     """
     _check_structures(structures)
     if kind not in SYNTHETIC_KINDS:
@@ -575,10 +577,12 @@ def run_synthetic(
         raise ConfigError(f"mu and s are stochastic parameters; {kind} does not read them")
     if kind == "noisy-eta" and (eta is None or (eta := _index(eta, "eta")) < 0):
         raise ConfigError("noisy-eta needs eta >= 0")
-    if kind == "stochastic" and (mu is None or s is None):
-        raise ConfigError("stochastic needs mu and s")
-    if kind == "stochastic" and not (_finite(mu, "mu") and _finite(s, "s") and s >= 0):
-        raise ConfigError(f"stochastic needs a finite mu and a finite s >= 0, got mu={mu}, s={s}")
+    if kind == "stochastic":
+        if mu is None or s is None:
+            raise ConfigError("stochastic needs mu and s")
+        mu, s = _real(mu, "mu"), _real(s, "s")  # so a label reads mu=1.0 for 1 or True
+        if s < 0:
+            raise ConfigError(f"stochastic needs s >= 0, got s={s}")
     label = {"noisy-eta": f"synth-noisy-eta:eta={eta}",
              "stochastic": f"synth-stochastic:mu={mu};s={s}"}.get(kind, f"synth-{kind}")
     raws, predictions, true_ranks = _synthesize(kind, n, seed, eta, mu, s)

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from listlabel import harness
-from listlabel.core import INF_RAW, MIN_RAW, NEG_INF_RAW, MovementLedger
+from listlabel.core import INF_RAW, NEG_INF_RAW, MovementLedger
 from listlabel.harness import DatasetSpec, load_dataset, run_robustness, run_synthetic, run_table
 from listlabel.learned import LearnedLLA
 from listlabel.pma import Pma
@@ -161,14 +161,8 @@ def test_criterion_4_worst_case_safety():
     }
 
     def run(ranks):
-        # the harness protocol: sentinel first, ranks shifted past it
-        led = MovementLedger(first_placement_excluded=True)
-        lla = LearnedLLA(n + 1, ledger=led)
-        lla.insert(MIN_RAW, 0, 1)
-        led.reset()
-        for i, raw in enumerate(raws):
-            lla.insert(raw, i + 1, 1 if ranks is None else ranks[i] + 1)
-        return led.amortized_cost()
+        # loaded the way every protocol loads a structure
+        return harness._run_config("pma" if ranks is None else "learned-pma", raws, ranks)[0]
 
     baseline = run(None)  # blind routing: every prediction is rank 1
     costs = {name: run(ranks) for name, ranks in adversaries.items()}

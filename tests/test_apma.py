@@ -9,6 +9,7 @@ input.
 
 import random
 from bisect import bisect_left, bisect_right
+from itertools import groupby
 from operator import itemgetter
 
 import pytest
@@ -25,13 +26,14 @@ def even(c: int, size: int) -> list[int]:
     return [i * size // c for i in range(c)]
 
 
-def reference_weighted_positions(c, size, weights, L, reverse=False):
+def reference_weighted_positions(c, size, weights, L, reverse=False, pinned=None):
     """The weighted layout of `Apma._weighted_positions`, written with a
     full-scan waterfall and a per-entry loop that walks entry i's share
     i * w_open across the leaves' element intervals.  With reverse=True the
     waterfall pins the highest-index breaker first instead of the lowest,
     which is not the layout; tests use it to show that a case depends on
-    the pin order."""
+    the pin order.  A `pinned` list receives the pinned leaves of a layout
+    that does not fall back to the even one."""
     k = size // L
     min_free = L - int(TAU_LEAF * L)
     fixed = [None] * k
@@ -52,6 +54,8 @@ def reference_weighted_positions(c, size, weights, L, reverse=False):
             break
         else:
             break
+    if pinned is not None:
+        pinned += [j for j in range(k) if fixed[j] is not None]
     nums = [(L - fixed[j]) * w_open if fixed[j] is not None
             else L * w_open - free_rem * weights[j] for j in range(k)]
     positions = []
@@ -93,24 +97,31 @@ class TestWeightedLayout:
     @pytest.mark.parametrize("slot_count", [64, 96, 192, 768])
     def test_matches_per_entry_reference(self, slot_count):
         """Slot for slot against the per-entry loop, under weights that pin
-        leaves at L free slots (no entries) and at the min_free floor."""
+        leaves at L free slots (no entries) and at the min_free floor, and
+        that pin one weight in two or more separate runs of it, so the
+        waterfall moves on from one run to a later run of the same weight."""
         a = Apma(slot_count)
         L = a.leaf_size
         full = int(TAU_LEAF * L)  # entries of a leaf pinned at min_free
         rng = random.Random(slot_count)
-        pinned_empty = pinned_full = 0
+        pinned_empty = pinned_full = split_runs = 0
         for _ in range(2000):
             k = 1 << rng.randint(0, a.depth)
             size = k * L
             c = rng.randint(1, int(a._cap[a.depth - (k.bit_length() - 1)]))
             weights = [rng.choice([0, 1, 1, 2, 5, 50, 10**4]) for _ in range(k)]
             pos = a._weighted_positions(c, size, weights)
-            want = reference_weighted_positions(c, size, weights, L)
+            pinned = []
+            want = reference_weighted_positions(c, size, weights, L, pinned=pinned)
             assert pos == want, (c, size, weights)
             per_leaf = [sum(1 for p in pos if p // L == j) for j in range(k)]
             pinned_empty += 0 in per_leaf
             pinned_full += full in per_leaf and pos != even(c, size)
-        assert pinned_empty > 100 and pinned_full > 100, (pinned_empty, pinned_full)
+            run_of = [i for i, (_, run) in enumerate(groupby(weights)) for _ in run]
+            split_runs += (len({(weights[j], run_of[j]) for j in pinned})
+                           > len({weights[j] for j in pinned}))
+        assert pinned_empty > 100 and pinned_full > 100 and split_runs > 100, (
+            pinned_empty, pinned_full, split_runs)
 
     @pytest.mark.parametrize("k, cases", [(256, 100), (1024, 30), (4096, 10)])
     def test_matches_reference_under_layout_shaped_credit(self, k, cases):

@@ -2,6 +2,7 @@
 
 import importlib.util
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -579,18 +580,35 @@ class TestSynthetic:
             run_synthetic(kind, n, **kw)
         assert runs == []
 
-    @pytest.mark.parametrize("kw, name", [
-        ({"mu": "0", "s": 1.0}, "mu='0'"),
-        ({"mu": 0.0, "s": "1"}, "s='1'"),
-    ], ids=["mu", "s"])
-    def test_non_real_spread_rejected_before_any_run(self, monkeypatch, kw, name):
-        # Unchecked, a str reaches `isfinite` and raises TypeError.
+    @pytest.mark.parametrize("kw, message", [
+        ({"mu": "0", "s": 1.0}, "mu='0': parameters must be real numbers"),
+        ({"mu": 0.0, "s": "1"}, "s='1': parameters must be real numbers"),
+        ({"mu": 10**400, "s": 1.0}, "mu must be finite and fit a float"),
+        ({"mu": 0.0, "s": 10**400}, "s must be finite and fit a float"),
+    ], ids=["mu", "s", "mu-past-float", "s-past-float"])
+    def test_non_real_spread_rejected_before_any_run(self, monkeypatch, kw, message):
+        # Unchecked, a str reaches `isfinite` and raises TypeError, and an
+        # int past the float range raises OverflowError there.
         made, runs = [], []
         monkeypatch.setattr(harness, "_synthesize", lambda *a: made.append(a))
         monkeypatch.setattr(harness, "_run_config", lambda *a, **kw: runs.append(a))
-        with pytest.raises(ConfigError, match=f"{name}: parameters must be real numbers"):
+        with pytest.raises(ConfigError, match=f"^{message}"):
             run_synthetic("stochastic", 64, **kw)
         assert made == runs == []
+
+    @pytest.mark.parametrize("mu, s, label", [
+        (True, 1, "mu=1.0;s=1.0"),
+        (0, 1, "mu=0.0;s=1.0"),
+        (Fraction(1, 2), Fraction(3, 2), "mu=0.5;s=1.5"),
+        (-0.0, -0.0, "mu=0.0;s=0.0"),
+    ], ids=["bool", "int", "fraction", "negative-zero"])
+    def test_spread_is_written_as_its_float(self, mu, s, label):
+        def run(mu, s):
+            return run_synthetic("stochastic", 64, mu=mu, s=s, structures=("learned-pma",))
+
+        (row,) = run(mu, s)
+        assert row.dataset == f"synth-stochastic:{label}"
+        assert [row] == run(float(mu) + 0.0, float(s) + 0.0)
 
     def test_bool_seed_is_written_as_its_integer(self):
         (row,) = run_synthetic("random", 64, seed=True, structures=("pma",))
