@@ -35,19 +35,26 @@ one fresh box -- possibly cascading upward -- which is where prediction error
 turns into movement cost: a merge only happens when some element's
 prediction missed by at least half the merged rank width.  A merge works on
 whole lists: `filter` and `compress` pick each child's entries and their old
-global labels out of its slot list, `_fill` moves those very tuples into the
-parent's fresh box, and the relabels are one `map(ne)` of new labels on old.
-The parent's root already holds the min and max of everything it gathers,
-so a merge leaves the trees alone.
+global labels out of its slot list (a lone key is its own one entry), `_fill`
+moves those very tuples into the parent's fresh box, and the relabels are one
+`map(ne)` of new labels on old.  The parent's root already holds the min and
+max of everything it gathers, so a merge leaves the trees alone.
 
-The box is the only per-actual object.  The wrapper keeps the height of the
-owning actual per leaf and the boxes indexed by their actual's first leaf;
-an actual's ranks and slot offset follow from (height, node).  Every box is
-built as `factory(slot_count, None)`, so boxes charge nothing and the wrapper
-does all the accounting: the moves each box insert returns, and the
-relabels of each merge.  A merge fills its box with `_fill`, so `factory`
-must build a `Pma` or a subclass such as `Apma`.  Inspection (`actuals`, the
-merge listener) returns `Actual(height, node, box)` tuples built on demand.
+An actual that holds one key has no box: the key stays bare, its own
+`(raw, seq)` tuple, at global label 6f + 1 for first leaf f, the slot 0 its
+box would have put it in.  Otherwise the box is the only per-actual object.
+The wrapper keeps the height of the owning actual per leaf and, indexed by
+the actual's first leaf, its box or lone key; an actual's ranks and slot
+offset follow from (height, node).  A box is built as
+`factory(slot_count, None)` by a merge, or for a lone key when its actual
+receives a second key or `actuals` inspects it; the lone key is then
+replayed through the box's insert, so the box, its slots and its counts end
+exactly as if it had held the key from the start.  Boxes charge nothing and
+the wrapper does all the accounting: the moves each box insert returns, and
+the relabels of each merge.  A merge fills its box with `_fill`, so
+`factory` must build a `Pma` or a subclass such as `Apma`.  Inspection
+(`actuals`, the merge listener) returns `Actual(height, node, box)` tuples
+built on demand.
 
 The wrapper keeps no predictions: a prediction only routes its insert, and
 the set of inserted seqs exists only to reject a reused one.
@@ -93,7 +100,8 @@ def succ_leaf(maxs: list[int], raw: int) -> int:
 
 
 class Actual(NamedTuple):
-    """A non-empty actual as inspection sees it: tree node and its box."""
+    """A non-empty actual as inspection sees it: tree node and its box, which
+    `actuals()` builds if the actual held a lone key."""
 
     height: int
     node: int  # 0-based index among nodes at this height
@@ -116,7 +124,9 @@ class LearnedLLA:
     the rank tree is sized to the next power of two but predictions clamp to
     the true capacity.  `factory(slot_count, ledger)` builds the black boxes
     (classic PMA by default) and is always passed ledger=None: all movement
-    accounting lands in `ledger`, charged by the wrapper.
+    accounting lands in `ledger`, charged by the wrapper.  An actual's first
+    key is kept bare; its box is built when a second key arrives or when
+    `actuals()` inspects it.
     """
 
     def __init__(
@@ -139,8 +149,9 @@ class LearnedLLA:
         # Height of the owning actual, per leaf. Initially every leaf is its
         # own actual; merges coarsen whole aligned ranges at once.
         self._heights = [0] * self.n
-        # The boxes of non-empty actuals, indexed by their first leaf.
-        self._boxes: list[Pma | None] = [None] * self.n
+        # The boxes of non-empty actuals, indexed by their first leaf; an
+        # actual that holds one key holds it bare, as its (raw, seq) tuple.
+        self._boxes: list[Pma | tuple[int, int] | None] = [None] * self.n
         # Heap-order key minima and maxima over the rank leaves (node 1 is
         # the root, leaf i is node n + i; actual (h, node) is rooted at
         # (n >> h) + node).  Every node at or above an actual's root holds
@@ -211,11 +222,6 @@ class LearnedLLA:
             raise CapacityError(f"structure already holds {self.capacity} elements")
         before = self.ledger.total_movements
         h, node = self.route(raw, predicted_rank)
-        first = node << h
-        box = self._boxes[first]
-        if box is None:
-            box = self._boxes[first] = self.factory(6 << h, None)
-        self.ledger.record_insert(box.insert(raw, seq))
         self.count += 1
         self._seqs.add(seq)
         # Push the new key up from the actual's root; an ancestor that does
@@ -230,6 +236,16 @@ class LearnedLLA:
         while v and raw > maxs[v]:
             maxs[v] = raw
             v >>= 1
+        first = node << h
+        box = self._boxes[first]
+        if box is None:
+            # A lone key stays bare, at slot 0 of the box it would have had.
+            self._boxes[first] = (raw, seq)
+            self.ledger.record_insert(0)
+            return self.ledger.total_movements - before
+        if box.__class__ is tuple:
+            box = self._open(first, h)
+        self.ledger.record_insert(box.insert(raw, seq))
         # Half-density rule: a box sized 6r rebuilds into its parent once it
         # holds 3r+1 elements. The rebuild can push the parent over in turn.
         while box.count > 3 << h:
@@ -237,6 +253,15 @@ class LearnedLLA:
             h += 1
             box = self._boxes[first]
         return self.ledger.total_movements - before
+
+    def _open(self, first: int, h: int) -> Pma:
+        """Build the box of the lone key at `first`, an actual of height h,
+        and replay that key into it: the box ends as it would have, had it
+        been built for the key."""
+        box = self.factory(6 << h, None)
+        box.insert(*self._boxes[first])
+        self._boxes[first] = box
+        return box
 
     def merge_parent(self, first: int) -> int:
         """Rebuild the parent of the actual whose first leaf is `first` into
@@ -247,9 +272,10 @@ class LearnedLLA:
         old global label, moves those tuples into a new box (`_fill`), and
         charges one movement per element whose global label changed.
         Gather and count are whole-list passes: `filter` and `compress` pick
-        each child's entries and labels out of its slot list, and the moves
-        are one `map(ne)` of the new labels against the old.  The parent's
-        root in the min/max trees already covers every gathered key.
+        each child's entries and labels out of its slot list, a lone key
+        gives its own tuple at label 6f + 1, and the moves are one `map(ne)`
+        of the new labels against the old.  The parent's root in the
+        min/max trees already covers every gathered key.
         """
         heights, boxes = self._heights, self._boxes
         ph = heights[first] + 1
@@ -262,7 +288,10 @@ class LearnedLLA:
         leaf = first
         while leaf < end:
             child = boxes[leaf]
-            if child is not None:
+            if child.__class__ is tuple:
+                entries.append(child)
+                old.append(6 * leaf + 1)
+            elif child is not None:
                 entries += filter(None, child.slots)
                 old += _labels(leaf, child)
             leaf += 1 << heights[leaf]
@@ -283,15 +312,23 @@ class LearnedLLA:
         """Every element as (raw, seq, global label), in label order."""
         out: list[tuple[int, int, int]] = []
         for first, box in enumerate(self._boxes):
-            if box is not None:
+            if box.__class__ is tuple:
+                out.append((*box, 6 * first + 1))
+            elif box is not None:
                 # (raw, seq) + (label,), paired off in C
                 out += map(add, filter(None, box.slots), zip(_labels(first, box)))
         return out
 
     def actuals(self) -> list[Actual]:
-        """Non-empty actuals in rank order (empty ones are implicit)."""
-        return [Actual(h, first >> h, box) for first, (h, box)
-                in enumerate(zip(self._heights, self._boxes)) if box is not None]
+        """Non-empty actuals in rank order (empty ones are implicit).  A
+        lone key's box is built here, as its second key would build it."""
+        out = []
+        for first, (h, box) in enumerate(zip(self._heights, self._boxes)):
+            if box.__class__ is tuple:
+                box = self._open(first, h)
+            if box is not None:
+                out.append(Actual(h, first >> h, box))
+        return out
 
 
 def witness_error_check(merged: Actual, predicted, true_ranks) -> bool:

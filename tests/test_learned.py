@@ -363,21 +363,9 @@ def test_rank_one_routing_equals_growing_chain(stream, n, cls):
     assert led_a.total_movements <= 2 * led_b.total_movements
 
 
-@pytest.mark.parametrize("cls", [Pma, Apma])
-@pytest.mark.parametrize("stream", ["rank-one-cascade", "duplicates"])
-def test_merge_moves_child_entries_into_the_parent_box(stream, cls, monkeypatch):
-    """A merge hands the very tuples its children held to the parent box:
-    no key is checked again, and the box it builds has the slots and leaf
-    minima that public init gives the same keys in a fresh box."""
-    if stream == "rank-one-cascade":
-        n = 4096
-        rng = random.Random(43)
-        inserts = [(raw, 1) for raw in rng.sample(range(10**9), n)]
-    else:
-        n = 256
-        rng = random.Random(5)
-        inserts = [(rng.randrange(24), rng.randint(1, n)) for _ in range(n)]
-
+def count_checks(monkeypatch):
+    """Patch check_raw in the wrapper and the box; returns the list of keys
+    it is called with, in call order."""
     checks = []
     real_check = learned.check_raw
 
@@ -387,16 +375,42 @@ def test_merge_moves_child_entries_into_the_parent_box(stream, cls, monkeypatch)
 
     monkeypatch.setattr(learned, "check_raw", counted)
     monkeypatch.setattr("listlabel.pma.check_raw", counted)
+    return checks
 
+
+@pytest.mark.parametrize("cls", [Pma, Apma])
+@pytest.mark.parametrize("stream", ["rank-one-cascade", "duplicates"])
+def test_merge_moves_child_entries_into_the_parent_box(stream, cls, monkeypatch):
+    """A merge hands the very tuples its children held to the parent box (a
+    lone key's own tuple, a box's stored ones): no key is checked again, and
+    the box it builds has the slots and leaf minima that public init gives
+    the same keys in a fresh box.  A key is checked once by the wrapper and
+    once per box insert, a lone key's replay into its new box included."""
+    if stream == "rank-one-cascade":
+        n = 4096
+        rng = random.Random(43)
+        inserts = [(raw, 1) for raw in rng.sample(range(10**9), n)]
+    else:
+        n = 256
+        rng = random.Random(5)
+        inserts = [(rng.randrange(24), rng.randint(1, n)) for _ in range(n)]
+
+    checks = count_checks(monkeypatch)
     lla = LearnedLLA(n, factory=cls)
     merged_heights = []
+    lone_merged = []
     inner_merge = lla.merge_parent
 
     def spying_merge(first):
         ph = lla._heights[first] + 1
         lo = first >> ph << ph
-        held = [e for box in lla._boxes[lo:lo + (1 << ph)] if box is not None
-                for e in filter(None, box.slots)]
+        held = []
+        for box in lla._boxes[lo:lo + (1 << ph)]:
+            if isinstance(box, tuple):
+                held.append(box)
+                lone_merged.append(box)
+            elif box is not None:
+                held += filter(None, box.slots)
         before = len(checks)
         out = inner_merge(first)
         assert len(checks) == before  # no check_raw inside a merge
@@ -414,11 +428,152 @@ def test_merge_moves_child_entries_into_the_parent_box(stream, cls, monkeypatch)
     lla.merge_parent = spying_merge
     for seq, (raw, rank) in enumerate(inserts):
         lla.insert(raw, seq, rank)
-    assert len(checks) == 2 * n  # LearnedLLA.insert and the box insert
+    # LearnedLLA.insert checks every key and each box insert checks its key,
+    # so a key goes unchecked by a box only while it is lone: it is still
+    # bare at the end, or a merge gathered it bare.
+    bare = sum(isinstance(box, tuple) for box in lla._boxes)
+    assert len(checks) == 2 * n - bare - len(lone_merged)
     if stream == "rank-one-cascade":
         assert merged_heights == list(range(1, 12))
+        assert (bare, lone_merged) == (0, [])  # the second key opened the first's box
     else:
         assert max(merged_heights) >= 3
+        assert bare  # keys that no box ever checked
+
+
+# ----------------------------------------------------------------------
+# lone keys: an actual's first key is kept bare until a box is needed
+
+
+def lone_stream(stream, n, seed):
+    """(raw, predicted rank) pairs: exact ranks of distinct keys, everything
+    at rank 1, or duplicate keys with ranks up to 8 off their true ones."""
+    rng = random.Random(seed)
+    if stream == "rank-one-cascade":
+        return [(raw, 1) for raw in rng.sample(range(10**9), n)]
+    if stream == "exact":
+        raws = rng.sample(range(10**9), n)
+        noise = 0
+    else:
+        raws = [rng.randrange(n // 4) for _ in range(n)]
+        noise = 8
+    rank = {i: r for r, i in enumerate(sorted(range(n), key=raws.__getitem__), start=1)}
+    return [(raw, clamp(rank[i] + rng.randint(-noise, noise), 1, n))
+            for i, raw in enumerate(raws)]
+
+
+def box_state(box):
+    """What a box holds and counts: slots, leaf minima, count, and Apma's
+    votes."""
+    return (box.slots, box._min, box.count,
+            getattr(box, "histogram", None), getattr(box, "_since_decay", None))
+
+
+@pytest.mark.parametrize("cls", [Pma, Apma])
+@pytest.mark.parametrize("stream", ["exact", "rank-one-cascade", "noisy-duplicates"])
+def test_lone_keys_end_as_boxes_built_at_once(stream, cls):
+    """Two structures load one stream.  One calls actuals() after every
+    insert, which builds a box for each lone key as soon as it lands; the
+    other is left alone, so its lone keys stay bare until a second key
+    arrives or a merge gathers them.  After every insert both charge the
+    same movements, count the same merges and give the same labels; at the
+    end, with every lone key opened, they hold the same boxes."""
+    n = 256
+    eager, lazy = LearnedLLA(n, factory=cls), LearnedLLA(n, factory=cls)
+    gathered_bare = []
+    inner_merge = lazy.merge_parent
+
+    def spying_merge(first):
+        ph = lazy._heights[first] + 1
+        lo = first >> ph << ph
+        gathered_bare.extend(b for b in lazy._boxes[lo:lo + (1 << ph)] if isinstance(b, tuple))
+        return inner_merge(first)
+
+    lazy.merge_parent = spying_merge
+    for seq, (raw, rank) in enumerate(lone_stream(stream, n, 28)):
+        charged = eager.insert(raw, seq, rank)
+        eager.actuals()
+        assert lazy.insert(raw, seq, rank) == charged, seq
+        assert lazy.ledger == eager.ledger, seq
+        assert lazy.merges == eager.merges, seq
+        assert lazy.global_labels() == eager.global_labels(), seq
+    assert not any(isinstance(b, tuple) for b in eager._boxes)
+    bare = sum(isinstance(b, tuple) for b in lazy._boxes)
+    if stream == "exact":
+        assert bare == n and lazy.merges == 0
+    elif stream == "rank-one-cascade":
+        assert bare == 0 and lazy.merges == 7  # heights 1 to 7
+    else:
+        assert bare and gathered_bare and lazy.merges
+    opened, built = lazy.actuals(), eager.actuals()
+    assert not any(isinstance(b, tuple) for b in lazy._boxes)
+    assert [(a.height, a.node) for a in opened] == [(a.height, a.node) for a in built]
+    for a, b in zip(opened, built):
+        assert type(a.box) is type(b.box) is cls
+        assert box_state(a.box) == box_state(b.box), (a.height, a.node)
+
+
+class CountingFactory:
+    """A box factory that records the slot count of every box it builds."""
+
+    def __init__(self, cls):
+        self.cls = cls
+        self.built = []
+
+    def __call__(self, slot_count, ledger):
+        self.built.append(slot_count)
+        return self.cls(slot_count, ledger)
+
+
+@pytest.mark.parametrize("cls", [Pma, Apma])
+def test_exact_ranks_build_no_box_and_check_each_key_once(cls, monkeypatch):
+    """Every key of an exact-rank load sits alone in its rank's actual: no
+    box is built, each key is checked once, and each sits at slot 0 of its
+    rank's six.  Inspection then builds the boxes, replaying each key, so
+    each box is a fresh one that took its key by `insert`."""
+    n = 1 << 10
+    inserts = lone_stream("exact", n, 10)
+    checks = count_checks(monkeypatch)
+    factory = CountingFactory(cls)
+    led = MovementLedger(first_placement_excluded=True)
+    lla = LearnedLLA(n, factory=factory, ledger=led)
+    for seq, (raw, rank) in enumerate(inserts):
+        assert lla.insert(raw, seq, rank) == 0
+    assert factory.built == [] and lla.merges == 0
+    assert checks == [raw for raw, _ in inserts]
+    assert lla.global_labels() == sorted(
+        (raw, seq, 6 * rank - 5) for seq, (raw, rank) in enumerate(inserts))
+    opened = lla.actuals()
+    assert factory.built == [6] * n
+    assert len(checks) == 2 * n  # each replay checks its key once more
+    for a in opened:
+        fresh = cls(6)
+        fresh.insert(*a.box.slots[0])
+        assert box_state(a.box) == box_state(fresh), a.node
+    assert (led.total_inserts, led.total_movements) == (n, 0)
+
+
+@pytest.mark.parametrize("cls", [Pma, Apma])
+def test_a_box_is_built_by_a_second_key_or_a_merge(cls):
+    """On noisy duplicates, each insert builds one box of 6 << h slots if it
+    lands in an actual of height h that holds a lone key, none if that actual
+    is empty or boxed, and one more per merge it sets off."""
+    n = 512
+    factory = CountingFactory(cls)
+    lla = LearnedLLA(n, factory=factory)
+    seen = {"empty": 0, "lone": 0, "boxed": 0}
+    for seq, (raw, rank) in enumerate(lone_stream("noisy-duplicates", n, 7)):
+        h, node = lla.route(raw, rank)
+        held = lla._boxes[node << h]
+        kind = "empty" if held is None else "lone" if isinstance(held, tuple) else "boxed"
+        seen[kind] += 1
+        built, merges = len(factory.built), lla.merges
+        lla.insert(raw, seq, rank)
+        opened = [6 << h] if kind == "lone" else []
+        assert factory.built[built:built + len(opened)] == opened, seq
+        assert len(factory.built) - built == len(opened) + lla.merges - merges, seq
+    assert all(seen.values()) and lla.merges, seen
+    assert len(factory.built) == seen["lone"] + lla.merges
 
 
 # ----------------------------------------------------------------------
