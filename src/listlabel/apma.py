@@ -51,22 +51,16 @@ __all__ = ["Apma"]
 
 
 class Apma(Pma):
-    """A `Pma` whose `_place` votes and whose `_layout` follows the votes.
-
-    Its `__init__` and `_place` call `Pma`'s directly, not through `super()`,
-    which a box's every insert would pay for.  So a mixin that overrides
-    either must come before `Apma` in the bases, as in
-    `class Spied(Mixin, Apma)`: placed after it, the mixin is skipped.
-    """
+    """A `Pma` whose `_place` votes and whose `_layout` follows the votes."""
 
     def __init__(self, slot_count: int, ledger: MovementLedger | None = None):
-        Pma.__init__(self, slot_count, ledger)
+        super().__init__(slot_count, ledger)
         self.histogram = [0] * self.num_leaves
         self._since_decay = 0
 
     def _place(self, t: int, entry: tuple[int, int]) -> tuple[int, int]:
         """Place as `Pma` does, then vote for the leaf the key landed in."""
-        pos, moved = Pma._place(self, t, entry)
+        pos, moved = super()._place(t, entry)
         self.histogram[pos // self.leaf_size] += 1
         self._since_decay += 1
         if self._since_decay >= self.leaf_size * 4:

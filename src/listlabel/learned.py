@@ -34,15 +34,15 @@ When an actual exceeds half density its parent's whole range is rebuilt into
 one fresh box -- possibly cascading upward -- which is where prediction error
 turns into movement cost: a merge only happens when some element's
 prediction missed by at least half the merged rank width.  A merge works on
-whole lists: `filter` and `compress` pick each child's entries and their old
-global labels out of its slot list (a lone key is its own one entry), `_fill`
-moves those very tuples into the parent's fresh box, and the relabels are one
-`map(ne)` of new labels on old.  The parent's root already holds the min and
-max of everything it gathers, so a merge leaves the trees alone.
+whole lists: `_held` gives each child's entries and their old global labels,
+`_fill` moves those very tuples into the parent's fresh box, and the relabels
+are one `map(ne)` of new labels on old.  The parent's root already holds the
+min and max of everything it gathers, so a merge leaves the trees alone.
 
 An actual that holds one key has no box: the key stays bare, its own
-`(raw, seq)` tuple, at global label 6f + 1 for first leaf f, the slot 0 its
-box would have put it in.  Otherwise the box is the only per-actual object.
+`(raw, seq)` tuple, at slot 0 of the box it would have had.  `_held` gives
+any actual's entries and global labels, a box's or a lone key's.  Otherwise
+the box is the only per-actual object.
 The wrapper keeps the height of the owning actual per leaf and, indexed by
 the actual's first leaf, its box or lone key; an actual's ranks and slot
 offset follow from (height, node).  A box is built as
@@ -66,7 +66,7 @@ from __future__ import annotations
 
 from itertools import compress
 from operator import add, index, ne
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .core import INF_RAW, NEG_INF_RAW, CapacityError, MovementLedger, check_raw, clamp
 from .pma import Pma
@@ -108,13 +108,16 @@ class Actual(NamedTuple):
     box: Pma
 
 
-def _labels(first: int, box: Pma) -> Iterator[int]:
-    """Global labels of the box's occupied slots, in slot order: the actual
-    at first leaf f owns the slots after offset 6f, so its slot p (0-based)
-    has global label 6f + p + 1."""
+def _held(first: int, held: Pma | tuple[int, int]) -> tuple[Iterable, Iterable[int]]:
+    """(entries, labels) of the actual at first leaf f, which holds `held`:
+    its entries and their global labels, both in slot order.  The actual
+    owns the slots after offset 6f, so its slot p (0-based) has global label
+    6f + p + 1; a lone key is its one entry, at slot 0 of its box."""
     off = 6 * first + 1
-    slots = box.slots
-    return compress(range(off, off + len(slots)), slots)
+    if held.__class__ is tuple:
+        return (held,), (off,)
+    slots = held.slots
+    return filter(None, slots), compress(range(off, off + len(slots)), slots)
 
 
 class LearnedLLA:
@@ -271,11 +274,10 @@ class LearnedLLA:
         actual order is sorted and was checked at insert) with each one's
         old global label, moves those tuples into a new box (`_fill`), and
         charges one movement per element whose global label changed.
-        Gather and count are whole-list passes: `filter` and `compress` pick
-        each child's entries and labels out of its slot list, a lone key
-        gives its own tuple at label 6f + 1, and the moves are one `map(ne)`
-        of the new labels against the old.  The parent's root in the
-        min/max trees already covers every gathered key.
+        Gather and count are whole-list passes: `_held` gives each child's
+        entries and labels, and the moves are one `map(ne)` of the new
+        labels against the old.  The parent's root in the min/max trees
+        already covers every gathered key.
         """
         heights, boxes = self._heights, self._boxes
         ph = heights[first] + 1
@@ -288,16 +290,14 @@ class LearnedLLA:
         leaf = first
         while leaf < end:
             child = boxes[leaf]
-            if child.__class__ is tuple:
-                entries.append(child)
-                old.append(6 * leaf + 1)
-            elif child is not None:
-                entries += filter(None, child.slots)
-                old += _labels(leaf, child)
+            if child is not None:
+                held, labels = _held(leaf, child)
+                entries += held
+                old += labels
             leaf += 1 << heights[leaf]
         box = self.factory(6 << ph, None)
         box._fill(entries)
-        self.ledger.record_moves(sum(map(ne, _labels(first, box), old)))
+        self.ledger.record_moves(sum(map(ne, _held(first, box)[1], old)))
         heights[first:end] = [ph] * (end - first)
         boxes[first:end] = [box] + [None] * (end - first - 1)
         self.merges += 1
@@ -311,12 +311,11 @@ class LearnedLLA:
     def global_labels(self) -> list[tuple[int, int, int]]:
         """Every element as (raw, seq, global label), in label order."""
         out: list[tuple[int, int, int]] = []
-        for first, box in enumerate(self._boxes):
-            if box.__class__ is tuple:
-                out.append((*box, 6 * first + 1))
-            elif box is not None:
+        for first, held in enumerate(self._boxes):
+            if held is not None:
+                entries, labels = _held(first, held)
                 # (raw, seq) + (label,), paired off in C
-                out += map(add, filter(None, box.slots), zip(_labels(first, box)))
+                out += map(add, entries, zip(labels))
         return out
 
     def actuals(self) -> list[Actual]:

@@ -5,12 +5,11 @@ fixed-size leaf ranges.  A node at depth k tolerates densities up to
 tau(k) = tau_root + (tau_leaf - tau_root) * k / d, looser toward the leaves.
 An insert lands in the leaf range that keeps order; if that leaf is above its
 threshold, the lowest ancestor still within threshold is rebalanced by even
-redistribution before the element is placed.  A box's first key goes
-straight to slot 0, with no search and no walk.  Any later key targets the
-slot right after the last stored key <= it, else right before the first
-stored key; if that slot is taken, the shorter run of its leaf shifts by one
-toward the nearest gap (ties go right), so cheap inserts stay cheap and the
-labels of untouched elements never change.
+redistribution before the element is placed.  A key targets the slot
+right after the last stored key <= it, else right before the first stored
+key, and slot 0 in an empty array; if that slot is taken, the shorter run of
+its leaf shifts by one toward the nearest gap (ties go right), so cheap
+inserts stay cheap and the labels of untouched elements never change.
 
 Movements are counted per element whose slot (label) actually changes; an
 element that a rebalance happens to leave in place costs nothing.  Each
@@ -164,42 +163,35 @@ class Pma:
         cap[0] = TAU_ROOT * slot_count keys, the root's threshold (callers
         that want growth must rebuild into a bigger array themselves), and
         ValueError for a key check_raw rejects.
-
-        A box's first key goes straight to slot 0, with no search and no
-        walk; it still passes through `_place`, the leaf minima, the count
-        and the ledger as every other key does.
         """
         raw = check_raw(raw)
         if self.count > self._cap[0]:
             raise CapacityError("root above density threshold")
-        # An empty box is below every threshold and has no key to place next
-        # to: its first key goes to slot 0 with neither the search nor the walk.
-        moved = t = 0
-        if self.count:
-            t = self._target(raw)
+        t = self._target(raw)
 
-            # Walk up until a node tolerates one more element (checked against
-            # the pre-insert count, so a box sized 6r admits its (3r+1)-th
-            # element before the owner decides to rebuild).  Each level doubles
-            # the aligned range and counts only the sibling half's slots.
-            slots, cap = self.slots, self._cap
-            width = self.leaf_size
-            lo = min(t, self.slot_count - 1) // width * width
-            c = width - slots[lo:lo + width].count(None)
-            k = self.depth
-            while c > cap[k]:
-                # Stops by the root: at depth 0, c is the count checked above.
-                # A right child; not `lo & width`, which fails for 3 * 2^j leaves.
-                if lo // width & 1:
-                    lo -= width
-                    c += width - slots[lo:lo + width].count(None)
-                else:
-                    c += width - slots[lo + width:lo + 2 * width].count(None)
-                width <<= 1
-                k -= 1
-            if k != self.depth:
-                moved = self._rebalance(lo, lo + width, raw)
-                t = self._target(raw)
+        # Walk up until a node tolerates one more element (checked against
+        # the pre-insert count, so a box sized 6r admits its (3r+1)-th
+        # element before the owner decides to rebuild).  Each level doubles
+        # the aligned range and counts only the sibling half's slots.
+        slots, cap = self.slots, self._cap
+        width = self.leaf_size
+        lo = min(t, self.slot_count - 1) // width * width
+        c = width - slots[lo:lo + width].count(None)
+        k = self.depth
+        while c > cap[k]:
+            # Stops by the root: at depth 0, c is the count checked above.
+            # A right child; not `lo & width`, which fails for 3 * 2^j leaves.
+            if lo // width & 1:
+                lo -= width
+                c += width - slots[lo:lo + width].count(None)
+            else:
+                c += width - slots[lo + width:lo + 2 * width].count(None)
+            width <<= 1
+            k -= 1
+        moved = 0
+        if k != self.depth:
+            moved = self._rebalance(lo, lo + width, raw)
+            t = self._target(raw)
 
         pos, shifted = self._place(t, (raw, seq))
         moved += shifted
@@ -221,13 +213,13 @@ class Pma:
 
     def _target(self, raw: int) -> int:
         """The slot the key wants: right after the last stored key <= raw,
-        else right before the first stored key; the box must hold a key.
+        else right before the first stored key, else (an empty box) slot 0.
         That slot may be taken, and it may equal slot_count.
 
         The last leaf with a minimum <= raw holds the predecessor, unless it
         is NEG_INF_RAW (an empty leaf past the first key repeats the next
         non-empty leaf's minimum); else the leaf after it is the first
-        non-empty one."""
+        non-empty one, leaf 0 of an empty box (every minimum is INF_RAW)."""
         mins, L, slots = self._min, self.leaf_size, self.slots
         q = bisect_right(mins, raw)
         if q and mins[q - 1] != NEG_INF_RAW:
@@ -241,7 +233,9 @@ class Pma:
         for pos in range(lo, lo + L):
             if slots[pos] is not None:
                 return max(pos - 1, 0)
-        raise AssertionError("leaf minima out of sync: the first non-empty leaf is empty")
+        if self.count:
+            raise AssertionError("leaf minima out of sync: the first non-empty leaf is empty")
+        return 0
 
     def _place(self, t: int, entry: tuple[int, int]) -> tuple[int, int]:
         """Store the entry at slot t if that slot is free; otherwise shift

@@ -403,12 +403,17 @@ class RecountingApma(RecountingPma, Apma):
     """An Apma whose every rebalance recounts its moves by position."""
 
 
-@pytest.mark.parametrize("spied", ["SpiedApma", "RecountingApma"])
-def test_a_mixin_before_apma_sees_every_place_and_rebalance(spied, monkeypatch):
-    """Apma calls Pma's `_place` directly, not through super(); a mixin
-    listed before Apma, as criterion 7's spy and RecountingApma are, still
-    wraps every `_place` and `_rebalance` that Pma runs, from the first
-    insert into the empty box on."""
+class ApmaThenRecounting(Apma, RecountingPma):
+    """RecountingPma listed after Apma: it sits between Apma and Pma."""
+
+
+@pytest.mark.parametrize(
+    "spied", ["SpiedApma", "RecountingApma", "ApmaThenSpied", "ApmaThenRecounting"])
+def test_a_mixin_on_either_side_of_apma_sees_every_place_and_rebalance(spied, monkeypatch):
+    """A mixin listed before Apma, as criterion 7's spy and RecountingApma
+    are, wraps every `_place` and `_rebalance` that Pma runs, from the first
+    insert into the empty box on.  So does a Pma subclass listed after
+    Apma, since Apma reaches Pma's `__init__` and `_place` through super()."""
     calls = {"_place": 0, "_rebalance": 0}
     for name in calls:
         def counted(self, *args, inner=getattr(Pma, name), name=name):
@@ -416,12 +421,18 @@ def test_a_mixin_before_apma_sees_every_place_and_rebalance(spied, monkeypatch):
             return inner(self, *args)
         monkeypatch.setattr(Pma, name, counted)
     state = {"in_merge": False, "events": [], "shifts": 0, "rebalances": 0}
-    box = _spied_classes(state)[1](96) if spied == "SpiedApma" else RecountingApma(96)
+    spied_pma, spied_apma = _spied_classes(state)
+
+    class ApmaThenSpied(Apma, spied_pma):
+        pass
+
+    box = {"SpiedApma": spied_apma, "RecountingApma": RecountingApma,
+           "ApmaThenSpied": ApmaThenSpied, "ApmaThenRecounting": ApmaThenRecounting}[spied](96)
     raws = [49] + list(range(1, 49))  # hammer: 49 keys, as many as 96 slots take
     for seq, raw in enumerate(raws):
         box.insert(raw, seq)
     assert calls["_place"] == len(raws) and calls["_rebalance"] > 0
-    if spied == "SpiedApma":
+    if "Spied" in spied:
         assert state["rebalances"] == calls["_rebalance"]
         assert len(state["events"]) == calls["_place"] + calls["_rebalance"]
     else:

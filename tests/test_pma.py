@@ -376,8 +376,8 @@ class RecountingPma(Pma):
     the range changed.  Records the size of every rebalanced range.
     test_apma.py mixes it into Apma."""
 
-    def __init__(self, slot_count):
-        super().__init__(slot_count)
+    def __init__(self, slot_count, ledger=None):
+        super().__init__(slot_count, ledger)
         self.sizes = []
 
     def _rebalance(self, lo, hi, pending_raw):
@@ -494,9 +494,10 @@ class TestPlace:
 
 
 class TestFirstKey:
-    """A box's first key skips the search and the walk: it goes straight to
-    slot 0 and takes the same tail as every other insert.  Sizes 6, 12, 24
-    and 96 have leaves of 3 * 2^j slots, 64 has power-of-two leaves."""
+    """A box's first key takes the one insert path: `_target` answers slot 0
+    for an empty box, the density walk stops at once, and the key takes the
+    same tail as every other insert.  Sizes 6, 12, 24 and 96 have leaves of
+    3 * 2^j slots, 64 has power-of-two leaves."""
 
     SIZES = [6, 12, 24, 96, 64]
     KEYS = [MIN_RAW, 0, RAW_MAX]
@@ -516,6 +517,20 @@ class TestFirstKey:
         if cls is Apma:
             assert box.histogram == [1] + [0] * (box.num_leaves - 1)
             assert box._since_decay == 1
+
+    @pytest.mark.parametrize("cls", [Pma, Apma])
+    @pytest.mark.parametrize("m", SIZES)
+    def test_target_is_slot_zero_only_in_an_empty_box(self, cls, m):
+        box = cls(m)
+        assert [box._target(raw) for raw in self.KEYS] == [0] * len(self.KEYS)
+        # A key in the last leaf while every leaf minimum still reads "no
+        # key" (INF_RAW): the count says the box holds a key the row misses.
+        box.slots[-1], box.count = (0, 0), 1
+        assert box._min == [INF_RAW] * box.num_leaves
+        with pytest.raises(AssertionError, match="leaf minima out of sync"):
+            box._target(0)
+        box._rebuild_minima(0, box.slot_count)
+        assert box._target(0) == box.slot_count
 
     @pytest.mark.parametrize("cls", [Pma, Apma])
     @pytest.mark.parametrize("m", SIZES)

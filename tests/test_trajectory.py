@@ -8,13 +8,16 @@ pair count, the per-metric medians of both sides (with the interquartile
 range, as quartile bounds or as a width, where one was stated), and the
 metric the PR claimed a gain on, if any.  `backfilled` marks an entry copied
 from a CHANGES.md line rather than written by its own PR.  `change` is null
-only where the entry was written in the commit it describes.  One PR may
-have more than one entry per workload (say, a second seed), so PR numbers
-never decrease.
+only where the entry was written in the commit it describes, so only the
+newest PR's entries may lack it.  One PR may have more than one entry per
+workload (say, a second seed), so PR numbers never decrease, and the
+entries of one PR share its `parent` and `change`.
 """
 
 import json
 import re
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -63,4 +66,8 @@ def test_bench_file_entries(workload):
                 assert pairs == e["pairs"] and 0 <= lower <= pairs, (where, name)
     prs = [e["pr"] for e in entries]
     assert prs == sorted(prs), prs
-    assert all(e["change"] for e in entries[:-1]), "only the newest entry may lack its change"
+    assert all(e["change"] or e["pr"] == prs[-1] for e in entries), \
+        "only the newest PR's entries may lack their change"
+    for pr, same in groupby(entries, key=itemgetter("pr")):
+        assert len({(e["parent"], e["change"]) for e in same}) == 1, \
+            (workload, pr, "entries of one PR must share parent and change")
