@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 __all__ = [
@@ -120,12 +120,13 @@ class MovementLedger:
     theory statements charge it as a movement, benchmark practice does not
     (every element trivially needs one placement).  `first_placement_excluded`
     selects the convention; benchmarks use True, library-level cost arguments
-    default to False.
+    default to False.  It is the only constructor argument: the running
+    totals start at 0 and change only through the record methods and reset.
     """
 
     first_placement_excluded: bool = False
-    total_movements: int = 0
-    total_inserts: int = 0
+    total_movements: int = field(default=0, init=False)
+    total_inserts: int = field(default=0, init=False)
 
     def record_insert(self, moved_existing: int = 0) -> None:
         self.total_inserts += 1

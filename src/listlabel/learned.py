@@ -17,7 +17,7 @@ keys live in a heap-order min/max tree on the n rank leaves that is exact
 only at and above actual roots: every such node holds the min and max of the
 keys stored under it (core's INF_RAW and NEG_INF_RAW, outside every key,
 if there are none), and nodes below a root keep stale values.  The trees
-are laid out in heap order and searched by `pred_leaf` and `succ_leaf`, and
+are laid out in heap order and searched by one descent, `descend`, and
 a descent that reaches an actual's root stays inside that actual whatever
 it finds below.  Routing first climbs from the predicted
 actual's root toward the tree root.  The siblings on that path are never
@@ -74,27 +74,20 @@ from .pma import Pma
 __all__ = ["LearnedLLA", "witness_error_check"]
 
 
-def pred_leaf(mins: list[int], raw: int) -> int:
-    """Rightmost leaf holding a key <= raw, which must exist; `mins` is a
-    heap-order tree (node 1 is the root, the leaves sit at [len // 2, len))
-    of subtree key minima, INF_RAW where a subtree is empty."""
-    n = len(mins) >> 1
+def descend(tree: list[int], raw: int, side: int) -> int:
+    """Descend the heap-order tree `tree` (node 1 is the root, the leaves sit
+    at [len // 2, len)) from its root, going right at each node v whose
+    child 2v + side holds a value <= raw; returns the leaf reached.
+
+    Over the tree of subtree key minima (INF_RAW where a subtree is empty)
+    with side 1, that is the rightmost leaf holding a key <= raw; over the
+    tree of maxima (NEG_INF_RAW where empty) with side 0, the leftmost leaf
+    holding a key > raw.  That leaf must exist."""
+    n = len(tree) >> 1
     v = 1
     while v < n:
         v <<= 1
-        if mins[v | 1] <= raw:
-            v |= 1
-    return v - n
-
-
-def succ_leaf(maxs: list[int], raw: int) -> int:
-    """Leftmost leaf holding a key > raw, which must exist; `maxs` is the
-    heap-order tree of subtree key maxima, NEG_INF_RAW where one is empty."""
-    n = len(maxs) >> 1
-    v = 1
-    while v < n:
-        v <<= 1
-        if maxs[v] <= raw:
+        if tree[v | side] <= raw:
             v |= 1
     return v - n
 
@@ -159,8 +152,8 @@ class LearnedLLA:
         # the root, leaf i is node n + i; actual (h, node) is rooted at
         # (n >> h) + node).  Every node at or above an actual's root holds
         # the min and max of the keys under it, INF_RAW / NEG_INF_RAW when
-        # there are none; nodes below a root are stale, yet pred_leaf and
-        # succ_leaf still end in the actual holding the neighbor they seek.
+        # there are none; nodes below a root are stale, yet `descend` still
+        # ends in the actual holding the neighbor it seeks.
         self._min = [INF_RAW] * (2 * self.n)
         self._max = [NEG_INF_RAW] * (2 * self.n)
         self._seqs: set[int] = set()  # every seq inserted, to reject reuse
@@ -194,12 +187,12 @@ class LearnedLLA:
             if u & 1:
                 if left and maxs[u - 1] != NEG_INF_RAW:
                     if maxs[u - 1] > raw:
-                        leaf = succ_leaf(maxs, raw)
+                        leaf = descend(maxs, raw, 0)
                         break
                     left = False
             elif right and mins[u + 1] != INF_RAW:
                 if mins[u + 1] <= raw:
-                    leaf = pred_leaf(mins, raw)
+                    leaf = descend(mins, raw, 1)
                     break
                 right = False
             u >>= 1
@@ -272,8 +265,10 @@ class LearnedLLA:
 
         Gathers every element stored under the parent (their concatenation in
         actual order is sorted and was checked at insert) with each one's
-        old global label, moves those tuples into a new box (`_fill`), and
-        charges one movement per element whose global label changed.
+        old global label; the children are the non-empty entries of
+        `_boxes[first:end]`, each at its first leaf.  It moves those tuples
+        into a new box (`_fill`), and charges one movement per element whose
+        global label changed.
         Gather and count are whole-list passes: `_held` gives each child's
         entries and labels, and the moves are one `map(ne)` of the new
         labels against the old.  The parent's root in the min/max trees
@@ -287,14 +282,13 @@ class LearnedLLA:
         end = first + (1 << ph)
         entries: list[tuple[int, int]] = []
         old: list[int] = []
-        leaf = first
-        while leaf < end:
-            child = boxes[leaf]
-            if child is not None:
-                held, labels = _held(leaf, child)
-                entries += held
-                old += labels
-            leaf += 1 << heights[leaf]
+        # Every box and lone key is truthy (a box is never empty and defines
+        # no __len__, a lone key is a 2-tuple), so this keeps exactly the
+        # first leaves of the non-empty children.
+        for leaf in compress(range(first, end), boxes[first:end]):
+            held, labels = _held(leaf, boxes[leaf])
+            entries += held
+            old += labels
         box = self.factory(6 << ph, None)
         box._fill(entries)
         self.ledger.record_moves(sum(map(ne, _held(first, box)[1], old)))

@@ -26,7 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Key, MovementLedger
+from .core import Key
 from .learned import LearnedLLA
 
 __all__ = [
@@ -127,8 +127,11 @@ def select_predictor(train: SequenceSlice) -> str:
 
     The training slice is split in half; each predictor trains on the first
     half and is scored by the movements a learned labeled array incurs
-    inserting the second half under its predictions.  Ties keep the simpler
-    predictor1.
+    inserting the second half under its predictions: the sum of what
+    `LearnedLLA.insert` returns.  That sum charges each new element's first
+    placement too, the same len(second half) on both sides, so it ranks the
+    two exactly as the movements without first placements would.  Ties keep
+    the simpler predictor1.
     """
     if len(train.keys) < 4:
         raise ValueError("need at least 4 training keys to hold out a validation half")
@@ -137,11 +140,9 @@ def select_predictor(train: SequenceSlice) -> str:
     second = SequenceSlice(train.keys[half:], train.start_offset + half)
 
     def cost(pred: PredictionVector) -> int:
-        ledger = MovementLedger(first_placement_excluded=True)
-        lla = LearnedLLA(len(second.keys), ledger=ledger)
-        for seq, (key, rank) in enumerate(zip(second.keys, pred.ranks)):
-            lla.insert(key.raw, seq, rank)
-        return ledger.total_movements
+        lla = LearnedLLA(len(second.keys))
+        return sum(lla.insert(key.raw, seq, rank)
+                   for seq, (key, rank) in enumerate(zip(second.keys, pred.ranks)))
 
     c1 = cost(predictor1(first, second))
     c2 = cost(predictor2(first, second))

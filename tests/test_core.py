@@ -91,6 +91,16 @@ class TestMovementLedger:
         with pytest.raises(UndefinedCostError):
             MovementLedger().amortized_cost()
 
+    def test_running_totals_are_not_constructor_arguments(self):
+        with pytest.raises(TypeError):
+            MovementLedger(total_movements=5)
+        with pytest.raises(TypeError):
+            MovementLedger(total_inserts=1)
+        with pytest.raises(TypeError):
+            MovementLedger(True, 5)
+        assert repr(MovementLedger(first_placement_excluded=True)) == (
+            "MovementLedger(first_placement_excluded=True, total_movements=0, total_inserts=0)")
+
     def test_reset(self):
         led = MovementLedger()
         led.record_insert(moved_existing=4)

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+import listlabel
 from listlabel.cli import main as cli_main
 from listlabel.harness import SYNTHETIC_KINDS
 
@@ -57,9 +58,11 @@ def test_cli_csv_bytes_unchanged(name, tmp_path):
 
 
 def test_default_out_writes_the_csv_bytes_to_stdout():
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    # The subprocess imports the listlabel this process imported: src/ when
+    # it is on PYTHONPATH, the installed package when PYTHONPATH is unset.
+    lib = str(Path(listlabel.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        filter(None, [lib, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "listlabel.cli", *CASES["synth-hammer"]],
                           env=env, capture_output=True, timeout=120)
     assert proc.returncode == 0

@@ -15,7 +15,7 @@ import pytest
 from listlabel import learned
 from listlabel.apma import Apma
 from listlabel.core import INF_RAW, MIN_RAW, NEG_INF_RAW, RAW_MAX, CapacityError, MovementLedger, clamp
-from listlabel.learned import LearnedLLA, witness_error_check
+from listlabel.learned import LearnedLLA, descend, witness_error_check
 from listlabel.pma import Pma
 
 
@@ -51,27 +51,23 @@ def scan_neighbors(keys, owners, raw):
     return owners[i - 1] if i else None, owners[i] if i < len(keys) else None
 
 
-DESCENTS = {"pred_leaf": learned.pred_leaf, "succ_leaf": learned.succ_leaf}
-
-
 def guard_descents(monkeypatch, stored):
-    """Patch pred_leaf and succ_leaf to assert, on every call, the
-    precondition route guarantees them: some key of `stored()`, the stored
-    keys in ascending order, is <= the searched key, or > it.  Returns the
-    names of the descents run, in call order.  A second call replaces the
-    first one's patch."""
+    """Patch the one descent to assert, on every call, the precondition
+    route guarantees it: some key of `stored()`, the stored keys in
+    ascending order, is <= the searched key (side 1, the predecessor's
+    search) or > it (side 0, the successor's).  Returns the descents run,
+    in call order, named "pred_leaf" or "succ_leaf" by side.  A second call
+    replaces the first one's patch."""
     ran = []
 
-    def guarded(name, inner, holds):
-        def descent(tree, raw):
-            keys = stored()
-            assert keys and holds(keys, raw), (name, raw, keys)
-            ran.append(name)
-            return inner(tree, raw)
-        monkeypatch.setattr(learned, name, descent)
+    def descent(tree, raw, side):
+        keys = stored()
+        name = "pred_leaf" if side else "succ_leaf"
+        assert keys and (keys[0] <= raw if side else keys[-1] > raw), (name, raw, keys)
+        ran.append(name)
+        return descend(tree, raw, side)
 
-    guarded("pred_leaf", DESCENTS["pred_leaf"], lambda keys, raw: keys[0] <= raw)
-    guarded("succ_leaf", DESCENTS["succ_leaf"], lambda keys, raw: keys[-1] > raw)
+    monkeypatch.setattr(learned, "descend", descent)
     return ran
 
 
