@@ -90,8 +90,16 @@ def fixed_point_parse(text: str, line: int | None = None) -> int:
     it are almost always corrupt exports, and silently accepting "1e3" as a
     coordinate has burned us before.  Fractions beyond 7 digits round half
     away from zero.
+
+    A plain integer -- ASCII digits only, at most `_INT_DIGITS` of them, in
+    range -- is scaled without the regex; anything else, each error
+    included, takes the general path.
     """
     t = text.strip()
+    if t.isascii() and t.isdigit() and len(t) <= _INT_DIGITS:
+        raw = int(t) * SCALE
+        if raw <= RAW_MAX:
+            return raw
     where = f"line {line}: " if line is not None else ""
     if not _NUMBER_RE.match(t):
         raise ParseError(f"{where}not a plain decimal number: {text!r}")

@@ -9,7 +9,8 @@ Two predictors forecast each test key's final rank among the test keys:
   the training window and the test window.
 
 ``select_predictor`` picks between them by splitting the training slice in
-half and simulating the labeled-array cost of each on the second half.
+half and simulating the labeled-array cost of each on the second half,
+predictor2 first, stopping predictor1's once it has lost.
 ``corrupt`` implements the adversarial-noise protocol used by the
 robustness benchmarks: a sampled fraction of predictions is pushed to
 whichever extreme rank (1 or n) is farther away.
@@ -21,6 +22,7 @@ any comparison, so repeated runs are bit-identical.
 
 from __future__ import annotations
 
+import math
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -62,22 +64,19 @@ class PredictionVector:
     ranks: list[int]
 
 
-def _round_half_up(num: int, den: int) -> int:
-    """round(num/den) with halves going up; den must be positive."""
-    return (2 * num + den) // (2 * den)
-
-
 def _scaled_ranks(train_raws: list[int], test: SequenceSlice) -> PredictionVector:
     """Each test key's rank among the training raws (keys strictly below,
     plus one), scaled by |test|/|train| and clamped to [1, |test|]; the
     ranking step both predictors share."""
     raws = sorted(train_raws)
     r, t = len(raws), len(test.keys)
+    t2, r2 = 2 * t, 2 * r
     ranks = []
     for x in test.keys:
-        emp = bisect_left(raws, x.raw) + 1
-        scaled = _round_half_up(emp * t, r)
-        ranks.append(min(max(scaled, 1), t))
+        # round(num/den), halves up, is (2·num + den) // (2·den); here
+        # num = (keys below + 1)·t and den = r.
+        scaled = ((bisect_left(raws, x.raw) + 1) * t2 + r) // r2
+        ranks.append(1 if scaled < 1 else t if scaled > t else scaled)
     return PredictionVector(ranks)
 
 
@@ -113,10 +112,12 @@ def predictor2(train: SequenceSlice, test: SequenceSlice) -> PredictionVector:
     a = best_fit_slope(train)
     r, t = len(train.keys), len(test.keys)
     d = test.start_offset - train.start_offset
-    # a·(d + i·(t − r)/r) = N·(d·r + i·(t − r)) / (D·r) with a = N/D, D > 0.
-    num, den = a.numerator, a.denominator * r
+    # a·(d + i·(t − r)/r) = N·(d·r + i·(t − r)) / (D·r) with a = N/D, D > 0,
+    # rounded half up as in _scaled_ranks.
+    num2, den = 2 * a.numerator, a.denominator * r
+    den2, dr, step = 2 * den, d * r, t - r
     return _scaled_ranks(
-        [k.raw + _round_half_up(num * (d * r + i * (t - r)), den)
+        [k.raw + (num2 * (dr + i * step) + den) // den2
          for i, k in enumerate(train.keys, start=1)],
         test,
     )
@@ -132,21 +133,33 @@ def select_predictor(train: SequenceSlice) -> str:
     placement too, the same len(second half) on both sides, so it ranks the
     two exactly as the movements without first placements would.  Ties keep
     the simpler predictor1.
+
+    Equal prediction vectors tie, so nothing is simulated.  Otherwise
+    predictor2 is scored in full first, and predictor1's simulation stops as
+    soon as its running sum exceeds that total: sums only grow, so it has
+    lost by then.
     """
     if len(train.keys) < 4:
         raise ValueError("need at least 4 training keys to hold out a validation half")
     half = len(train.keys) // 2
     first = SequenceSlice(train.keys[:half], train.start_offset)
     second = SequenceSlice(train.keys[half:], train.start_offset + half)
+    p1, p2 = predictor1(first, second), predictor2(first, second)
+    if p1.ranks == p2.ranks:
+        return "predictor1"
 
-    def cost(pred: PredictionVector) -> int:
+    def cost(pred: PredictionVector, budget: float) -> int:
+        """The sum of insert costs, or the first running sum above budget."""
         lla = LearnedLLA(len(second.keys))
-        return sum(lla.insert(key.raw, seq, rank)
-                   for seq, (key, rank) in enumerate(zip(second.keys, pred.ranks)))
+        total = 0
+        for seq, (key, rank) in enumerate(zip(second.keys, pred.ranks)):
+            total += lla.insert(key.raw, seq, rank)
+            if total > budget:
+                break
+        return total
 
-    c1 = cost(predictor1(first, second))
-    c2 = cost(predictor2(first, second))
-    return "predictor2" if c2 < c1 else "predictor1"
+    c2 = cost(p2, math.inf)
+    return "predictor2" if c2 < cost(p1, c2) else "predictor1"
 
 
 def corrupt(ranks: list[int], t: int, rng_seed: int) -> list[int]:

@@ -1,12 +1,17 @@
 """Rank predictors: empirical scaling, drift correction, corruption."""
 
 import random
+from bisect import bisect_left
 from fractions import Fraction
+from math import floor
+from pathlib import Path
 
 import pytest
 
 from listlabel import predictors
 from listlabel.core import Key
+from listlabel.harness import DatasetSpec, load_dataset
+from listlabel.learned import LearnedLLA
 from listlabel.predictors import (
     SequenceSlice,
     best_fit_slope,
@@ -61,6 +66,19 @@ class TestPredictor1:
     def test_empty_train_rejected(self):
         with pytest.raises(ValueError):
             predictor1(slice_of([]), slice_of([1]))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_scaling_matches_fraction_rounding(self, seed):
+        # round half up of (keys below + 1)·|test|/|train|, then clamped
+        rng = random.Random(seed)
+        train = slice_of([rng.randrange(100) for _ in range(rng.randint(1, 60))])
+        test = slice_of([rng.randrange(-10, 110) for _ in range(rng.randint(1, 60))])
+        raws = sorted(k.raw for k in train.keys)
+        t, r = len(test), len(train)
+        expected = [min(max(floor(Fraction((bisect_left(raws, k.raw) + 1) * t, r)
+                                  + Fraction(1, 2)), 1), t)
+                    for k in test.keys]
+        assert predictor1(train, test).ranks == expected
 
 
 class TestBestFitSlope:
@@ -143,19 +161,93 @@ class TestPredictor2:
         assert seen == [rounded] == [self.fraction_shifted(train, test)]
 
 
+def stationary_raws():
+    return random.Random(6).sample(range(10**6), 64)
+
+
+def drifting_raws():
+    rng = random.Random(6)
+    return [t * 1000 + rng.randint(-50, 50) for t in range(64)]
+
+
+def noisy_raws(seed):
+    rng = random.Random(seed)
+    slope = rng.choice([0, 1, 5, 100])
+    return [t * slope + rng.randint(-20, 20) for t in range(rng.choice([8, 12, 16, 24, 32]))]
+
+
+def actions_training_raws(k=8):
+    """The first 2^k keys of the actions fixture, `llabench table`'s training
+    window at k."""
+    spec = DatasetSpec(Path(__file__).resolve().parent / "data" / "actions_sample.tsv",
+                       value_column=1, timestamp_column=3)
+    return [key.raw for key in load_dataset(spec).keys[: 2**k]]
+
+
+def full_cost_choice(train):
+    """select_predictor's rule with both predictors scored in full."""
+    half = len(train.keys) // 2
+    first = SequenceSlice(train.keys[:half], train.start_offset)
+    second = SequenceSlice(train.keys[half:], train.start_offset + half)
+
+    def cost(pred):
+        lla = LearnedLLA(len(second.keys))
+        return sum(lla.insert(key.raw, seq, rank)
+                   for seq, (key, rank) in enumerate(zip(second.keys, pred.ranks)))
+
+    c1 = cost(predictor1(first, second))
+    c2 = cost(predictor2(first, second))
+    return "predictor2" if c2 < c1 else "predictor1"
+
+
 class TestSelectPredictor:
     def test_stationary_stream_picks_plain_scaling(self):
-        raws = random.Random(6).sample(range(10**6), 64)
-        assert select_predictor(slice_of(raws)) == "predictor1"
+        assert select_predictor(slice_of(stationary_raws())) == "predictor1"
 
     def test_drifting_stream_picks_drift_correction(self):
-        rng = random.Random(6)
-        raws = [t * 1000 + rng.randint(-50, 50) for t in range(64)]
-        assert select_predictor(slice_of(raws)) == "predictor2"
+        assert select_predictor(slice_of(drifting_raws())) == "predictor2"
 
     def test_exact_tie_prefers_plain_scaling(self):
         # constant keys: zero slope makes both candidates identical
         assert select_predictor(slice_of([7, 7, 7, 7])) == "predictor1"
+
+    @pytest.fixture
+    def inserts(self, monkeypatch):
+        """The number of LearnedLLA.insert calls made so far."""
+        calls = [0]
+        insert = LearnedLLA.insert
+
+        def spy(self, *args):
+            calls[0] += 1
+            return insert(self, *args)
+
+        monkeypatch.setattr(LearnedLLA, "insert", spy)
+        return calls
+
+    @pytest.mark.parametrize("raws", [
+        drifting_raws(), stationary_raws(), [7, 7, 7, 7], actions_training_raws(),
+    ] + [noisy_raws(seed) for seed in range(40)],
+        ids=["drifting", "stationary", "constant", "actions-k8"]
+        + [f"noisy-{seed}" for seed in range(40)])
+    def test_matches_both_predictors_scored_in_full(self, raws):
+        # the small noisy streams often bring a running sum level with the
+        # other total before passing it: a stop at equality misjudges them
+        train = slice_of(raws, offset=3)
+        assert select_predictor(train) == full_cost_choice(train)
+
+    def test_losing_simulation_stops_early(self, inserts):
+        # predictor2 is scored in full (32 inserts), predictor1 only until
+        # its running sum passes that total
+        assert select_predictor(slice_of(drifting_raws())) == "predictor2"
+        assert 32 < inserts[0] < 64
+
+    def test_a_winning_plain_scaling_runs_in_full(self, inserts):
+        assert select_predictor(slice_of(stationary_raws())) == "predictor1"
+        assert inserts[0] == 64
+
+    def test_equal_predictions_simulate_nothing(self, inserts):
+        assert select_predictor(slice_of([7, 7, 7, 7])) == "predictor1"
+        assert inserts[0] == 0
 
     def test_too_small_train_rejected(self):
         with pytest.raises(ValueError):
