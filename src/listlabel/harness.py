@@ -32,7 +32,6 @@ import statistics
 import sys
 from collections.abc import Sequence
 from dataclasses import astuple, dataclass, fields, replace
-from itertools import repeat
 from math import isfinite, isnan
 from operator import index, sub
 from pathlib import Path
@@ -168,8 +167,7 @@ def load_dataset(spec: DatasetSpec) -> SequenceSlice:
                 )
         raws = [raws[i] for i in sorted(range(len(raws)), key=order_key.__getitem__)]
 
-    # Each Key made in C: Key(raw) runs the NamedTuple's Python-level __new__.
-    return SequenceSlice(list(map(tuple.__new__, repeat(Key), zip(raws))), start_offset=0)
+    return SequenceSlice(list(map(Key, raws)), start_offset=0)
 
 
 # ----------------------------------------------------------------------

@@ -134,9 +134,8 @@ def select_predictor(train: SequenceSlice) -> str:
     two exactly as the movements without first placements would.  Ties keep
     the simpler predictor1.
 
-    Equal prediction vectors tie, so nothing is simulated.  Otherwise
-    predictor2 is scored in full first, and predictor1's simulation stops as
-    soon as its running sum exceeds that total: sums only grow, so it has
+    Predictor2 is scored in full first, and predictor1's simulation stops
+    as soon as its running sum exceeds that total: sums only grow, so it has
     lost by then.
     """
     if len(train.keys) < 4:
@@ -144,9 +143,6 @@ def select_predictor(train: SequenceSlice) -> str:
     half = len(train.keys) // 2
     first = SequenceSlice(train.keys[:half], train.start_offset)
     second = SequenceSlice(train.keys[half:], train.start_offset + half)
-    p1, p2 = predictor1(first, second), predictor2(first, second)
-    if p1.ranks == p2.ranks:
-        return "predictor1"
 
     def cost(pred: PredictionVector, budget: float) -> int:
         """The sum of insert costs, or the first running sum above budget."""
@@ -158,8 +154,8 @@ def select_predictor(train: SequenceSlice) -> str:
                 break
         return total
 
-    c2 = cost(p2, math.inf)
-    return "predictor2" if c2 < cost(p1, c2) else "predictor1"
+    c2 = cost(predictor2(first, second), math.inf)
+    return "predictor2" if c2 < cost(predictor1(first, second), c2) else "predictor1"
 
 
 def corrupt(ranks: list[int], t: int, rng_seed: int) -> list[int]:

@@ -245,10 +245,6 @@ class TestSelectPredictor:
         assert select_predictor(slice_of(stationary_raws())) == "predictor1"
         assert inserts[0] == 64
 
-    def test_equal_predictions_simulate_nothing(self, inserts):
-        assert select_predictor(slice_of([7, 7, 7, 7])) == "predictor1"
-        assert inserts[0] == 0
-
     def test_too_small_train_rejected(self):
         with pytest.raises(ValueError):
             select_predictor(slice_of([1, 2, 3]))
