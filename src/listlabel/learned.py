@@ -33,16 +33,17 @@ climb names the override and a single descent finds its actual.
 When an actual exceeds half density its parent's whole range is rebuilt into
 one fresh box -- possibly cascading upward -- which is where prediction error
 turns into movement cost: a merge only happens when some element's
-prediction missed by at least half the merged rank width.  A merge works on
-whole lists: `_held` gives each child's entries and their old global labels,
-`_fill` moves those very tuples into the parent's fresh box, and the relabels
-are one `map(ne)` of new labels on old.  The parent's root already holds the
-min and max of everything it gathers, so a merge leaves the trees alone.
+prediction missed by at least half the merged rank width.  A merge is one
+even spread of the parent's current slots: it lays its children's slot
+windows side by side in one list, the parent's window as it stands, and
+`_fill` moves those very tuples into the parent's fresh box, counting a
+relabel for each entry whose index changed.  The parent's root already holds
+the min and max of everything it gathers, so a merge leaves the trees alone.
 
 An actual that holds one key has no box: the key stays bare, its own
 `(raw, seq)` tuple, at slot 0 of the box it would have had.  `_held` gives
-any actual's entries and global labels, a box's or a lone key's.  Otherwise
-the box is the only per-actual object.
+any actual's entries and global labels, a box's or a lone key's, for
+`global_labels`.  Otherwise the box is the only per-actual object.
 The wrapper keeps the height of the owning actual per leaf and, indexed by
 the actual's first leaf, its box or lone key; an actual's ranks and slot
 offset follow from (height, node).  A box is built as
@@ -51,7 +52,8 @@ receives a second key or `actuals` inspects it; the lone key is then
 replayed through the box's insert, so the box, its slots and its counts end
 exactly as if it had held the key from the start.  Boxes charge nothing and
 the wrapper does all the accounting: the moves each box insert returns, and
-the relabels of each merge.  A merge fills its box with `_fill`, so
+the relabels of each merge.  A merge fills its box with `_fill`, the even
+layout whatever the box's kind, and takes its relabels from it, so
 `factory` must build a `Pma` or a subclass such as `Apma`.  Inspection
 (`actuals`, the merge listener) returns `Actual(height, node, box)` tuples
 built on demand.
@@ -64,8 +66,8 @@ anyway.
 
 from __future__ import annotations
 
-from itertools import compress
-from operator import add, index, ne
+from itertools import compress, repeat
+from operator import add, index
 from typing import Callable, Iterable, NamedTuple
 
 from .core import INF_RAW, NEG_INF_RAW, CapacityError, MovementLedger, check_raw, clamp
@@ -263,16 +265,18 @@ class LearnedLLA:
         """Rebuild the parent of the actual whose first leaf is `first` into
         a single fresh actual; returns the parent's first leaf.
 
-        Gathers every element stored under the parent (their concatenation in
-        actual order is sorted and was checked at insert) with each one's
-        old global label; the children are the non-empty entries of
-        `_boxes[first:end]`, each at its first leaf.  It moves those tuples
-        into a new box (`_fill`), and charges one movement per element whose
-        global label changed.
-        Gather and count are whole-list passes: `_held` gives each child's
-        entries and labels, and the moves are one `map(ne)` of the new
-        labels against the old.  The parent's root in the min/max trees
-        already covers every gathered key.
+        The children are the non-empty entries of `_boxes[first:end]`, each
+        at its first leaf; their concatenation in actual order is sorted and
+        was checked at insert.  Their slot windows are laid side by side in
+        one list, the parent's window as it stands: a box's `slots`, a lone
+        key at slot 0 of its window, and None for every slot of an empty
+        child.  `_fill` spreads those very tuples evenly over a new box and
+        returns how many changed index, which is how many global labels
+        changed; that is the charge.  If the parent's first leaf holds a box,
+        that box's own `slots` list grows in place into the window, so a box
+        held from an earlier `actuals()` call can change once it is merged
+        away.  The parent's root in the min/max trees already covers every
+        key.
         """
         heights, boxes = self._heights, self._boxes
         ph = heights[first] + 1
@@ -280,18 +284,23 @@ class LearnedLLA:
             raise AssertionError("root actual exceeded half density")
         first = first >> ph << ph
         end = first + (1 << ph)
-        entries: list[tuple[int, int]] = []
-        old: list[int] = []
+        box = self.factory(6 << ph, None)
+        window: list[tuple[int, int] | None] = []
         # Every box and lone key is truthy (a box is never empty and defines
         # no __len__, a lone key is a 2-tuple), so this keeps exactly the
-        # first leaves of the non-empty children.
+        # first leaves of the non-empty children.  Leaf f's window starts at
+        # slot 6 * (f - first) of the parent's.
         for leaf in compress(range(first, end), boxes[first:end]):
-            held, labels = _held(leaf, boxes[leaf])
-            entries += held
-            old += labels
-        box = self.factory(6 << ph, None)
-        box._fill(entries)
-        self.ledger.record_moves(sum(map(ne, _held(first, box)[1], old)))
+            held = boxes[leaf]
+            window += repeat(None, 6 * (leaf - first) - len(window))
+            if held.__class__ is tuple:
+                window.append(held)
+            elif window:
+                window += held.slots
+            else:
+                window = held.slots  # the dropped box's list, grown in place
+        window += repeat(None, (6 << ph) - len(window))
+        self.ledger.record_moves(box._fill(window))
         heights[first:end] = [ph] * (end - first)
         boxes[first:end] = [box] + [None] * (end - first - 1)
         self.merges += 1

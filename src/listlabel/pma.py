@@ -14,9 +14,11 @@ inserts stay cheap and the labels of untouched elements never change.
 Movements are counted per element whose slot (label) actually changes; an
 element that a rebalance happens to leave in place costs nothing.  Each
 stored entry is a distinct tuple object (insert and init build fresh ones,
-`_fill` keeps the ones it is handed, shifts and rebalances move references),
-so a rebalance counts by identity as it stores each entry at its streamed
-offset: a move unless the new slot held that same object before.
+`_fill` keeps the ones it is handed in its old slot list, shifts and
+rebalances move references), so one loop, `_store`, counts by identity as it
+stores each entry at its streamed offset: a move unless the new slot's index
+held that same object before.  A rebalance runs it over its range, `_fill`
+over a fresh box.
 
 The only per-leaf state is a non-decreasing row of leaf minima.  A non-empty
 leaf holds its smallest key (its first entry: keys ascend with the slots), an
@@ -91,6 +93,18 @@ def even_layout(size: int, c: int) -> Iterator[int]:
     return map(floordiv, range(0, size * c, size), repeat(c))
 
 
+def _store(seg: list, old: list, offsets: Iterable[int], entries: Iterable) -> int:
+    """Store each entry at its offset in `seg`, which holds only None, reading
+    both in step; returns how many stayed put: old[p] held that same tuple,
+    so only identity, never equality, decides."""
+    stayed = 0
+    for p, entry in zip(offsets, entries):
+        seg[p] = entry
+        if old[p] is entry:
+            stayed += 1
+    return stayed
+
+
 class Pma:
     """The array itself.  Entries are (raw, seq) int pairs; labels are 1-based.
 
@@ -104,7 +118,7 @@ class Pma:
     lo, size, old, pending_raw)`, which yields a rebalanced range's slots as
     ascending offsets from lo, read once, given its old slot segment `old`.
 
-    Each stored entry is its own tuple object; `_rebalance` counts moves by
+    Each stored entry is its own tuple object; `_store` counts moves by
     identity while it stores them, so a variant must store the entries it
     is given, never an equal copy.
     """
@@ -129,7 +143,7 @@ class Pma:
         if the keys do not fit, ValueError on a non-empty array, for a `seqs`
         of another length, for the first key check_raw rejects, or for
         unsorted keys.  The checked keys and seqs are then paired into fresh
-        tuples that `_fill` lays out.
+        tuples, padded with None to the slot count, that `_fill` lays out.
         """
         c = len(raws)
         if c > self.slot_count:
@@ -141,18 +155,21 @@ class Pma:
         raws = list(map(check_raw, raws))
         if any(map(gt, raws, islice(raws, 1, None))):
             raise ValueError("init expects sorted keys")
-        self._fill(list(zip(raws, seqs)))
+        self._fill([*zip(raws, seqs), *repeat(None, self.slot_count - c)])
         if self.ledger is not None:
             self.ledger.record_init(c)
 
-    def _fill(self, entries: list[tuple[int, int]]) -> None:
-        """Store sorted, checked entries, these very tuples, in an empty
-        array: entry i of c at slot i*m // c (even_layout)."""
-        slots = self.slots
-        for pos, entry in zip(even_layout(self.slot_count, len(entries)), entries):
-            slots[pos] = entry
-        self.count = len(entries)
+    def _fill(self, old: list[tuple[int, int] | None]) -> int:
+        """Spread the entries of `old`, a list of slot_count slots, evenly
+        over this empty array: these very tuples, sorted and checked, entry
+        i of c at slot i*m // c (even_layout).  Returns how many entries
+        moved, those whose index in `old` differs from their new slot, as
+        `_store` counts them for `_rebalance` too.  `old` is only read."""
+        c = len(old) - old.count(None)
+        moved = c - _store(self.slots, old, even_layout(self.slot_count, c), filter(None, old))
+        self.count = c
         self._rebuild_minima(0, self.slot_count)
+        return moved
 
     def insert(self, raw: int, seq: int = 0) -> int:
         """Insert a key, returning the movements of already-present elements.
@@ -295,15 +312,13 @@ class Pma:
         """Redistribute the slots [lo, hi), the range of the tree node the
         density walk stopped at; returns how many elements moved.  The walk
         only gets here from a child above its threshold, so the range holds
-        entries.  One loop stores them at the layout's offsets: each moved
+        entries.  `_store` puts them at the layout's offsets: each moved
         unless its new slot held that same tuple, counted by identity."""
         old = self.slots[lo:hi]
         entries = list(filter(None, old))
-        seg, moved = [None] * (hi - lo), len(entries)
-        for p, entry in zip(self._layout(entries, lo, hi - lo, old, pending_raw), entries):
-            seg[p] = entry
-            if old[p] is entry:
-                moved -= 1
+        seg = [None] * (hi - lo)
+        offsets = self._layout(entries, lo, hi - lo, old, pending_raw)
+        moved = len(entries) - _store(seg, old, offsets, entries)
         self.slots[lo:hi] = seg
         self._rebuild_minima(lo, hi)
         return moved

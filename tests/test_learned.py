@@ -731,49 +731,81 @@ def test_route_climb_matches_neighbor_rule(noise, monkeypatch):
     assert (lla.merges > 0) == (noise > 1)
 
 
-def test_invariants_and_ledger_match_shadow_diff():
+@pytest.mark.parametrize("cls", [Pma, Apma])
+@pytest.mark.parametrize("stream", ["random-ranks", "noisy-duplicates"])
+def test_invariants_and_ledger_match_shadow_diff(stream, cls):
     """Every charged movement is a label change some snapshot can see.
 
-    An insert runs in phases: place into a leaf box (shifting a run at
-    most once), then zero or more merges, each an even rebuild of a
-    bigger box.  Snapshotting global labels at every phase boundary and
-    summing the diffs must reproduce the ledger exactly; comparing only
-    end states would miss movements that a later phase undoes.
+    An insert runs in phases: a box insert (a rebalance, then a shift of
+    one run at most once), then zero or more merges, each an even rebuild
+    of a bigger box.  Snapshotting global labels at every phase boundary
+    and summing the diffs must reproduce the ledger exactly; comparing only
+    end states would miss movements that a later phase undoes or repeats,
+    as when a box's shift moves an entry its rebalance has just moved (one
+    `Apma` insert here does).
+
+    The streams are distinct keys with random predictions and duplicate
+    keys with predictions up to 8 ranks off.  A merge lays its children's
+    windows side by side from the parent's first leaf, so the merges seen
+    must include one whose first leaf holds nothing (the list starts with
+    padding) and, on the duplicates, one whose first leaf holds a lone key.
+    The periodic checks scan `_boxes` rather than call `actuals()`, which
+    would build a box for every lone key before a merge could gather it.
     """
     rng = random.Random(77)
     n = 256
     led = MovementLedger()
-    lla = LearnedLLA(n, ledger=led)
-
     snaps: list[dict[int, int]] = []
+
+    def snapshot():
+        snaps.append({s: g for _, s, g in lla.global_labels()})
+
+    def spied_box(slot_count, ledger):
+        box = cls(slot_count, ledger)
+        inner_rebalance = box._rebalance
+
+        def spying_rebalance(lo, hi, pending_raw):
+            snapshot()
+            out = inner_rebalance(lo, hi, pending_raw)
+            snapshot()
+            return out
+
+        box._rebalance = spying_rebalance
+        return box
+
+    lla = LearnedLLA(n, factory=spied_box, ledger=led)
+    firsts: list[str] = []  # what each merge's first leaf held
     inner_merge = lla.merge_parent
 
     def spying_merge(rec):
-        snaps.append({s: g for _, s, g in lla.global_labels()})
+        ph = lla._heights[rec] + 1
+        held = lla._boxes[rec >> ph << ph]
+        firsts.append("empty" if held is None else "lone" if held.__class__ is tuple
+                      else "box")
+        snapshot()
         out = inner_merge(rec)
-        snaps.append({s: g for _, s, g in lla.global_labels()})
+        snapshot()
         return out
 
     lla.merge_parent = spying_merge
 
-    raws = rng.sample(range(10**9), n)
+    if stream == "random-ranks":
+        pairs = [(raw, rng.randint(-5, n + 5)) for raw in rng.sample(range(10**9), n)]
+    else:
+        pairs = lone_stream(stream, n, 77)
     shadow: dict[int, int] = {}
-    for seq, raw in enumerate(raws):
+    for seq, (raw, rank) in enumerate(pairs):
         before = led.total_movements
         snaps.clear()
-        lla.insert(raw, seq, rng.randint(-5, n + 5))
+        lla.insert(raw, seq, rank)
         labels = lla.global_labels()
         now = {s: label for _, s, label in labels}
 
+        # The new element's placement, then every label change between
+        # consecutive boundaries; the new element is in none before `now`.
         boundaries = [shadow, *snaps, now]
-        expected = 1  # the new element's placement
-        first_after = boundaries[1]
-        expected += sum(
-            1 for s, g in boundaries[0].items() if first_after[s] != g
-        )
-        for i in range(1, len(boundaries) - 1, 2):
-            pre, post = boundaries[i], boundaries[i + 1]
-            expected += sum(1 for s, g in pre.items() if post[s] != g)
+        expected = 1 + sum(sum(post[s] != g for s, g in pre.items())
+                           for pre, post in zip(boundaries, boundaries[1:]))
         assert led.total_movements - before == expected
         shadow = now
 
@@ -792,7 +824,13 @@ def test_invariants_and_ledger_match_shadow_diff():
                 assert heights[leaf:leaf + width] == [heights[leaf]] * width
                 assert boxes[leaf + 1:leaf + width] == [None] * (width - 1)
                 leaf += width
-            for rec in lla.actuals():
-                assert actual_of(lla, (rec.node << rec.height) + 1) == (rec.height, rec.node)
-                assert rec.box.count * 2 <= 6 << rec.height
+            for first, held in enumerate(boxes):
+                if held is not None:
+                    h = heights[first]
+                    assert actual_of(lla, first + 1) == (h, first >> h)
+                    count = 1 if held.__class__ is tuple else held.count
+                    assert count * 2 <= 6 << h
     assert lla.count == n
+    assert sum(rec.box.count for rec in lla.actuals()) == n
+    assert "empty" in firsts and "box" in firsts
+    assert "lone" in firsts or stream != "noisy-duplicates"
