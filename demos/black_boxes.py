@@ -10,7 +10,7 @@ The heat-guided array shines when pressure keeps landing in one region
 
 import random
 
-from listlabel import Apma, MovementLedger, Pma
+from listlabel import Apma, Pma
 
 N = 8192
 SPAN = 10**7
@@ -31,11 +31,8 @@ def streams():
 
 
 def amortized(cls, raws):
-    ledger = MovementLedger(first_placement_excluded=True)
-    arr = cls(6 * N, ledger=ledger)
-    for seq, raw in enumerate(raws):
-        arr.insert(raw, seq)
-    return ledger.amortized_cost()
+    arr = cls(6 * N)
+    return sum(arr.insert(raw, seq) for seq, raw in enumerate(raws)) / len(raws)
 
 
 def main():

@@ -15,7 +15,6 @@ from listlabel import (
     MIN_RAW,
     Key,
     LearnedLLA,
-    MovementLedger,
     SequenceSlice,
     corrupt,
     fixed_point_parse,
@@ -40,13 +39,11 @@ def make_stream():
 
 def run(keys, ranks):
     """Insert the keys routed by `ranks` (1-based, None = all rank 1)."""
-    ledger = MovementLedger(first_placement_excluded=True)
-    lla = LearnedLLA(N + 1, ledger=ledger)
+    lla = LearnedLLA(N + 1)
     lla.insert(MIN_RAW, 0, 1)  # sentinel below every real key
-    ledger.reset()
-    for i, key in enumerate(keys):
-        lla.insert(key.raw, i + 1, 1 if ranks is None else ranks[i] + 1)
-    return ledger.amortized_cost()
+    moved = sum(lla.insert(key.raw, i + 1, 1 if ranks is None else ranks[i] + 1)
+                for i, key in enumerate(keys))
+    return moved / len(keys)
 
 
 def true_ranks(test):

@@ -10,10 +10,10 @@ a parent twice as wide, and only the elements whose global slot
 actually changed get charged.
 """
 
-from listlabel import LearnedLLA, MovementLedger
+from listlabel import LearnedLLA
 
 
-def show(lla, ledger):
+def show(lla, relabels):
     cells = {label: raw for raw, _seq, label in lla.global_labels()}
     row = " ".join(
         f"{cells[s] // 100:>3}" if s in cells else "  ." for s in range(1, 49)
@@ -25,25 +25,23 @@ def show(lla, ledger):
     )
     print(f"  slots: {row}")
     print(f"  boxes: {boxes}")
-    print(f"  total relabels so far: {ledger.total_movements}")
+    print(f"  total relabels so far: {relabels}")
 
 
 def main():
     print(__doc__)
 
     print("perfect predictions: key 100*r predicted at rank r")
-    ledger = MovementLedger(first_placement_excluded=True)
-    lla = LearnedLLA(8, ledger=ledger)
-    for r in (1, 2, 3, 4):
-        lla.insert(100 * r, seq=r, predicted_rank=r)
-    show(lla, ledger)
+    lla = LearnedLLA(8)
+    relabels = sum(lla.insert(100 * r, seq=r, predicted_rank=r) for r in (1, 2, 3, 4))
+    show(lla, relabels)
 
     print("\nnow four keys all claiming rank 7")
     for i, raw in enumerate((720, 740, 760, 780)):
-        lla.insert(raw, seq=10 + i, predicted_rank=7)
+        relabels += lla.insert(raw, seq=10 + i, predicted_rank=7)
         width = max(1 << rec.height for rec in lla.actuals())
         print(f"  after {raw}: widest box covers {width} rank(s)")
-    show(lla, ledger)
+    show(lla, relabels)
 
     print(
         "\nThe fourth claimant would push its box past half full, so the"

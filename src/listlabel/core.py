@@ -21,7 +21,6 @@ __all__ = [
     "Key",
     "MovementLedger",
     "ParseError",
-    "UndefinedCostError",
     "fixed_point_parse",
 ]
 
@@ -74,10 +73,6 @@ class CapacityError(RuntimeError):
     """Raised when an insert cannot be accommodated at the current size."""
 
 
-class UndefinedCostError(ZeroDivisionError):
-    """Amortized cost requested before any insert was recorded."""
-
-
 # ASCII digits only: \d would also admit other scripts' digits.
 _NUMBER_RE = re.compile(r"^[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)$")
 _INT_DIGITS = len(str(RAW_MAX // SCALE))
@@ -122,7 +117,7 @@ def fixed_point_parse(text: str, line: int | None = None) -> int:
 
 @dataclass
 class MovementLedger:
-    """Counts element movements and inserts for amortized-cost reporting.
+    """Counts element movements and inserts.
 
     Two accounting conventions exist for a brand-new element's first label:
     theory statements charge it as a movement, benchmark practice does not
@@ -149,11 +144,6 @@ class MovementLedger:
     def record_init(self, placed: int) -> None:
         if not self.first_placement_excluded:
             self.total_movements += placed
-
-    def amortized_cost(self) -> float:
-        if self.total_inserts == 0:
-            raise UndefinedCostError("no inserts recorded")
-        return self.total_movements / self.total_inserts
 
     def reset(self) -> None:
         self.total_movements = 0

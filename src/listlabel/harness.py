@@ -6,12 +6,13 @@ rank 1, so every key goes to the wrapper's leftmost actual, which is
 rebuilt into its parent, doubling its box, each time it passes half
 density -- baseline and learned rows differ only in the prediction vector,
 never in machinery, and a baseline row's merges are that box's growth.
-Each run begins by inserting a sentinel key below all real data and then
-resetting the movement ledger: the sentinel gives every real key a
+Each run begins by inserting a sentinel key below all real data, and what
+that insert returns is not counted: the sentinel gives every real key a
 predecessor, and its placement is bookkeeping rather than workload.
 
-Amortized costs count label changes per insert with first placements
-excluded, so a run whose predictions are exact reports 0.0.  A result is
+Amortized costs count label changes per insert: the sum of what the real
+inserts return, which never includes an element's own first placement, over
+their number, so a run whose predictions are exact reports 0.0.  A result is
 exactly one CSV row: its fields are the columns, in order, and nothing
 else, so repeated runs with the same seed write identical bytes.
 
@@ -37,7 +38,7 @@ from operator import index, sub
 from pathlib import Path
 
 from .apma import Apma
-from .core import MIN_RAW, SCALE, Key, MovementLedger, ParseError, clamp, fixed_point_parse
+from .core import MIN_RAW, SCALE, Key, ParseError, clamp, fixed_point_parse
 from .learned import LearnedLLA, witness_error_check
 from .pma import Pma
 from .predictors import (
@@ -221,7 +222,6 @@ def _run_config(structure: str, raws: list[int], predictions: list[int] | None,
     first merge without one raises AssertionError.
     """
     t = len(raws)
-    ledger = MovementLedger(first_placement_excluded=True)
     ranks = [1] * t if predictions is None else [p + 1 for p in predictions]
 
     listener = None
@@ -238,14 +238,11 @@ def _run_config(structure: str, raws: list[int], predictions: list[int] | None,
                     "half the window")
 
     lla = LearnedLLA(t + 1, factory=Apma if structure.endswith("apma") else Pma,
-                     ledger=ledger, merge_listener=listener)
+                     merge_listener=listener)
     lla.insert(MIN_RAW, 0, 1)
-    ledger.reset()
-
-    for seq, (raw, rank) in enumerate(zip(raws, ranks, strict=True), start=1):
-        lla.insert(raw, seq, rank)
-
-    return ledger.amortized_cost(), lla.merges
+    moved = sum(lla.insert(raw, seq, rank)
+                for seq, (raw, rank) in enumerate(zip(raws, ranks, strict=True), start=1))
+    return moved / t, lla.merges
 
 
 def _learned(structure: str) -> bool:

@@ -41,9 +41,8 @@ relabel for each entry whose index changed.  The parent's root already holds
 the min and max of everything it gathers, so a merge leaves the trees alone.
 
 An actual that holds one key has no box: the key stays bare, its own
-`(raw, seq)` tuple, at slot 0 of the box it would have had.  `_held` gives
-any actual's entries and global labels, a box's or a lone key's, for
-`global_labels`.  Otherwise the box is the only per-actual object.
+`(raw, seq)` tuple, at slot 0 of the box it would have had.  Otherwise the
+box is the only per-actual object.
 The wrapper keeps the height of the owning actual per leaf and, indexed by
 the actual's first leaf, its box or lone key; an actual's ranks and slot
 offset follow from (height, node).  A box is built as
@@ -52,11 +51,13 @@ receives a second key or `actuals` inspects it; the lone key is then
 replayed through the box's insert, so the box, its slots and its counts end
 exactly as if it had held the key from the start.  Boxes charge nothing and
 the wrapper does all the accounting: the moves each box insert returns, and
-the relabels of each merge.  A merge fills its box with `_fill`, the even
-layout whatever the box's kind, and takes its relabels from it, so
-`factory` must build a `Pma` or a subclass such as `Apma`.  Inspection
-(`actuals`, the merge listener) returns `Actual(height, node, box)` tuples
-built on demand.
+the relabels of each merge.  `insert` returns their sum, the relabels of
+elements already stored, and charges `ledger` the same, plus the new
+element's placement unless the ledger excludes first placements.  A merge
+fills its box with `_fill`, the even layout whatever the box's kind, and
+takes its relabels from it, so `factory` must build a `Pma` or a subclass
+such as `Apma`.  Inspection (`actuals`, the merge listener) returns
+`Actual(height, node, box)` tuples built on demand.
 
 The wrapper keeps no predictions: a prediction only routes its insert, and
 the set of inserted seqs exists only to reject a reused one.
@@ -68,7 +69,7 @@ from __future__ import annotations
 
 from itertools import compress, repeat
 from operator import add, index
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 from .core import INF_RAW, NEG_INF_RAW, CapacityError, MovementLedger, check_raw, clamp
 from .pma import Pma
@@ -101,18 +102,6 @@ class Actual(NamedTuple):
     height: int
     node: int  # 0-based index among nodes at this height
     box: Pma
-
-
-def _held(first: int, held: Pma | tuple[int, int]) -> tuple[Iterable, Iterable[int]]:
-    """(entries, labels) of the actual at first leaf f, which holds `held`:
-    its entries and their global labels, both in slot order.  The actual
-    owns the slots after offset 6f, so its slot p (0-based) has global label
-    6f + p + 1; a lone key is its one entry, at slot 0 of its box."""
-    off = 6 * first + 1
-    if held.__class__ is tuple:
-        return (held,), (off,)
-    slots = held.slots
-    return filter(None, slots), compress(range(off, off + len(slots)), slots)
 
 
 class LearnedLLA:
@@ -205,7 +194,10 @@ class LearnedLLA:
     # mutation
 
     def insert(self, raw: int, seq: int, predicted_rank: int) -> int:
-        """Insert a key with its predicted rank; returns movements charged.
+        """Insert a key with its predicted rank; returns how many elements
+        already stored got a new label: the box insert's moves plus every
+        merge's relabels, 0 for a key kept bare.  The new element's own
+        placement is never in it, whatever `ledger` counts.
 
         `seq` is an opaque payload that names the element: it is never
         compared, so placement depends on keys and predictions alone.
@@ -218,7 +210,6 @@ class LearnedLLA:
             raise ValueError(f"seq {seq} already inserted")
         if self.count >= self.capacity:
             raise CapacityError(f"structure already holds {self.capacity} elements")
-        before = self.ledger.total_movements
         h, node = self.route(raw, predicted_rank)
         self.count += 1
         self._seqs.add(seq)
@@ -240,17 +231,19 @@ class LearnedLLA:
             # A lone key stays bare, at slot 0 of the box it would have had.
             self._boxes[first] = (raw, seq)
             self.ledger.record_insert(0)
-            return self.ledger.total_movements - before
+            return 0
         if box.__class__ is tuple:
             box = self._open(first, h)
-        self.ledger.record_insert(box.insert(raw, seq))
+        moved = box.insert(raw, seq)
+        self.ledger.record_insert(moved)
         # Half-density rule: a box sized 6r rebuilds into its parent once it
         # holds 3r+1 elements. The rebuild can push the parent over in turn.
         while box.count > 3 << h:
-            first = self.merge_parent(first)
+            first, relabeled = self.merge_parent(first)
+            moved += relabeled
             h += 1
             box = self._boxes[first]
-        return self.ledger.total_movements - before
+        return moved
 
     def _open(self, first: int, h: int) -> Pma:
         """Build the box of the lone key at `first`, an actual of height h,
@@ -261,9 +254,10 @@ class LearnedLLA:
         self._boxes[first] = box
         return box
 
-    def merge_parent(self, first: int) -> int:
+    def merge_parent(self, first: int) -> tuple[int, int]:
         """Rebuild the parent of the actual whose first leaf is `first` into
-        a single fresh actual; returns the parent's first leaf.
+        a single fresh actual; returns the parent's first leaf and the
+        merge's relabels, which it has already charged to `ledger`.
 
         The children are the non-empty entries of `_boxes[first:end]`, each
         at its first leaf; their concatenation in actual order is sorted and
@@ -300,25 +294,34 @@ class LearnedLLA:
             else:
                 window = held.slots  # the dropped box's list, grown in place
         window += repeat(None, (6 << ph) - len(window))
-        self.ledger.record_moves(box._fill(window))
+        moved = box._fill(window)
+        self.ledger.record_moves(moved)
         heights[first:end] = [ph] * (end - first)
         boxes[first:end] = [box] + [None] * (end - first - 1)
         self.merges += 1
         if self.merge_listener is not None:
             self.merge_listener(self, Actual(ph, first >> ph, box))
-        return first
+        return first, moved
 
     # ------------------------------------------------------------------
     # inspection
 
     def global_labels(self) -> list[tuple[int, int, int]]:
-        """Every element as (raw, seq, global label), in label order."""
+        """Every element as (raw, seq, global label), in label order.  The
+        actual at first leaf f owns the slots after offset 6f, so its slot p
+        (0-based) has global label 6f + p + 1; a lone key sits at slot 0."""
         out: list[tuple[int, int, int]] = []
         for first, held in enumerate(self._boxes):
-            if held is not None:
-                entries, labels = _held(first, held)
+            if held is None:
+                continue
+            off = 6 * first + 1
+            if held.__class__ is tuple:
+                out.append((*held, off))
+            else:
+                slots = held.slots
                 # (raw, seq) + (label,), paired off in C
-                out += map(add, entries, zip(labels))
+                out += map(add, filter(None, slots),
+                           zip(compress(range(off, off + len(slots)), slots)))
         return out
 
     def actuals(self) -> list[Actual]:

@@ -127,12 +127,9 @@ def select_predictor(train: SequenceSlice) -> str:
     """Pick 'predictor1' or 'predictor2' by simulated cost.
 
     The training slice is split in half; each predictor trains on the first
-    half and is scored by the movements a learned labeled array incurs
+    half and is scored by the relabels a learned labeled array incurs
     inserting the second half under its predictions: the sum of what
-    `LearnedLLA.insert` returns.  That sum charges each new element's first
-    placement too, the same len(second half) on both sides, so it ranks the
-    two exactly as the movements without first placements would.  Ties keep
-    the simpler predictor1.
+    `LearnedLLA.insert` returns.  Ties keep the simpler predictor1.
 
     Predictor2 is scored in full first, and predictor1's simulation stops
     as soon as its running sum exceeds that total: sums only grow, so it has

@@ -317,25 +317,35 @@ def _check_structure(lla):
         parts.append((h, leaf >> h))
         leaf += 1 << h
 
-    active = {(rec.height, rec.node) for rec in lla.actuals()}
+    # The non-empty actuals, read from `_boxes` rather than `actuals()`,
+    # which would build a box for every lone key and so rewrite the
+    # structure under check.  A box or lone key sits at its actual's first
+    # leaf.
+    held = {}
+    for first, box in enumerate(lla._boxes):
+        if box is not None:
+            h = heights[first]
+            assert first % (1 << h) == 0, "box away from its actual's first leaf"
+            held[h, first >> h] = box
     root_h = lla.n.bit_length() - 1
-    for h, node in active:
+    for h, node in held:
         for h2 in range(h + 1, root_h + 1):
-            assert (h2, node >> (h2 - h)) not in active, "nested active nodes"
+            assert (h2, node >> (h2 - h)) not in held, "nested active nodes"
 
-    for rec in lla.actuals():
-        assert rec.box.count * 2 <= 6 << rec.height, "density above one half"
+    for (h, _node), box in held.items():
+        count = 1 if box.__class__ is tuple else box.count
+        assert count * 2 <= 6 << h, "density above one half"
 
     # The min/max trees are exact at and above actual roots: a root holds
-    # its box's smallest and largest key (the empty markers for an empty
+    # its actual's smallest and largest key (the empty markers for an empty
     # actual), and every node above the roots aggregates its two children.
     mins, maxs = lla._min, lla._max
-    boxes = {(rec.height, rec.node): rec.box for rec in lla.actuals()}
     above = set()
     for h, node in parts:
         v = (lla.n >> h) + node
-        box = boxes.get((h, node))
-        keys = [] if box is None else [raw for raw, _ in filter(None, box.slots)]
+        box = held.get((h, node))
+        keys = ([] if box is None else [box[0]] if box.__class__ is tuple
+                else [raw for raw, _ in filter(None, box.slots)])
         want = (keys[0], keys[-1]) if keys else (INF_RAW, NEG_INF_RAW)
         assert (mins[v], maxs[v]) == want, ("actual root min/max", h, node)
         v >>= 1
@@ -349,7 +359,8 @@ def _check_structure(lla):
 
 def _fuzz_one_seed(seed, n, adaptive, key_range=None):
     rng = random.Random(seed)
-    state = {"in_merge": False, "events": [], "shifts": 0, "rebalances": 0}
+    state = {"in_merge": False, "events": [], "shifts": 0, "rebalances": 0,
+             "lone_gathered": 0}
     spied_pma, spied_apma = _spied_classes(state)
     cls = spied_apma if adaptive else spied_pma
     led = MovementLedger()
@@ -359,6 +370,9 @@ def _fuzz_one_seed(seed, n, adaptive, key_range=None):
     inner = lla.merge_parent
 
     def spying(rec):
+        ph = lla._heights[rec] + 1
+        lo = rec >> ph << ph
+        state["lone_gathered"] += any(b.__class__ is tuple for b in lla._boxes[lo:lo + (1 << ph)])
         pre = {s: g for _, s, g in lla.global_labels()}
         state["in_merge"] = True
         out = inner(rec)
@@ -386,6 +400,7 @@ def _fuzz_one_seed(seed, n, adaptive, key_range=None):
     # The spies must have run, or a renamed hook would switch the range
     # checks off unseen.
     assert state["shifts"] > 0 and state["rebalances"] > 0, (seed, state)
+    return state
 
 
 def test_criterion_7_invariant_fuzz():
@@ -398,8 +413,9 @@ def test_criterion_7_invariant_fuzz():
 
 def test_criterion_7_invariant_fuzz_duplicate_keys():
     # real ID streams repeat keys heavily; distinct samples never do
-    for seed in range(1, 6):
-        _fuzz_one_seed(seed, 5000, adaptive=seed % 5 == 0, key_range=64)
+    gathered = sum(_fuzz_one_seed(seed, 5000, adaptive=seed % 5 == 0, key_range=64)
+                   ["lone_gathered"] for seed in range(1, 6))
+    assert gathered > 0  # some merge gathers a key that was still bare
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,6 @@ from listlabel.core import (
     Key,
     MovementLedger,
     ParseError,
-    UndefinedCostError,
     clamp,
     fixed_point_parse,
 )
@@ -133,7 +132,6 @@ class TestMovementLedger:
         led.record_insert(moved_existing=3)
         assert led.total_inserts == 2
         assert led.total_movements == 5  # two placements + three relabels
-        assert led.amortized_cost() == 2.5
 
     def test_benchmark_mode_excludes_first_placement(self):
         led = MovementLedger(first_placement_excluded=True)
@@ -142,10 +140,6 @@ class TestMovementLedger:
         assert led.total_movements == 3
         led.record_init(placed=10)  # bulk placements follow the convention
         assert led.total_movements == 3
-
-    def test_zero_inserts_has_no_cost(self):
-        with pytest.raises(UndefinedCostError):
-            MovementLedger().amortized_cost()
 
     def test_running_totals_are_not_constructor_arguments(self):
         with pytest.raises(TypeError):

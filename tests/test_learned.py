@@ -237,10 +237,11 @@ class TestMergeAccounting:
         charges = []
         for seq, raw in enumerate([100, 200, 300, 400]):
             charges.append(lla.insert(raw, seq, 1))
-        # first three pack the leaf; the fourth breaches half density,
-        # and the rebuilt two-rank parent holds 4 elements for 4 charged
-        # movements (its own placement plus three relabels)
-        assert charges == [1, 1, 1, 4]
+        # first three pack the leaf; the fourth breaches half density, and
+        # the rebuilt two-rank parent relabels the three stored elements.
+        # The theory ledger also charges each element's own placement.
+        assert charges == [0, 0, 0, 3]
+        assert led.total_movements == 7
         assert lla.merges == 1
         assert [label for _, _, label in lla.global_labels()] == [1, 4, 7, 10]
         assert lla._heights[:2] == [1, 1]
@@ -410,7 +411,7 @@ def test_merge_moves_child_entries_into_the_parent_box(stream, cls, monkeypatch)
         before = len(checks)
         out = inner_merge(first)
         assert len(checks) == before  # no check_raw inside a merge
-        box = lla._boxes[out]
+        box = lla._boxes[out[0]]
         moved = list(filter(None, box.slots))
         assert len(moved) == len(held) == box.count
         assert all(a is b for a, b in zip(moved, held))
@@ -570,6 +571,33 @@ def test_a_box_is_built_by_a_second_key_or_a_merge(cls):
         assert len(factory.built) - built == len(opened) + lla.merges - merges, seq
     assert all(seen.values()) and lla.merges, seen
     assert len(factory.built) == seen["lone"] + lla.merges
+
+
+@pytest.mark.parametrize("learned", [False, True], ids=["box", "learned"])
+@pytest.mark.parametrize("cls", [Pma, Apma])
+def test_insert_returns_the_relabels_whatever_the_ledger(cls, learned):
+    """A box and the wrapper over it both return from `insert` the relabels
+    of elements already stored, whatever ledger they hold: under a theory
+    ledger, a benchmark-mode one and the default, every insert returns the
+    step of the benchmark-mode total, and the theory ledger charges that
+    plus each new element's placement."""
+    n = 256
+    theory, bench = MovementLedger(), MovementLedger(first_placement_excluded=True)
+
+    def build(**ledger):
+        return LearnedLLA(n, factory=cls, **ledger) if learned else cls(6 * n, **ledger)
+
+    structures = [build(ledger=theory), build(ledger=bench), build()]
+    total = 0
+    for seq, (raw, rank) in enumerate(lone_stream("noisy-duplicates", n, 28)):
+        before = bench.total_movements
+        args = (raw, seq, rank) if learned else (raw, seq)
+        moved = [s.insert(*args) for s in structures]
+        assert moved == [bench.total_movements - before] * 3, seq
+        total += moved[0]
+    assert total > 0 and theory.total_movements == total + n
+    if learned:
+        assert all(s.merges for s in structures)
 
 
 # ----------------------------------------------------------------------
