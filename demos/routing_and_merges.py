@@ -20,7 +20,7 @@ def show(lla, relabels):
     )
     boxes = " ".join(
         f"[ranks {(rec.node << rec.height) + 1}-{(rec.node + 1) << rec.height}: "
-        f"{rec.box.count} elems]"
+        f"{len(rec.entries)} elems]"
         for rec in lla.actuals()
     )
     print(f"  slots: {row}")

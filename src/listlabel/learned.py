@@ -42,22 +42,23 @@ the min and max of everything it gathers, so a merge leaves the trees alone.
 
 An actual that holds one key has no box: the key stays bare, its own
 `(raw, seq)` tuple, at slot 0 of the box it would have had.  Otherwise the
-box is the only per-actual object.
+box is the only per-actual object, and it holds at least two keys.
 The wrapper keeps the height of the owning actual per leaf and, indexed by
 the actual's first leaf, its box or lone key; an actual's ranks and slot
 offset follow from (height, node).  A box is built as
 `factory(slot_count, None)` by a merge, or for a lone key when its actual
-receives a second key or `actuals` inspects it; the lone key is then
-replayed through the box's insert, so the box, its slots and its counts end
-exactly as if it had held the key from the start.  Boxes charge nothing and
+receives a second key; the lone key is then replayed through the box's
+insert, so the box, its slots and its counts end exactly as if it had held
+the key from the start.  Boxes charge nothing and
 the wrapper does all the accounting: the moves each box insert returns, and
 the relabels of each merge.  `insert` returns their sum, the relabels of
 elements already stored, and charges `ledger` the same, plus the new
 element's placement unless the ledger excludes first placements.  A merge
 fills its box with `_fill`, the even layout whatever the box's kind, and
 takes its relabels from it, so `factory` must build a `Pma` or a subclass
-such as `Apma`.  Inspection (`actuals`, the merge listener) returns
-`Actual(height, node, box)` tuples built on demand.
+such as `Apma`.  Inspection (`actuals`, the merge listener) is a snapshot:
+it returns `Actual(height, node, entries)` tuples whose entries are a fresh
+list, and it builds and changes nothing.
 
 The wrapper keeps no predictions: a prediction only routes its insert, and
 the set of inserted seqs exists only to reject a reused one.
@@ -96,12 +97,13 @@ def descend(tree: list[int], raw: int, side: int) -> int:
 
 
 class Actual(NamedTuple):
-    """A non-empty actual as inspection sees it: tree node and its box, which
-    `actuals()` builds if the actual held a lone key."""
+    """A non-empty actual as inspection sees it: its tree node and a new
+    list of its `(raw, seq)` entries in order, which no later insert or
+    merge changes."""
 
     height: int
     node: int  # 0-based index among nodes at this height
-    box: Pma
+    entries: list[tuple[int, int]]
 
 
 class LearnedLLA:
@@ -112,8 +114,8 @@ class LearnedLLA:
     the true capacity.  `factory(slot_count, ledger)` builds the black boxes
     (classic PMA by default) and is always passed ledger=None: all movement
     accounting lands in `ledger`, charged by the wrapper.  An actual's first
-    key is kept bare; its box is built when a second key arrives or when
-    `actuals()` inspects it.
+    key is kept bare; its box is built when a second key arrives, or by a
+    merge.  Inspection builds and changes nothing.
     """
 
     def __init__(
@@ -233,7 +235,11 @@ class LearnedLLA:
             self.ledger.record_insert(0)
             return 0
         if box.__class__ is tuple:
-            box = self._open(first, h)
+            # The second key: build the box and replay the lone key into it,
+            # so it ends as it would have, had it been built for that key.
+            held, box = box, self.factory(6 << h, None)
+            box.insert(*held)
+            self._boxes[first] = box
         moved = box.insert(raw, seq)
         self.ledger.record_insert(moved)
         # Half-density rule: a box sized 6r rebuilds into its parent once it
@@ -244,15 +250,6 @@ class LearnedLLA:
             h += 1
             box = self._boxes[first]
         return moved
-
-    def _open(self, first: int, h: int) -> Pma:
-        """Build the box of the lone key at `first`, an actual of height h,
-        and replay that key into it: the box ends as it would have, had it
-        been built for the key."""
-        box = self.factory(6 << h, None)
-        box.insert(*self._boxes[first])
-        self._boxes[first] = box
-        return box
 
     def merge_parent(self, first: int) -> tuple[int, int]:
         """Rebuild the parent of the actual whose first leaf is `first` into
@@ -267,10 +264,8 @@ class LearnedLLA:
         child.  `_fill` spreads those very tuples evenly over a new box and
         returns how many changed index, which is how many global labels
         changed; that is the charge.  If the parent's first leaf holds a box,
-        that box's own `slots` list grows in place into the window, so a box
-        held from an earlier `actuals()` call can change once it is merged
-        away.  The parent's root in the min/max trees already covers every
-        key.
+        that box's own `slots` list grows in place into the window.  The
+        parent's root in the min/max trees already covers every key.
         """
         heights, boxes = self._heights, self._boxes
         ph = heights[first] + 1
@@ -300,7 +295,7 @@ class LearnedLLA:
         boxes[first:end] = [box] + [None] * (end - first - 1)
         self.merges += 1
         if self.merge_listener is not None:
-            self.merge_listener(self, Actual(ph, first >> ph, box))
+            self.merge_listener(self, Actual(ph, first >> ph, [*filter(None, box.slots)]))
         return first, moved
 
     # ------------------------------------------------------------------
@@ -325,20 +320,18 @@ class LearnedLLA:
         return out
 
     def actuals(self) -> list[Actual]:
-        """Non-empty actuals in rank order (empty ones are implicit).  A
-        lone key's box is built here, as its second key would build it."""
-        out = []
-        for first, (h, box) in enumerate(zip(self._heights, self._boxes)):
-            if box.__class__ is tuple:
-                box = self._open(first, h)
-            if box is not None:
-                out.append(Actual(h, first >> h, box))
-        return out
+        """Non-empty actuals in rank order (empty ones are implicit), each
+        with a new list of its entries; a lone key is its one entry."""
+        return [Actual(h, first >> h, [held] if held.__class__ is tuple
+                       else [*filter(None, held.slots)])
+                for first, (h, held) in enumerate(zip(self._heights, self._boxes))
+                if held is not None]
 
 
 def witness_error_check(merged: Actual, predicted, true_ranks) -> bool:
-    """Verify the merge witness: some element of a merged actual P carries a
-    prediction error of at least |P|/2 ranks.
+    """Verify the merge witness: some entry of a merged actual P, the
+    `Actual` a merge listener is given, carries a prediction error of at
+    least |P|/2 ranks.
 
     `predicted` and `true_ranks` are indexed by seq (a list or a dict): the
     rank each element was routed by (in [1, capacity], where `route` clamps
@@ -349,4 +342,4 @@ def witness_error_check(merged: Actual, predicted, true_ranks) -> bool:
     """
     half_width = (1 << merged.height) / 2
     return any(abs(predicted[seq] - true_ranks[seq]) >= half_width
-               for _raw, seq in filter(None, merged.box.slots))
+               for _raw, seq in merged.entries)

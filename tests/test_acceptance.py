@@ -246,6 +246,25 @@ def test_criterion_6_stochastic_trend_monotone():
     assert all(a <= b for a, b in zip(medians, medians[1:])), medians
 
 
+def test_criterion_6_stochastic_bias_costs_less_than_spread():
+    """The stochastic model's other parameter, the mean error mu.  At spread
+    s = 1 the median cost does not fall as mu grows from 0 to 256, and even
+    at mu = 256 it stays below the median at s = 16, mu = 0: bias costs far
+    less than spread.  Seeds 1-3 read 0.0535, 0.0537, 0.0558, 0.0813 and
+    0.2512 against 2.7861; the seeds asserted here read 0.0602, 0.0604,
+    0.0625, 0.0876 and 0.2575 against 2.7845."""
+
+    def median(mu, s):
+        return statistics.median(
+            run_synthetic("stochastic", 2**14, seed=sd, mu=mu, s=s,
+                          structures=("learned-pma",))[0].amortized_cost
+            for sd in (4, 5, 6))
+
+    medians = [median(mu, 1.0) for mu in (0.0, 4.0, 16.0, 64.0, 256.0)]
+    assert all(a <= b for a, b in zip(medians, medians[1:])), medians
+    assert medians[-1] < median(0.0, 16.0), medians
+
+
 # ----------------------------------------------------------------------
 # 7. invariant fuzz: structure and accounting stay exact under randomness
 
@@ -317,15 +336,15 @@ def _check_structure(lla):
         parts.append((h, leaf >> h))
         leaf += 1 << h
 
-    # The non-empty actuals, read from `_boxes` rather than `actuals()`,
-    # which would build a box for every lone key and so rewrite the
-    # structure under check.  A box or lone key sits at its actual's first
-    # leaf.
+    # The non-empty actuals, read from `_boxes`.  A box or lone key sits at
+    # its actual's first leaf, and a box holds at least two keys: a lone
+    # key stays bare until its actual's second key builds the box.
     held = {}
     for first, box in enumerate(lla._boxes):
         if box is not None:
             h = heights[first]
             assert first % (1 << h) == 0, "box away from its actual's first leaf"
+            assert box.__class__ is tuple or box.count >= 2, "box with fewer than 2 keys"
             held[h, first >> h] = box
     root_h = lla.n.bit_length() - 1
     for h, node in held:
@@ -357,10 +376,14 @@ def _check_structure(lla):
         assert maxs[v] == max(maxs[2 * v], maxs[2 * v + 1]), ("max above the roots", v)
 
 
-def _fuzz_one_seed(seed, n, adaptive, key_range=None):
+def _fuzz_one_seed(seed, n, adaptive, key_range=None, noise=None):
+    """Load n keys, distinct or drawn from range(key_range), recounting
+    every charge and checking the structure every 500 inserts.  Predictions
+    are uniform over [-5, n + 5], or with `noise` each key's true final rank
+    off by at most that much.  Returns the spies' counts."""
     rng = random.Random(seed)
     state = {"in_merge": False, "events": [], "shifts": 0, "rebalances": 0,
-             "lone_gathered": 0}
+             "merges": 0, "lone_gathered": 0}
     spied_pma, spied_apma = _spied_classes(state)
     cls = spied_apma if adaptive else spied_pma
     led = MovementLedger()
@@ -372,6 +395,7 @@ def _fuzz_one_seed(seed, n, adaptive, key_range=None):
     def spying(rec):
         ph = lla._heights[rec] + 1
         lo = rec >> ph << ph
+        state["merges"] += 1
         state["lone_gathered"] += any(b.__class__ is tuple for b in lla._boxes[lo:lo + (1 << ph)])
         pre = {s: g for _, s, g in lla.global_labels()}
         state["in_merge"] = True
@@ -387,11 +411,20 @@ def _fuzz_one_seed(seed, n, adaptive, key_range=None):
         raws = rng.sample(range(10**12), n)
     else:
         raws = [rng.randrange(key_range) for _ in range(n)]
+    if noise is not None:
+        # equal keys rank in arrival order
+        true = [0] * n
+        for rank, i in enumerate(sorted(range(n), key=raws.__getitem__), start=1):
+            true[i] = rank
     for i, raw in enumerate(raws):
         state["events"].clear()
         merge_diffs.clear()
         before = led.total_movements
-        lla.insert(raw, i, rng.randint(-5, n + 5))
+        if noise is None:
+            rank = rng.randint(-5, n + 5)
+        else:
+            rank = true[i] + rng.randint(-noise, noise)
+        lla.insert(raw, i, rank)
         expected = 1 + sum(state["events"]) + sum(merge_diffs)
         assert led.total_movements - before == expected, (seed, i)
         if i % 500 == 499:
@@ -416,6 +449,16 @@ def test_criterion_7_invariant_fuzz_duplicate_keys():
     gathered = sum(_fuzz_one_seed(seed, 5000, adaptive=seed % 5 == 0, key_range=64)
                    ["lone_gathered"] for seed in range(1, 6))
     assert gathered > 0  # some merge gathers a key that was still bare
+
+
+@pytest.mark.parametrize("key_range", [None, 64], ids=["distinct", "keys-from-64"])
+def test_criterion_7_invariant_fuzz_near_exact(key_range):
+    # Predictions within 4 ranks of the truth leave most keys bare, so many
+    # merges gather a lone key; uniform predictions coarsen the structure
+    # within a few merges, and then almost none do.
+    for seed in (1, 2, 3):
+        state = _fuzz_one_seed(seed, 2000, adaptive=seed == 3, key_range=key_range, noise=4)
+        assert state["lone_gathered"] >= 10, (seed, state["merges"], state["lone_gathered"])
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ that is what the structure degenerates to.  We code that chain directly
 and demand identical movement totals and identical final labels.
 """
 
+import copy
 import random
 from bisect import bisect_right
 
@@ -37,7 +38,7 @@ def scan_actuals(lla):
     (height, node) of the actual holding each."""
     keys, owners = [], []
     for rec in lla.actuals():
-        raws = [raw for raw, _ in filter(None, rec.box.slots)]
+        raws = [raw for raw, _ in rec.entries]
         keys += raws
         owners += [(rec.height, rec.node)] * len(raws)
     return keys, owners
@@ -78,9 +79,11 @@ class TestCapacityShape:
         assert lla._heights == [0] * 8
         lla.insert(10, 0, 8)
         (rec,) = lla.actuals()
+        assert rec == (0, 7, [(10, 0)])
         # the last of eight six-slot leaves owns global slots 43..48
-        assert len(rec.box.slots) == 6
         assert lla.global_labels() == [(10, 0, 43)]
+        lla.insert(20, 1, 8)  # a second key builds the leaf's box
+        assert len(lla._boxes[7].slots) == 6
 
     def test_single_slot_tree_is_its_own_root(self):
         lla = LearnedLLA(1)
@@ -257,7 +260,7 @@ class TestMergeAccounting:
         assert lla.merges == 2
         assert lla._heights[:4] == [2] * 4
         for rec in lla.actuals():
-            assert rec.box.count * 2 <= 6 << rec.height
+            assert len(rec.entries) * 2 <= 6 << rec.height
 
     def test_global_labels_add_slot_offset(self):
         lla = LearnedLLA(8)
@@ -265,7 +268,7 @@ class TestMergeAccounting:
         lla.insert(20, 1, 3)
         rec = lla.actuals()[0]
         assert (rec.height, rec.node) == (0, 2)  # third unit leaf owns slots 13..18
-        local = [label for _, _, label in box_labels(rec.box)]
+        local = [label for _, _, label in box_labels(lla._boxes[rec.node << rec.height])]
         assert local == [1, 2]
         assert [g for _, _, g in lla.global_labels()] == [13, 14]
 
@@ -282,7 +285,7 @@ class TestPerfectPredictions:
         assert lla.merges == 0
         assert led.total_movements == 0
         # every element alone in its own leaf
-        assert all(rec.box.count == 1 for rec in lla.actuals())
+        assert all(len(rec.entries) == 1 for rec in lla.actuals())
 
     def test_theory_ledger_counts_placements_only(self):
         raws = random.Random(3).sample(range(10**6), 32)
@@ -466,11 +469,21 @@ def box_state(box):
             getattr(box, "histogram", None), getattr(box, "_since_decay", None))
 
 
+def open_lone_keys(lla):
+    """Build a box for every lone key, as its actual's second key would, and
+    replay the key into it."""
+    for first, held in enumerate(lla._boxes):
+        if held.__class__ is tuple:
+            box = lla.factory(6 << lla._heights[first], None)
+            box.insert(*held)
+            lla._boxes[first] = box
+
+
 @pytest.mark.parametrize("cls", [Pma, Apma])
 @pytest.mark.parametrize("stream", ["exact", "rank-one-cascade", "noisy-duplicates"])
 def test_lone_keys_end_as_boxes_built_at_once(stream, cls):
-    """Two structures load one stream.  One calls actuals() after every
-    insert, which builds a box for each lone key as soon as it lands; the
+    """Two structures load one stream.  One has a box built for each lone
+    key as soon as it lands (`open_lone_keys` after every insert); the
     other is left alone, so its lone keys stay bare until a second key
     arrives or a merge gathers them.  After every insert both charge the
     same movements, count the same merges and give the same labels; at the
@@ -489,7 +502,7 @@ def test_lone_keys_end_as_boxes_built_at_once(stream, cls):
     lazy.merge_parent = spying_merge
     for seq, (raw, rank) in enumerate(lone_stream(stream, n, 28)):
         charged = eager.insert(raw, seq, rank)
-        eager.actuals()
+        open_lone_keys(eager)
         assert lazy.insert(raw, seq, rank) == charged, seq
         assert lazy.ledger == eager.ledger, seq
         assert lazy.merges == eager.merges, seq
@@ -502,12 +515,14 @@ def test_lone_keys_end_as_boxes_built_at_once(stream, cls):
         assert bare == 0 and lazy.merges == 7  # heights 1 to 7
     else:
         assert bare and gathered_bare and lazy.merges
-    opened, built = lazy.actuals(), eager.actuals()
-    assert not any(isinstance(b, tuple) for b in lazy._boxes)
-    assert [(a.height, a.node) for a in opened] == [(a.height, a.node) for a in built]
-    for a, b in zip(opened, built):
-        assert type(a.box) is type(b.box) is cls
-        assert box_state(a.box) == box_state(b.box), (a.height, a.node)
+    open_lone_keys(lazy)
+    assert lazy.actuals() == eager.actuals()
+    assert lazy._heights == eager._heights
+    for first, (a, b) in enumerate(zip(lazy._boxes, eager._boxes)):
+        assert (a is None) == (b is None), first
+        if a is not None:
+            assert type(a) is type(b) is cls
+            assert box_state(a) == box_state(b), first
 
 
 class CountingFactory:
@@ -526,8 +541,7 @@ class CountingFactory:
 def test_exact_ranks_build_no_box_and_check_each_key_once(cls, monkeypatch):
     """Every key of an exact-rank load sits alone in its rank's actual: no
     box is built, each key is checked once, and each sits at slot 0 of its
-    rank's six.  Inspection then builds the boxes, replaying each key, so
-    each box is a fresh one that took its key by `insert`."""
+    rank's six.  Inspection builds no box either and checks no key."""
     n = 1 << 10
     inserts = lone_stream("exact", n, 10)
     checks = count_checks(monkeypatch)
@@ -540,13 +554,9 @@ def test_exact_ranks_build_no_box_and_check_each_key_once(cls, monkeypatch):
     assert checks == [raw for raw, _ in inserts]
     assert lla.global_labels() == sorted(
         (raw, seq, 6 * rank - 5) for seq, (raw, rank) in enumerate(inserts))
-    opened = lla.actuals()
-    assert factory.built == [6] * n
-    assert len(checks) == 2 * n  # each replay checks its key once more
-    for a in opened:
-        fresh = cls(6)
-        fresh.insert(*a.box.slots[0])
-        assert box_state(a.box) == box_state(fresh), a.node
+    assert lla.actuals() == sorted(
+        (0, rank - 1, [(raw, seq)]) for seq, (raw, rank) in enumerate(inserts))
+    assert factory.built == [] and len(checks) == n
     assert (led.total_inserts, led.total_movements) == (n, 0)
 
 
@@ -571,6 +581,49 @@ def test_a_box_is_built_by_a_second_key_or_a_merge(cls):
         assert len(factory.built) - built == len(opened) + lla.merges - merges, seq
     assert all(seen.values()) and lla.merges, seen
     assert len(factory.built) == seen["lone"] + lla.merges
+
+
+def frozen(lla):
+    """A deep copy of everything a LearnedLLA holds, with the identity of
+    each box and lone key it stores (the list keeps them alive, so no id is
+    reused)."""
+    return (lla._heights[:], lla._boxes[:], [id(b) for b in lla._boxes],
+            [copy.deepcopy(vars(b)) if isinstance(b, Pma) else b for b in lla._boxes],
+            lla._min[:], lla._max[:], set(lla._seqs), lla.count, lla.merges,
+            copy.copy(lla.ledger))
+
+
+@pytest.mark.parametrize("cls", [Pma, Apma])
+def test_inspection_is_a_snapshot_that_changes_nothing(cls):
+    """On noisy duplicates, with lone keys, boxes and merges, `actuals()` and
+    `global_labels()` leave the structure exactly as they found it, and an
+    `Actual` keeps its entries through every later insert and merge: those
+    taken early, and those a merge listener is given."""
+    n = 256
+    heard = []
+    lla = LearnedLLA(n, factory=cls,
+                     merge_listener=lambda _l, rec: heard.append((rec, list(rec.entries))))
+    taken = []
+    for seq, (raw, rank) in enumerate(lone_stream("noisy-duplicates", n, 34)):
+        lla.insert(raw, seq, rank)
+        if seq % 4 == 3:
+            before = frozen(lla)
+            recs = lla.actuals()
+            labels = lla.global_labels()
+            assert frozen(lla) == before, seq
+            assert [(r, s) for r, s, _ in labels] == [e for rec in recs for e in rec.entries]
+            taken.append((recs, copy.deepcopy(recs)))
+            if seq == 19:
+                early = (recs, lla.merges, [b for b in lla._boxes if isinstance(b, Pma)])
+    # An early snapshot saw lone keys and boxes, and later merges gathered
+    # boxes it had seen, which a merge grows or drops.
+    recs, merges, boxes = early
+    assert any(len(r.entries) == 1 for r in recs) and any(len(r.entries) > 1 for r in recs)
+    assert lla.merges > merges
+    assert any(all(b is not c for c in lla._boxes) for b in boxes)
+    for recs, copied in taken:
+        assert recs == copied
+    assert heard and all(rec.entries == entries for rec, entries in heard)
 
 
 @pytest.mark.parametrize("learned", [False, True], ids=["box", "learned"])
@@ -777,8 +830,6 @@ def test_invariants_and_ledger_match_shadow_diff(stream, cls):
     windows side by side from the parent's first leaf, so the merges seen
     must include one whose first leaf holds nothing (the list starts with
     padding) and, on the duplicates, one whose first leaf holds a lone key.
-    The periodic checks scan `_boxes` rather than call `actuals()`, which
-    would build a box for every lone key before a merge could gather it.
     """
     rng = random.Random(77)
     n = 256
@@ -859,6 +910,6 @@ def test_invariants_and_ledger_match_shadow_diff(stream, cls):
                     count = 1 if held.__class__ is tuple else held.count
                     assert count * 2 <= 6 << h
     assert lla.count == n
-    assert sum(rec.box.count for rec in lla.actuals()) == n
+    assert sum(len(rec.entries) for rec in lla.actuals()) == n
     assert "empty" in firsts and "box" in firsts
     assert "lone" in firsts or stream != "noisy-duplicates"
