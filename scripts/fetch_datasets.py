@@ -61,7 +61,7 @@ def sha256_of(path):
 def load_pins():
     pins = {}
     if CHECKSUMS.exists():
-        for line in CHECKSUMS.read_text().splitlines():
+        for line in CHECKSUMS.read_text(encoding="utf-8").splitlines():
             if line.strip():
                 digest, name = line.split(None, 1)
                 pins[name.strip()] = digest
@@ -70,7 +70,7 @@ def load_pins():
 
 def save_pins(pins):
     lines = [f"{digest}  {name}" for name, digest in sorted(pins.items())]
-    CHECKSUMS.write_text("\n".join(lines) + "\n")
+    CHECKSUMS.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def install(name, workdir):

@@ -35,7 +35,7 @@ def checkins(rng):
             loc = rng.randrange(10**4, 10**5)
             stamp = when.strftime("%Y-%m-%dT%H:%M:%SZ")
             lines.append(f"{user}\t{stamp}\t{lat:.7f}\t{lon:.7f}\t{loc}")
-    (OUT / "checkins_sample.txt").write_text("\n".join(lines) + "\n")
+    (OUT / "checkins_sample.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def actions(rng):
@@ -51,7 +51,7 @@ def actions(rng):
         user = rng.choice(pool[-40:]) if rng.random() < 0.7 else rng.choice(pool)
         target = rng.randrange(100)
         lines.append(f"{i}\t{user}\t{target}\t{t:.1f}")
-    (OUT / "actions_sample.tsv").write_text("\n".join(lines) + "\n")
+    (OUT / "actions_sample.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def messages(rng):
@@ -63,7 +63,7 @@ def messages(rng):
         src = rng.randrange(200)
         dst = int(rng.paretovariate(1.2)) % 200
         lines.append(f"{src} {dst} {t}")
-    (OUT / "messages_sample.txt").write_text("\n".join(lines) + "\n")
+    (OUT / "messages_sample.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def main():

@@ -82,15 +82,16 @@ class Apma(Pma):
         # The run of entries each heated leaf held, as (first, last, heat):
         # entries keep their order, so a leaf's run starts after every entry
         # the old segment holds before the leaf.  Only heated leaves are
-        # visited; the slots between them are counted in C.
+        # visited, and each holds an entry: a key votes for the leaf it lands
+        # in, and entries leave a leaf only in a layout, which zeroes its
+        # heat.  The slots between heated leaves are counted in C.
         runs = []
         first = prev = 0
         for j in compress(range(k), heat):
             first += j * L - prev - old[prev:j * L].count(None)
             prev = j * L + L
             held = L - old[j * L:prev].count(None)
-            if held:
-                runs.append((first, first + held - 1, heat[j]))
+            runs.append((first, first + held - 1, heat[j]))
             first += held
 
         if runs:

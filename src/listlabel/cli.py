@@ -184,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
             # fails before any run and an existing file is not yet truncated.
             existed = os.path.lexists(args.out)
             try:
-                open(args.out, "a").close()
+                open(args.out, "a", encoding="utf-8").close()
             except OSError as exc:
                 raise ConfigError(f"--out {args.out}: {exc.strerror or exc}") from None
             created = not existed

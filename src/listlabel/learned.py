@@ -34,11 +34,12 @@ When an actual exceeds half density its parent's whole range is rebuilt into
 one fresh box -- possibly cascading upward -- which is where prediction error
 turns into movement cost: a merge only happens when some element's
 prediction missed by at least half the merged rank width.  A merge is one
-even spread of the parent's current slots: it lays its children's slot
-windows side by side in one list, the parent's window as it stands, and
+even spread of the parent's current slots: it writes each child's slot window
+at its own offset in one fresh list, the parent's window as it stands, and
 `_fill` moves those very tuples into the parent's fresh box, counting a
-relabel for each entry whose index changed.  The parent's root already holds
-the min and max of everything it gathers, so a merge leaves the trees alone.
+relabel for each entry whose index changed.  The boxes it drops are only
+read.  The parent's root already holds the min and max of everything it
+gathers, so a merge leaves the trees alone.
 
 An actual that holds one key has no box: the key stays bare, its own
 `(raw, seq)` tuple, at slot 0 of the box it would have had.  Otherwise the
@@ -68,7 +69,7 @@ anyway.
 
 from __future__ import annotations
 
-from itertools import compress, repeat
+from itertools import compress
 from operator import add, index
 from typing import Callable, NamedTuple
 
@@ -258,14 +259,13 @@ class LearnedLLA:
 
         The children are the non-empty entries of `_boxes[first:end]`, each
         at its first leaf; their concatenation in actual order is sorted and
-        was checked at insert.  Their slot windows are laid side by side in
-        one list, the parent's window as it stands: a box's `slots`, a lone
-        key at slot 0 of its window, and None for every slot of an empty
-        child.  `_fill` spreads those very tuples evenly over a new box and
-        returns how many changed index, which is how many global labels
-        changed; that is the charge.  If the parent's first leaf holds a box,
-        that box's own `slots` list grows in place into the window.  The
-        parent's root in the min/max trees already covers every key.
+        was checked at insert.  Each child's slot window is written at its
+        own offset of one fresh list, the parent's window as it stands: a
+        box's `slots`, a lone key at slot 0 of its window, and None for every
+        slot of an empty child.  `_fill` spreads those very tuples evenly
+        over a new box and returns how many changed index, which is how many
+        global labels changed; that is the charge.  No child box is changed.
+        The parent's root in the min/max trees already covers every key.
         """
         heights, boxes = self._heights, self._boxes
         ph = heights[first] + 1
@@ -274,21 +274,18 @@ class LearnedLLA:
         first = first >> ph << ph
         end = first + (1 << ph)
         box = self.factory(6 << ph, None)
-        window: list[tuple[int, int] | None] = []
+        window: list[tuple[int, int] | None] = [None] * (6 << ph)
         # Every box and lone key is truthy (a box is never empty and defines
         # no __len__, a lone key is a 2-tuple), so this keeps exactly the
         # first leaves of the non-empty children.  Leaf f's window starts at
         # slot 6 * (f - first) of the parent's.
         for leaf in compress(range(first, end), boxes[first:end]):
             held = boxes[leaf]
-            window += repeat(None, 6 * (leaf - first) - len(window))
+            off = 6 * (leaf - first)
             if held.__class__ is tuple:
-                window.append(held)
-            elif window:
-                window += held.slots
+                window[off] = held
             else:
-                window = held.slots  # the dropped box's list, grown in place
-        window += repeat(None, (6 << ph) - len(window))
+                window[off:off + held.slot_count] = held.slots
         moved = box._fill(window)
         self.ledger.record_moves(moved)
         heights[first:end] = [ph] * (end - first)
@@ -305,10 +302,10 @@ class LearnedLLA:
         """Every element as (raw, seq, global label), in label order.  The
         actual at first leaf f owns the slots after offset 6f, so its slot p
         (0-based) has global label 6f + p + 1; a lone key sits at slot 0."""
+        boxes = self._boxes
         out: list[tuple[int, int, int]] = []
-        for first, held in enumerate(self._boxes):
-            if held is None:
-                continue
+        for first in compress(range(self.n), boxes):
+            held = boxes[first]
             off = 6 * first + 1
             if held.__class__ is tuple:
                 out.append((*held, off))
@@ -322,10 +319,11 @@ class LearnedLLA:
     def actuals(self) -> list[Actual]:
         """Non-empty actuals in rank order (empty ones are implicit), each
         with a new list of its entries; a lone key is its one entry."""
-        return [Actual(h, first >> h, [held] if held.__class__ is tuple
+        heights, boxes = self._heights, self._boxes
+        return [Actual(heights[first], first >> heights[first],
+                       [held] if (held := boxes[first]).__class__ is tuple
                        else [*filter(None, held.slots)])
-                for first, (h, held) in enumerate(zip(self._heights, self._boxes))
-                if held is not None]
+                for first in compress(range(self.n), boxes)]
 
 
 def witness_error_check(merged: Actual, predicted, true_ranks) -> bool:

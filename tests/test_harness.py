@@ -35,32 +35,33 @@ from listlabel.pma import Pma
 class TestLoadDataset:
     def test_whitespace_columns_and_comments(self, tmp_path):
         p = tmp_path / "d.txt"
-        p.write_text("# header\nu1\t3.5\tx\n\nu2  -1.25  y\n")
+        p.write_text("# header\nu1\t3.5\tx\n\nu2  -1.25  y\n", encoding="utf-8")
         got = load_dataset(DatasetSpec(p, value_column=1))
         assert [k.raw for k in got.keys] == [35_000_000, -12_500_000]
 
     def test_comma_delimiter_autodetected(self, tmp_path):
         p = tmp_path / "d.csv"
-        p.write_text("a, 1.5 ,z\nb, 2.5 ,z\n")
+        p.write_text("a, 1.5 ,z\nb, 2.5 ,z\n", encoding="utf-8")
         got = load_dataset(DatasetSpec(p, value_column=1))
         assert [k.raw for k in got.keys] == [15_000_000, 25_000_000]
 
     def test_duplicates_retained_in_file_order(self, tmp_path):
         p = tmp_path / "d.txt"
-        p.write_text("5\n5\n5\n")
+        p.write_text("5\n5\n5\n", encoding="utf-8")
         got = load_dataset(DatasetSpec(p))
         assert [k.raw for k in got.keys] == [5 * SCALE] * 3
 
     def test_numeric_timestamps_sort_numerically_and_stably(self, tmp_path):
         p = tmp_path / "d.txt"
-        p.write_text("1 30\n2 9\n3 20\n4 9\n")  # "9" < "30" only numerically
+        p.write_text("1 30\n2 9\n3 20\n4 9\n", encoding="utf-8")  # "9" < "30" only numerically
         got = load_dataset(DatasetSpec(p, value_column=0, timestamp_column=1))
         assert [k.raw // SCALE for k in got.keys] == [2, 4, 3, 1]
 
     def test_iso_timestamps_sort_lexicographically(self, tmp_path):
         p = tmp_path / "d.txt"
         p.write_text(
-            "1 2010-10-19T23:55:27Z\n2 2009-01-01T00:00:00Z\n3 2010-01-02T03:04:05Z\n"
+            "1 2010-10-19T23:55:27Z\n2 2009-01-01T00:00:00Z\n3 2010-01-02T03:04:05Z\n",
+            encoding="utf-8",
         )
         got = load_dataset(DatasetSpec(p, value_column=0, timestamp_column=1))
         assert [k.raw // SCALE for k in got.keys] == [2, 3, 1]
@@ -79,17 +80,17 @@ class TestLoadDataset:
 
     def test_bad_value_reports_line_number(self, tmp_path):
         p = tmp_path / "d.txt"
-        p.write_text("1.5\nnope\n")
+        p.write_text("1.5\nnope\n", encoding="utf-8")
         with pytest.raises(DataError, match="line 2"):
             load_dataset(DatasetSpec(p))
 
     def test_missing_column_reports_line_number(self, tmp_path):
         p = tmp_path / "d.txt"
-        p.write_text("1 2\n3\n")
+        p.write_text("1 2\n3\n", encoding="utf-8")
         with pytest.raises(DataError, match="line 2"):
             load_dataset(DatasetSpec(p, value_column=1))
         # the value is there, its timestamp column is not
-        p.write_text("1 2\n3 4\n5\n")
+        p.write_text("1 2\n3 4\n5\n", encoding="utf-8")
         with pytest.raises(DataError, match=r"line 3: no column 1 \(row has 1\)"):
             load_dataset(DatasetSpec(p, timestamp_column=1))
 
@@ -100,13 +101,13 @@ class TestLoadDataset:
     def test_nan_timestamp_reports_line_number(self, tmp_path):
         # float("nan") parses, and sorted() would silently misorder the rows
         p = tmp_path / "d.txt"
-        p.write_text("1 1\n2 nan\n3 2\n4 0\n5 3\n")
+        p.write_text("1 1\n2 nan\n3 2\n4 0\n5 3\n", encoding="utf-8")
         with pytest.raises(DataError, match="line 2"):
             load_dataset(DatasetSpec(p, value_column=0, timestamp_column=1))
 
     def test_cli_nan_timestamp_exits_3(self, tmp_path, capsys):
         p = tmp_path / "d.txt"
-        p.write_text("".join(f"{i} {i}\n" for i in range(8)) + "9 NaN\n")
+        p.write_text("".join(f"{i} {i}\n" for i in range(8)) + "9 NaN\n", encoding="utf-8")
         code = cli_main(["table", "--dataset", str(p), "--ts-col", "1", "--k", "1"])
         captured = capsys.readouterr()
         assert code == 3
@@ -128,13 +129,13 @@ class TestLoadDataset:
     def test_malformed_row_past_the_rows_a_run_needs(self, tmp_path, ts_col):
         # the whole file is read, with or without a timestamp column
         p = tmp_path / "d.txt"
-        p.write_text("".join(f"{i} {i}\n" for i in range(8)) + "nope 9\n")
+        p.write_text("".join(f"{i} {i}\n" for i in range(8)) + "nope 9\n", encoding="utf-8")
         with pytest.raises(DataError, match="line 9"):
             run_table(DatasetSpec(p, timestamp_column=ts_col), 1, ("pma",))
 
     def test_cli_value_past_the_int_digit_limit_exits_3(self, tmp_path, capsys):
         p = tmp_path / "d.txt"
-        p.write_text("1\n2\n" + "9" * 5000 + "\n3\n4\n")
+        p.write_text("1\n2\n" + "9" * 5000 + "\n3\n4\n", encoding="utf-8")
         code = cli_main(["table", "--dataset", str(p), "--k", "1"])
         captured = capsys.readouterr()
         assert code == 3
@@ -169,7 +170,7 @@ def selections(monkeypatch):
 
 def write_drift(path, rows=3000, seed=7):
     rng = random.Random(seed)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for i in range(rows):
             fh.write(f"u{i} {3 * i + rng.uniform(-40, 40):.4f}\n")
     return DatasetSpec(path, value_column=1, name="drift")
@@ -197,7 +198,7 @@ class TestRunTable:
         # noiseless line: drift correction recovers every rank exactly,
         # which also proves the sentinel insert is excluded from stats
         p = tmp_path / "line.txt"
-        p.write_text("".join(f"{i}\n" for i in range(2048)))
+        p.write_text("".join(f"{i}\n" for i in range(2048)), encoding="utf-8")
         rows = run_table(DatasetSpec(p), 10, structures=("learned-pma",))
         assert rows[0].amortized_cost == 0.0
         assert rows[0].merges == 0
@@ -702,7 +703,7 @@ class TestFixtures:
              "--out", str(out)]
         )
         assert code == 0
-        assert len(out.read_text().splitlines()) == 5
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 5
 
 
 # ----------------------------------------------------------------------
@@ -737,7 +738,7 @@ class TestCsv:
         rows = run_synthetic("random", 64, seed=2)
         out = tmp_path / "r.csv"
         emit_csv(rows, out)
-        lines = out.read_text().splitlines()
+        lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 5
 
@@ -760,7 +761,7 @@ class TestCli:
              "--out", str(out)]
         )
         assert code == 0
-        assert out.read_text().splitlines()[0] == CSV_HEADER
+        assert out.read_text(encoding="utf-8").splitlines()[0] == CSV_HEADER
 
     def test_structure_filter(self, tmp_path):
         out = tmp_path / "o.csv"
@@ -769,12 +770,12 @@ class TestCli:
              "apma", "--out", str(out)]
         )
         assert code == 0
-        lines = out.read_text().splitlines()
+        lines = out.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 2 and lines[1].startswith("apma,")
 
     def test_config_error_exits_2(self, tmp_path):
         spec_file = tmp_path / "tiny.txt"
-        spec_file.write_text("1\n2\n3\n")
+        spec_file.write_text("1\n2\n3\n", encoding="utf-8")
         code = cli_main(
             ["table", "--dataset", str(spec_file), "--k", "10",
              "--out", str(tmp_path / "o.csv")]

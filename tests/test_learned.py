@@ -441,6 +441,39 @@ def test_merge_moves_child_entries_into_the_parent_box(stream, cls, monkeypatch)
         assert bare  # keys that no box ever checked
 
 
+@pytest.mark.parametrize("cls", [Pma, Apma])
+def test_merge_leaves_the_boxes_it_drops_unchanged(cls):
+    """A merge only reads its children: on 2,000 distinct keys predicted up
+    to 16 ranks off, every child box keeps its `slots` list, that list's
+    contents and its slot count through the merge that drops it."""
+    n = 2000
+    rng = random.Random(3)
+    raws = rng.sample(range(10**9), n)
+    true = {raw: rank for rank, raw in enumerate(sorted(raws), start=1)}
+    preds = [clamp(true[raw] + rng.randint(-16, 16), 1, n) for raw in raws]
+    lla = LearnedLLA(n, factory=cls)
+    dropped = []
+    inner_merge = lla.merge_parent
+
+    def spying_merge(first):
+        ph = lla._heights[first] + 1
+        lo = first >> ph << ph
+        kids = [(box, box.slots, list(box.slots), box.slot_count)
+                for box in lla._boxes[lo:lo + (1 << ph)] if isinstance(box, Pma)]
+        out = inner_merge(first)
+        for box, slots, copied, slot_count in kids:
+            assert box.slots is slots and slots == copied, first
+            assert box.slot_count == slot_count, first
+        dropped.append(len(kids))
+        return out
+
+    lla.merge_parent = spying_merge
+    for seq, (raw, rank) in enumerate(zip(raws, preds)):
+        lla.insert(raw, seq, rank)
+    assert len(dropped) == lla.merges == 334
+    assert sum(dropped) > lla.merges
+
+
 # ----------------------------------------------------------------------
 # lone keys: an actual's first key is kept bare until a box is needed
 
@@ -616,7 +649,7 @@ def test_inspection_is_a_snapshot_that_changes_nothing(cls):
             if seq == 19:
                 early = (recs, lla.merges, [b for b in lla._boxes if isinstance(b, Pma)])
     # An early snapshot saw lone keys and boxes, and later merges gathered
-    # boxes it had seen, which a merge grows or drops.
+    # and dropped boxes it had seen.
     recs, merges, boxes = early
     assert any(len(r.entries) == 1 for r in recs) and any(len(r.entries) > 1 for r in recs)
     assert lla.merges > merges
@@ -826,10 +859,10 @@ def test_invariants_and_ledger_match_shadow_diff(stream, cls):
     `Apma` insert here does).
 
     The streams are distinct keys with random predictions and duplicate
-    keys with predictions up to 8 ranks off.  A merge lays its children's
-    windows side by side from the parent's first leaf, so the merges seen
-    must include one whose first leaf holds nothing (the list starts with
-    padding) and, on the duplicates, one whose first leaf holds a lone key.
+    keys with predictions up to 8 ranks off.  A merge writes each child's
+    window at its own offset of the parent's, so the merges seen must
+    include one whose first leaf holds nothing (the window starts with empty
+    slots) and, on the duplicates, one whose first leaf holds a lone key.
     """
     rng = random.Random(77)
     n = 256

@@ -10,7 +10,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_quick_start_runs():
-    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
     assert len(blocks) == 1
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

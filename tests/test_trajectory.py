@@ -27,7 +27,8 @@ WORKLOADS = ("exact-random", "hammer", "drift-ids")
 KEYS = {"pr", "parent", "change", "backfilled", "command", "seeds", "seconds", "pairs",
         "claimed", "metrics", "note"}
 SHA = re.compile("[0-9a-f]{40}")
-END_TO_END = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+END_TO_END = {m["name"] for m in
+              json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]}
 
 
 def _number(x) -> bool:
@@ -36,7 +37,7 @@ def _number(x) -> bool:
 
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_bench_file_entries(workload):
-    entries = json.loads((ROOT / f"BENCH_{workload}.json").read_text())
+    entries = json.loads((ROOT / f"BENCH_{workload}.json").read_text(encoding="utf-8"))
     assert isinstance(entries, list) and entries
     for e in entries:
         where = (workload, e.get("pr"))
