@@ -31,11 +31,17 @@ decision; stale votes would aim free slots at gaps the workload has already
 left behind.  The histogram halves every `leaf_size * 4` inserts so heat
 also fades on its own.
 
+A layout that comes out even — equal weights, or a skew the guard rails
+cannot honor — is returned as None, `Pma._layout`'s even spread, which sets
+the range's leaf counts and minima in closed form.  The split and the
+weighted layouts return their offsets, which `Pma` stores and whose leaves it
+rescans.
+
 Cost of a layout over k leaves and c entries: the Python work is per heated
-leaf (`_layout` visits only those), per run of equal weight and per pinned
-leaf (`_weighted_positions`); the work per leaf and per entry runs in C
-(`compress`, `map` over a `range`).  So a flat range costs what
-`even_layout` costs, plus a constant.
+leaf (`_layout` visits only those, reading each one's run from the count
+row), per run of equal weight and per pinned leaf (`_weighted_positions`);
+the work per leaf and per entry runs in C (`compress`, `sum` and `map` over
+slices and ranges).  So a flat range costs the even spread, plus a constant.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from itertools import compress, islice, repeat
 from operator import floordiv, itemgetter, ne
 
 from .core import MovementLedger
-from .pma import TAU_LEAF, Pma, even_layout
+from .pma import TAU_LEAF, Pma
 
 __all__ = ["Apma"]
 
@@ -68,29 +74,30 @@ class Apma(Pma):
             self._since_decay = 0
         return pos, moved
 
-    def _layout(self, entries, lo: int, size: int, old, pending_raw: int) -> list[int]:
+    def _layout(self, entries, lo: int, size: int, pending_raw: int) -> list[int] | None:
         """Heat-directed redistribution across the leaves of the range, as
-        offsets from lo; `old` is the range's slot segment before it (see
-        `Pma._layout`)."""
+        offsets from lo, or None where it comes out even; reads the range's
+        pre-layout counts from `_cnt` (see `Pma._layout`)."""
         c = len(entries)
         L = self.leaf_size
         k = size // L
         first_leaf = lo // L
         heat = self.histogram[first_leaf:first_leaf + k]
         self.histogram[first_leaf:first_leaf + k] = [0] * k
+        cnt = self._cnt[first_leaf:first_leaf + k]
 
         # The run of entries each heated leaf held, as (first, last, heat):
         # entries keep their order, so a leaf's run starts after every entry
-        # the old segment holds before the leaf.  Only heated leaves are
-        # visited, and each holds an entry: a key votes for the leaf it lands
-        # in, and entries leave a leaf only in a layout, which zeroes its
-        # heat.  The slots between heated leaves are counted in C.
+        # the leaves before it hold.  Only heated leaves are visited, and
+        # each holds an entry: a key votes for the leaf it lands in, and
+        # entries leave a leaf only in a layout, which zeroes its heat.  The
+        # counts of the leaves between heated leaves are summed in C.
         runs = []
         first = prev = 0
         for j in compress(range(k), heat):
-            first += j * L - prev - old[prev:j * L].count(None)
-            prev = j * L + L
-            held = L - old[j * L:prev].count(None)
+            first += sum(cnt[prev:j])
+            prev = j + 1
+            held = cnt[j]
             runs.append((first, first + held - 1, heat[j]))
             first += held
 
@@ -110,17 +117,19 @@ class Apma(Pma):
             credit[last * k // c] += h
         return self._weighted_positions(c, size, credit)
 
-    def _weighted_positions(self, c: int, size: int, weights: list[int]) -> list[int]:
+    def _weighted_positions(self, c: int, size: int, weights: list[int]) -> list[int] | None:
         """Offsets for c elements in a range of size slots, free slots per
-        leaf proportional to its weight, subject to min_free <= free_j <= L.
+        leaf proportional to its weight, subject to min_free <= free_j <= L;
+        None where that is the even spread i*size // c.
 
         All arithmetic is exact over the common denominator W = sum of the
         open leaves' weights, which is what makes the uniform case collapse
         to the even layout: with equal weights the per-leaf element share is
-        c/k and the floor positions reproduce `even_layout` exactly.  Skews
-        the split cannot honor (not enough free slots to keep every open leaf
-        under the density threshold, or no weight left to split by) fall
-        back to the even layout.
+        c/k, no leaf is pinned, and the one run's floor positions are the
+        even spread exactly, so it is returned as None.  Skews the split
+        cannot honor (not enough free slots to keep every open leaf under
+        the density threshold, or no weight left to split by) fall back to
+        the even layout too.
 
         Cost: the leaves are handled as maximal runs of equal weight, found
         by one C-speed scan of `weights`.  The Python work is per pin (one
@@ -146,7 +155,7 @@ class Apma(Pma):
         w_open = sum(weights)
         while True:
             if w_open == 0 or free_rem < (k - len(pins)) * min_free:
-                return list(even_layout(size, c))
+                return None
             for run in runs:
                 j, e, w = run
                 if j < e and not min_free * w_open <= free_rem * w <= L * w_open:
@@ -157,6 +166,8 @@ class Apma(Pma):
             pins[j] = fix = L if free_rem * w > L * w_open else min_free
             free_rem -= fix
             w_open -= w
+        if not pins and len(runs) == 1:
+            return None  # one weight over the whole range: the even spread
 
         # A run of leaves with equal element share n / w_open of slots (an
         # open run of one weight, or a pinned leaf) is one even spread: it

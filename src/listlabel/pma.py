@@ -15,27 +15,33 @@ Movements are counted per element whose slot (label) actually changes; an
 element that a rebalance happens to leave in place costs nothing.  Each
 stored entry is a distinct tuple object (insert and init build fresh ones,
 `_fill` keeps the ones it is handed in its old slot list, shifts and
-rebalances move references), so one loop, `_store`, counts by identity as it
-stores each entry at its streamed offset: a move unless the new slot's index
-held that same object before.  A rebalance runs it over its range, `_fill`
-over a fresh box.
+rebalances move references), so a move is counted by identity as each entry
+is stored at its new offset: a move unless the new slot's index held that
+same object before.  The even spread, `_spread`, does so for `_fill` over a
+fresh box and for every rebalance whose `_layout` is the even one; `_store`
+does so at the offsets of an uneven layout.
 
-The only per-leaf state is a non-decreasing row of leaf minima.  A non-empty
-leaf holds its smallest key (its first entry: keys ascend with the slots), an
-empty one the next non-empty leaf's, INF_RAW if there is none, or NEG_INF_RAW
-if no key precedes it (core's markers outside the keys).  One bisect finds the
-leaf of a key's predecessor, an insert lowers at most its own leaf's minimum,
-and a redistribution, which keeps its range's minimum, rewrites the row only
-inside its range.  Densities are counted from the slots of the range at hand.
+Two rows hold the per-leaf state, one value per leaf.  The count row `_cnt`
+holds each leaf's number of entries: an insert adds one to the leaf it lands
+in (shifts stay inside it), and a redistribution rewrites the row only
+inside its range, so the density walk sums counts, never scans slots.  The
+row of leaf minima `_min` is non-decreasing.  A non-empty leaf holds its
+smallest key (its first entry: keys ascend with the slots), an empty one the
+next non-empty leaf's, INF_RAW if there is none, or NEG_INF_RAW if no key
+precedes it (core's markers outside the keys).  One bisect finds the leaf of
+a key's predecessor, an insert lowers at most its own leaf's minimum, and a
+redistribution, which keeps its range's minimum, rewrites the row only
+inside its range.  The even spread sets both rows in closed form; an uneven
+layout rescans its range's leaves (`_rebuild_minima`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from functools import cache
 from itertools import islice, repeat
-from operator import floordiv, gt, index
+from operator import gt, index
 
 from .core import INF_RAW, NEG_INF_RAW, CapacityError, MovementLedger, check_raw
 
@@ -87,12 +93,6 @@ def geometry(slot_count: int) -> tuple[int, int, int, int, tuple[float, ...]]:
     return leaf, depth, leaf << depth, 1 << depth, cap
 
 
-def even_layout(size: int, c: int) -> Iterator[int]:
-    """Offsets i*size // c for i < c, as a lazy map read once: c entries
-    spread evenly over size slots, left-anchored, remainder gaps right."""
-    return map(floordiv, range(0, size * c, size), repeat(c))
-
-
 def _store(seg: list, old: list, offsets: Iterable[int], entries: Iterable) -> int:
     """Store each entry at its offset in `seg`, which holds only None, reading
     both in step; returns how many stayed put: old[p] held that same tuple,
@@ -115,12 +115,17 @@ class Pma:
 
     A variant has two extension points: `_place(t, entry)`, which stores
     every inserted key and returns where it landed, and `_layout(entries,
-    lo, size, old, pending_raw)`, which yields a rebalanced range's slots as
-    ascending offsets from lo, read once, given its old slot segment `old`.
+    lo, size, pending_raw)`, which returns None for the even spread or else
+    an iterable, read once, of a rebalanced range's slots as ascending
+    offsets from lo, while `_cnt` still holds the range's old leaf counts.
+    The even spread sets the range's leaf counts and minima in closed form;
+    an uneven layout is stored by `_store` and its leaves rescanned.  Either
+    way `_cnt` and `_min` (see the module docstring) hold for every leaf
+    after a rebalance.
 
-    Each stored entry is its own tuple object; `_store` counts moves by
-    identity while it stores them, so a variant must store the entries it
-    is given, never an equal copy.
+    Each stored entry is its own tuple object; moves are counted by
+    identity while the entries are stored, so a variant must store the
+    entries it is given, never an equal copy.
     """
 
     def __init__(self, slot_count: int, ledger: MovementLedger | None = None):
@@ -129,8 +134,10 @@ class Pma:
         self.ledger = ledger
         self.slots: list[tuple[int, int] | None] = [None] * self.slot_count
         self.count = 0
-        # The row of leaf minima (see the module docstring).  Densities are
-        # counted from the slots, one aligned range per level.
+        # The two per-leaf rows (see the module docstring): entry counts,
+        # which the density walk sums one aligned range per level, and
+        # leaf minima, which `_target` bisects.
+        self._cnt = [0] * self.num_leaves
         self._min = [INF_RAW] * self.num_leaves
 
     # ------------------------------------------------------------------
@@ -162,13 +169,13 @@ class Pma:
     def _fill(self, old: list[tuple[int, int] | None]) -> int:
         """Spread the entries of `old`, a list of slot_count slots, evenly
         over this empty array: these very tuples, sorted and checked, entry
-        i of c at slot i*m // c (even_layout).  Returns how many entries
-        moved, those whose index in `old` differs from their new slot, as
-        `_store` counts them for `_rebalance` too.  `old` is only read."""
-        c = len(old) - old.count(None)
-        moved = c - _store(self.slots, old, even_layout(self.slot_count, c), filter(None, old))
-        self.count = c
-        self._rebuild_minima(0, self.slot_count)
+        i of c at slot i*m // c, written straight into `slots` by `_spread`.
+        Returns how many entries moved, those whose index in `old` differs
+        from their new slot, as `_spread` counts them for `_rebalance` too.
+        `old` is only read."""
+        entries = list(filter(None, old))
+        moved = len(entries) - self._spread(self.slots, old, entries, 0)
+        self.count = len(entries)
         return moved
 
     def insert(self, raw: int, seq: int = 0) -> int:
@@ -188,26 +195,26 @@ class Pma:
 
         # Walk up until a node tolerates one more element (checked against
         # the pre-insert count, so a box sized 6r admits its (3r+1)-th
-        # element before the owner decides to rebuild).  Each level doubles
-        # the aligned range and counts only the sibling half's slots.
-        slots, cap = self.slots, self._cap
-        width = self.leaf_size
-        lo = min(t, self.slot_count - 1) // width * width
-        c = width - slots[lo:lo + width].count(None)
+        # element before the owner decides to rebuild).  In leaf units: the
+        # node is the `width` leaves from leaf j, j a multiple of width, and
+        # each level doubles it and adds only the sibling half's counts.
+        cnt, cap, L = self._cnt, self._cap, self.leaf_size
+        j = min(t, self.slot_count - 1) // L
+        c = cnt[j]
+        width = 1
         k = self.depth
         while c > cap[k]:
             # Stops by the root: at depth 0, c is the count checked above.
-            # A right child; not `lo & width`, which fails for 3 * 2^j leaves.
-            if lo // width & 1:
-                lo -= width
-                c += width - slots[lo:lo + width].count(None)
+            if j & width:  # a right child
+                j -= width
+                c += sum(cnt[j:j + width])
             else:
-                c += width - slots[lo + width:lo + 2 * width].count(None)
+                c += sum(cnt[j + width:j + 2 * width])
             width <<= 1
             k -= 1
         moved = 0
         if k != self.depth:
-            moved = self._rebalance(lo, lo + width, raw)
+            moved = self._rebalance(j * L, (j + width) * L, raw)
             t = self._target(raw)
 
         pos, shifted = self._place(t, (raw, seq))
@@ -217,7 +224,8 @@ class Pma:
         # before the first non-empty leaf, so no empty leaf that held the old
         # minimum precedes it.
         mins = self._min
-        j = pos // self.leaf_size
+        j = pos // L
+        cnt[j] += 1
         if mins[j] > raw or mins[j] == NEG_INF_RAW:
             mins[j] = raw
         self.count += 1
@@ -294,50 +302,86 @@ class Pma:
         entries: list[tuple[int, int]],
         lo: int,
         size: int,
-        old: list[tuple[int, int] | None],
         pending_raw: int,
-    ) -> Iterable[int]:
-        """An iterable, read once, of ascending offsets in [0, size) for
-        `entries` in the slots [lo, lo+size): even_layout's lazy map.  Entry
-        i goes to slot lo + offset i.
+    ) -> Iterable[int] | None:
+        """None for the even spread (`_spread`), which is this layout.  A
+        variant may instead return an iterable, read once, of ascending
+        offsets in [0, size) for `entries` in the slots [lo, lo+size):
+        entry i goes to slot lo + offset i.
 
-        `old` is the range's slot segment before the redistribution, so
-        old[i] is what slot lo + i held; the even layout ignores it, as it
-        ignores `pending_raw`, the key whose insert triggered the
-        redistribution.  Adaptive variants may read both to aim free space
-        at that key's gap."""
-        return even_layout(size, len(entries))
+        `_cnt` still holds the range's leaf counts from before the
+        redistribution; the even layout ignores them, as it ignores
+        `pending_raw`, the key whose insert triggered it.  Adaptive variants
+        may read both to aim free space at that key's gap."""
+        return None
 
     def _rebalance(self, lo: int, hi: int, pending_raw: int) -> int:
         """Redistribute the slots [lo, hi), the range of the tree node the
         density walk stopped at; returns how many elements moved.  The walk
         only gets here from a child above its threshold, so the range holds
-        entries.  `_store` puts them at the layout's offsets: each moved
-        unless its new slot held that same tuple, counted by identity."""
+        entries.  Each moved unless its new slot held that same tuple,
+        counted by identity."""
         old = self.slots[lo:hi]
         entries = list(filter(None, old))
         seg = [None] * (hi - lo)
-        offsets = self._layout(entries, lo, hi - lo, old, pending_raw)
-        moved = len(entries) - _store(seg, old, offsets, entries)
-        self.slots[lo:hi] = seg
-        self._rebuild_minima(lo, hi)
-        return moved
+        offsets = self._layout(entries, lo, hi - lo, pending_raw)
+        if offsets is None:
+            stayed = self._spread(seg, old, entries, lo)
+            self.slots[lo:hi] = seg
+        else:
+            stayed = _store(seg, old, offsets, entries)
+            self.slots[lo:hi] = seg
+            self._rebuild_minima(lo, hi)
+        return len(entries) - stayed
+
+    def _spread(self, seg: list, old: list, entries: list, lo: int) -> int:
+        """The even spread: store entry i of the c `entries` at offset
+        i*size // c of `seg`, which holds only None, where size = len(old)
+        slots are whole leaves from slot lo; returns how many stayed put, by
+        `_store`'s identity test.  Then set those leaves' counts and minima
+        in closed form: over k leaves, entry i lands in leaf j exactly when
+        j*c <= i*k < (j+1)*c, so leaf j holds the entries from ceil(j*c/k)
+        up to ceil((j+1)*c/k), and its minimum is the first one's key, or
+        the carry-in from the right of the range past the last entry.  The
+        first entry lands at offset 0, so no leading empty leaf appears."""
+        size, c = len(old), len(entries)
+        stayed = x = 0
+        for entry in entries:
+            p = x // c
+            seg[p] = entry
+            if old[p] is entry:
+                stayed += 1
+            x += size
+        cnt, mins, L = self._cnt, self._min, self.leaf_size
+        first, end = lo // L, (lo + size) // L
+        k = end - first
+        carry = mins[end] if end < self.num_leaves else INF_RAW
+        s = a = 0
+        for j in range(first, end):
+            a += c
+            nxt = -(-a // k)
+            cnt[j] = nxt - s
+            mins[j] = entries[s][0] if s < c else carry
+            s = nxt
+        return stayed
 
     def _rebuild_minima(self, lo: int, hi: int) -> None:
-        """Recompute the leaf minima of the slots [lo, hi), whole leaves:
-        one scan per leaf, carrying the next non-empty leaf's minimum from
-        the right.  Leaves outside keep theirs (init passes the whole array;
-        a redistribution keeps its range's minimum).  A range that holds
-        keys and starts the leading empty run marks its leading empties."""
-        mins, slots, L = self._min, self.slots, self.leaf_size
+        """Recount the entries and recompute the leaf minima of the slots
+        [lo, hi), whole leaves: one scan per leaf, carrying the next
+        non-empty leaf's minimum from the right.  Leaves outside keep theirs
+        (a redistribution keeps its range's count and minimum).  A range
+        that holds keys and starts the leading empty run marks its leading
+        empties."""
+        cnt, mins, slots, L = self._cnt, self._min, self.slots, self.leaf_size
         first, end = lo // L, hi // L
         carry = mins[end] if end < self.num_leaves else INF_RAW
         top = end  # the range's first non-empty leaf, end if none
         for j in range(end - 1, first - 1, -1):
             hi -= L
-            entry = next(filter(None, slots[hi:hi + L]), None)
-            if entry is not None:
-                carry, top = entry[0], j
+            held = [*filter(None, slots[hi:hi + L])]
+            cnt[j] = len(held)
+            if held:
+                carry, top = held[0][0], j
             mins[j] = carry
         if top < end and (first == 0 or mins[first - 1] == NEG_INF_RAW):
             mins[first:top] = repeat(NEG_INF_RAW, top - first)

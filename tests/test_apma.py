@@ -26,6 +26,16 @@ def even(c: int, size: int) -> list[int]:
     return [i * size // c for i in range(c)]
 
 
+def or_even(offsets, c: int, size: int) -> list[int]:
+    """A layout's offsets, with None, the even spread, as its floor offsets."""
+    return even(c, size) if offsets is None else offsets
+
+
+def weighted_offsets(a, c: int, size: int, weights: list[int]) -> list[int]:
+    """`a._weighted_positions` as offsets, the even spread included."""
+    return or_even(a._weighted_positions(c, size, weights), c, size)
+
+
 def reference_weighted_positions(c, size, weights, L, reverse=False, pinned=None):
     """The weighted layout of `Apma._weighted_positions`, written with a
     full-scan waterfall and a per-entry loop that walks entry i's share
@@ -78,21 +88,21 @@ class TestWeightedLayout:
             size = k * a.leaf_size
             c = rng.randint(1, max(1, int(0.9 * size)))
             w = rng.randint(1, 10**6)
-            assert a._weighted_positions(c, size, [w] * k) == even(c, size)
+            assert a._weighted_positions(c, size, [w] * k) is None
 
     def test_three_to_one_free_split(self):
         # 8 elements over two 8-slot leaves, heat 3:1 -> free slots 6:2
         a = Apma(64)
-        assert a._weighted_positions(8, 16, [3, 1]) == [0, 4, 8, 9, 10, 12, 13, 14]
+        assert weighted_offsets(a, 8, 16, [3, 1]) == [0, 4, 8, 9, 10, 12, 13, 14]
 
     def test_all_mass_on_last_leaf_gets_maximal_share(self):
         a = Apma(64)
         # the cold leaf packs to its density cap, the hot leaf keeps the rest
-        assert a._weighted_positions(8, 16, [1, 9999]) == [0, 1, 2, 3, 4, 5, 6, 8]
+        assert weighted_offsets(a, 8, 16, [1, 9999]) == [0, 1, 2, 3, 4, 5, 6, 8]
 
     def test_single_leaf_falls_back_to_even(self):
         a = Apma(64)
-        assert a._weighted_positions(5, 8, [7]) == even(5, 8)
+        assert a._weighted_positions(5, 8, [7]) is None
 
     @pytest.mark.parametrize("slot_count", [64, 96, 192, 768])
     def test_matches_per_entry_reference(self, slot_count):
@@ -110,7 +120,7 @@ class TestWeightedLayout:
             size = k * L
             c = rng.randint(1, int(a._cap[a.depth - (k.bit_length() - 1)]))
             weights = [rng.choice([0, 1, 1, 2, 5, 50, 10**4]) for _ in range(k)]
-            pos = a._weighted_positions(c, size, weights)
+            pos = weighted_offsets(a, c, size, weights)
             pinned = []
             want = reference_weighted_positions(c, size, weights, L, pinned=pinned)
             assert pos == want, (c, size, weights)
@@ -138,7 +148,7 @@ class TestWeightedLayout:
             for j in rng.sample(range(k), rng.randint(1, 64)):
                 credit[j] += rng.choice([1, 1, 1, 2, 2, 3, 6, 14])
             c = rng.randint(size * 2 // 5, size * 5 // 8)
-            pos = a._weighted_positions(c, size, credit)
+            pos = weighted_offsets(a, c, size, credit)
             assert pos == reference_weighted_positions(c, size, credit, L), (c, credit)
             emptied += len(set(p // L for p in pos)) < k
         assert emptied == cases
@@ -168,7 +178,7 @@ class TestWeightedLayout:
         free, w_open = free - min_free * len(light), w_open - len(light)
         assert free * hot <= L * w_open
         want = reference_weighted_positions(c, size, weights, L)
-        assert a._weighted_positions(c, size, weights) == want
+        assert weighted_offsets(a, c, size, weights) == want
         assert reference_weighted_positions(c, size, weights, L, reverse=True) != want
 
     def test_positions_legal_under_random_weights(self):
@@ -184,7 +194,7 @@ class TestWeightedLayout:
             # is a depth-d node's threshold times its slot count)
             c = rng.randint(1, int(a._cap[a.depth - (k.bit_length() - 1)]))
             weights = [rng.randint(1, 50) for _ in range(k)]
-            pos = a._weighted_positions(c, size, weights)
+            pos = weighted_offsets(a, c, size, weights)
             assert len(pos) == c
             assert all(0 <= p < size for p in pos)
             assert pos == sorted(set(pos)), "positions must be distinct, increasing"
@@ -258,7 +268,9 @@ class TestLayoutDecisions:
         seg = [None] * size  # the range's slots before the layout
         for p, entry in zip(old, entries):
             seg[p] = entry
-        positions = a._layout(entries, 0, size, seg, pending_raw)
+        L = a.leaf_size
+        a._cnt[:size // L] = [L - seg[j:j + L].count(None) for j in range(0, size, L)]
+        positions = or_even(a._layout(entries, 0, size, pending_raw), len(entries), size)
         assert a.histogram[:size // a.leaf_size] == [0] * (size // a.leaf_size)
         return positions, calls
 
@@ -277,13 +289,13 @@ class TestLayoutDecisions:
         # 5 of 7 votes is under 3/4: the weighted layout runs instead
         positions, calls = self._layout([5, 2], 25)
         assert len(calls) == 1
-        assert positions == Apma(64)._weighted_positions(6, 16, calls[0])
+        assert positions == weighted_offsets(Apma(64), 6, 16, calls[0])
 
     def test_split_refused_when_gap_lies_outside_the_hot_run(self):
         # the gap after 50 belongs to leaf 1's run, not hot leaf 0's
         positions, calls = self._layout([3, 1], 55)
         assert len(calls) == 1
-        assert positions == Apma(64)._weighted_positions(6, 16, calls[0])
+        assert positions == weighted_offsets(Apma(64), 6, 16, calls[0])
 
     def test_credit_lands_on_the_leaf_of_the_runs_last_element(self):
         # four leaves; leaf 0's run ends at entry 5 of 8, which an even
@@ -359,6 +371,8 @@ def test_layout_matches_the_per_leaf_scan(slot_count):
             heat[j] = rng.choice([1, 2, 5, 40])
         histogram[lo // L:lo // L + k] = heat
         a.histogram, b.histogram = list(histogram), list(histogram)
+        # the range's counts before the layout, as `_rebalance` leaves them
+        a._cnt[lo // L:lo // L + k] = [L - old[j:j + L].count(None) for j in range(0, size, L)]
         calls.clear()
         # half the time the pending key sits among a heated leaf's keys
         held = [e[0] for j in heated for e in old[j * L:j * L + L] if e]
@@ -366,7 +380,7 @@ def test_layout_matches_the_per_leaf_scan(slot_count):
         if held and rng.random() < 0.5:
             pending_raw = rng.choice(held)
         want, credit = per_leaf_layout(b, entries, lo, size, old, pending_raw)
-        assert a._layout(entries, lo, size, old, pending_raw) == want
+        assert or_even(a._layout(entries, lo, size, pending_raw), c, size) == want
         assert calls == ([] if credit is None else [credit])
         assert a.histogram == b.histogram
         splits += credit is None

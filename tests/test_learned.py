@@ -422,6 +422,7 @@ def test_merge_moves_child_entries_into_the_parent_box(stream, cls, monkeypatch)
         fresh.init([raw for raw, _ in held], [seq for _, seq in held])
         del checks[before:]  # the reference init's own checks
         assert box.slots == fresh.slots and box._min == fresh._min
+        assert box._cnt == fresh._cnt
         merged_heights.append(ph)
         return out
 
@@ -496,9 +497,9 @@ def lone_stream(stream, n, seed):
 
 
 def box_state(box):
-    """What a box holds and counts: slots, leaf minima, count, and Apma's
-    votes."""
-    return (box.slots, box._min, box.count,
+    """What a box holds and counts: slots, leaf minima, leaf counts, count,
+    and Apma's votes."""
+    return (box.slots, box._min, box._cnt, box.count,
             getattr(box, "histogram", None), getattr(box, "_since_decay", None))
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from listlabel.apma import Apma
 from listlabel.core import INF_RAW, MIN_RAW, NEG_INF_RAW, RAW_MAX, CapacityError, MovementLedger
-from listlabel.pma import TAU_LEAF, TAU_ROOT, Pma, even_layout, geometry
+from listlabel.pma import TAU_LEAF, TAU_ROOT, Pma, geometry
 
 
 def raws_sorted(slots) -> bool:
@@ -101,7 +101,7 @@ class TestSharedGeometry:
     @pytest.mark.parametrize("cls", [Pma, Apma])
     def test_boxes_of_one_size_share_no_mutable_state(self, cls):
         def state(box):
-            return (list(box.slots), list(box._min), box.count,
+            return (list(box.slots), list(box._min), list(box._cnt), box.count,
                     list(getattr(box, "histogram", [])))
 
         a, b = cls(6), cls(6)
@@ -110,7 +110,7 @@ class TestSharedGeometry:
             a.insert(raw, seq)
         assert state(b) == empty
         full = state(a)
-        assert full[2] == 4
+        assert full[3] == 4
         b.insert(40)
         assert state(a) == full
         assert b.count == 1
@@ -279,9 +279,19 @@ def _assert_leaf_minima(real, tag):
     return want
 
 
+def _assert_leaf_counts(real, tag):
+    """The count row, one value per leaf: how many entries the leaf holds,
+    by a recount of its slots.  The row sums to `count`."""
+    L = real.leaf_size
+    assert real._cnt == [sum(e is not None for e in real.slots[j * L:(j + 1) * L])
+                         for j in range(real.num_leaves)], tag
+    assert sum(real._cnt) == real.count, tag
+
+
 def _drive(real, ref, raws, tag, seqs=None):
     """Insert into both arrays until the first CapacityError: the same
-    slots, costs and leaf minima after each insert.  Seqs default to 0, 1, ..."""
+    slots, costs, leaf counts and leaf minima after each insert.  Seqs
+    default to 0, 1, ..."""
     for i, (raw, seq) in enumerate(zip(raws, count() if seqs is None else seqs)):
         try:
             moved_real = real.insert(raw, seq)
@@ -292,13 +302,14 @@ def _drive(real, ref, raws, tag, seqs=None):
         moved_ref = ref.insert(raw, seq)
         assert moved_real == moved_ref, (tag, i)
         assert real.slots == ref.slots, (tag, i)
+        _assert_leaf_counts(real, (tag, i))
         _assert_leaf_minima(real, (tag, i))
 
 
 def test_matches_reference_on_every_insert():
     """10^3 random small arrays, wrapper-sized arrays under random and
     hammered keys, and bulk-loaded arrays: identical slots and costs, and
-    exact leaf minima, after each insert."""
+    exact leaf counts and minima, after each insert."""
     rng = random.Random(20260819)
     for trial in range(1000):
         m = rng.randint(2, 64)
@@ -327,6 +338,7 @@ def test_matches_reference_on_every_insert():
         real.init(raws, list(range(c)))
         ref.init(raws, list(range(c)))
         assert real.slots == ref.slots
+        _assert_leaf_counts(real, ("init", m))
         _assert_leaf_minima(real, ("init", m))
         _drive(real, ref, [rng.randint(0, value_span) for _ in range(m + 1)],
                ("init", m), seqs=count(c))
@@ -334,8 +346,8 @@ def test_matches_reference_on_every_insert():
 
 @pytest.mark.parametrize("m", [96, 384, 1536])
 def test_apma_leaf_minima_after_every_insert(m):
-    """Apma has no reference, but its row of leaf minima must match its
-    slots after every insert.  A descending stream splits at gap 0, which
+    """Apma has no reference, but its rows of leaf counts and minima must
+    match its slots after every insert.  A descending stream splits at gap 0, which
     packs every key right and leaves leading empty leaves (NEG_INF_RAW); the
     hammer and random streams leave empty leaves between keys that hold
     the next leaf's minimum."""
@@ -351,6 +363,7 @@ def test_apma_leaf_minima_after_every_insert(m):
         with pytest.raises(CapacityError):
             for seq, raw in enumerate(raws):
                 box.insert(raw, seq)
+                _assert_leaf_counts(box, (order, seq))
                 row = _assert_leaf_minima(box, (order, seq))
                 lead |= row[0] == NEG_INF_RAW
                 inner |= any(NEG_INF_RAW < v < INF_RAW and not any(box.slots[j * L:j * L + L])
@@ -415,33 +428,68 @@ def test_big_rebalances_match_a_positional_recount():
     assert big["hammer"] > 0 and big["random"] > 0, big
 
 
-class ListLayoutPma(Pma):
-    def _layout(self, *args):
-        return list(super()._layout(*args))
+class FloorLayoutPma(Pma):
+    """Lays every rebalance out at the floor offsets i*size // c, as a
+    list: the even spread's slots, stored by `_store` and rescanned by
+    `_rebuild_minima` instead of set in closed form."""
+
+    def _layout(self, entries, lo, size, pending_raw):
+        c = len(entries)
+        return [i * size // c for i in range(c)]
 
 
-class GeneratorLayoutPma(Pma):
-    def _layout(self, *args):
-        return (p for p in super()._layout(*args))
+class FloorGeneratorPma(Pma):
+    """FloorLayoutPma's offsets, read once from a generator."""
+
+    def _layout(self, entries, lo, size, pending_raw):
+        c = len(entries)
+        return (i * size // c for i in range(c))
 
 
 @pytest.mark.parametrize("m", [96, 1536])
-def test_layout_read_once_or_as_a_list_stores_alike(m):
-    """`_layout` may return any iterable: a one-shot generator and a list
-    give the same slots and the same moves on every insert."""
+def test_closed_form_spread_matches_the_floor_layout(m):
+    """The even spread's closed form against the floor offsets taken
+    through `_store` and the leaf scan, as a list and as a one-shot
+    generator: the same moves, slots, leaf minima and leaf counts on every
+    insert, under a hammer stream, keys with many duplicates, and one key
+    repeated with every seq 0, until the root is full."""
     rng = random.Random(m)
-    for raws in ([m] + list(range(m)), [rng.randint(0, 50) for _ in range(m)]):
-        once, listed = GeneratorLayoutPma(m), ListLayoutPma(m)
+    streams = {
+        "hammer": ([m] + list(range(m)), count()),
+        "duplicates": ([rng.randint(0, 50) for _ in range(m)], count()),
+        "one-key": ([7] * m, repeat(0)),
+    }
+    for order, (raws, seqs) in streams.items():
+        boxes = [RecountingPma(m), FloorLayoutPma(m), FloorGeneratorPma(m)]
         with pytest.raises(CapacityError):
-            for seq, raw in enumerate(raws):
-                assert once.insert(raw, seq) == listed.insert(raw, seq), seq
-                assert once.slots == listed.slots, seq
+            for i, (raw, seq) in enumerate(zip(raws, seqs)):
+                moved = [box.insert(raw, seq) for box in boxes]
+                assert moved[1:] == moved[:1] * 2, (order, i)
+                for box in boxes[1:]:
+                    assert (box.slots, box._min, box._cnt) == (
+                        boxes[0].slots, boxes[0]._min, boxes[0]._cnt), (order, i)
+        assert boxes[0].sizes, order
+        _assert_leaf_counts(boxes[0], order)
+        _assert_leaf_minima(boxes[0], order)
 
 
-@pytest.mark.parametrize("size", [1, 2, 7, 48, 100, 384])
-def test_even_layout_is_the_floor_spread(size):
-    for c in range(size + 1):
-        assert list(even_layout(size, c)) == [i * size // c for i in range(c)], c
+@pytest.mark.parametrize("size", [2, 3, 7, 48, 100, 384])
+def test_even_spread_is_the_floor_spread(size):
+    """`_fill` stores entry i of c at slot i*m // c, for every c from 0 (an
+    all-None fill, where nothing may divide by c) to a full array, with a
+    positional move count, and sets the leaf counts and minima a recount
+    gives.  Both leaf families: 7 and 100 slots round up to 8 and 128."""
+    m = Pma(size).slot_count
+    for c in range(m + 1):
+        box = Pma(size)
+        entries = [(i, i) for i in range(c)]
+        offsets = [i * m // c for i in range(c)]
+        assert box._fill(entries + [None] * (m - c)) == sum(
+            i != p for i, p in enumerate(offsets)), c
+        assert [p for p, e in enumerate(box.slots) if e] == offsets, c
+        assert [*filter(None, box.slots)] == entries and box.count == c, c
+        _assert_leaf_counts(box, c)
+        _assert_leaf_minima(box, c)
 
 
 # ----------------------------------------------------------------------
@@ -539,6 +587,33 @@ class TestFirstKey:
     def test_second_key_matches_reference(self, cls, m, first, second):
         # below, equal to or above the first key
         _drive(cls(m), ReferencePma(m), [first, second], (cls.__name__, m, first, second))
+
+
+@pytest.mark.parametrize("cls", [Pma, Apma])
+@pytest.mark.parametrize("m", TestFirstKey.SIZES)
+def test_leaf_counts_in_every_leaf_family(cls, m):
+    """Boxes of 6, 12, 24 and 96 slots (leaves of 3 * 2^j) and of 64
+    (leaves of 2^j), filled to the root's threshold by ascending, hammer
+    and one-key streams: the count row matches a recount after every
+    insert, as it does after an init and after an all-None `_fill`."""
+    streams = {
+        "ascending": list(range(m)),
+        "hammer": [m] + list(range(m)),
+        "one-key": [7] * m,
+    }
+    for order, raws in streams.items():
+        box = cls(m)
+        with pytest.raises(CapacityError):
+            for seq, raw in enumerate(raws):
+                box.insert(raw, seq)
+                _assert_leaf_counts(box, (order, seq))
+                _assert_leaf_minima(box, (order, seq))
+    box = cls(m)
+    assert box._fill([None] * box.slot_count) == 0
+    assert box._cnt == [0] * box.num_leaves and box._min == [INF_RAW] * box.num_leaves
+    box = cls(m)
+    box.init(range(m // 2), range(m // 2))
+    _assert_leaf_counts(box, "init")
 
 
 def test_sorted_after_random_workload():
@@ -679,8 +754,10 @@ def test_init_accepts_both_ends_and_nothing():
     empty = Pma(12)
     empty.init([], [])
     assert empty.count == 0 and empty._min == [INF_RAW] * empty.num_leaves
+    assert empty._cnt == [0] * empty.num_leaves
     assert empty.slots == [None] * empty.slot_count
     empty.insert(7)
+    _assert_leaf_counts(empty, "first insert")
     assert _assert_leaf_minima(empty, "first insert")[0] == 7
 
 
@@ -690,6 +767,7 @@ def test_init_that_fills_the_array():
     pma = Pma(48)
     pma.init(list(range(10, 58)), list(range(48)))
     assert None not in pma.slots
+    assert pma._cnt == [pma.leaf_size] * pma.num_leaves
     assert _assert_leaf_minima(pma, "full") == list(range(10, 58, pma.leaf_size))
     with pytest.raises(CapacityError):
         pma.insert(5)
