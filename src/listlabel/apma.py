@@ -32,10 +32,9 @@ left behind.  The histogram halves every `leaf_size * 4` inserts so heat
 also fades on its own.
 
 A layout that comes out even — equal weights, or a skew the guard rails
-cannot honor — is returned as None, `Pma._layout`'s even spread, which sets
-the range's leaf counts and minima in closed form.  The split and the
-weighted layouts return their offsets, which `Pma` stores and whose leaves it
-rescans.
+cannot honor — is returned as None, `Pma._layout`'s even spread.  The split
+and the weighted layouts return lists of offsets, which `Pma` stores and
+sets the range's leaf counts and minima from (see `pma`).
 
 Cost of a layout over k leaves and c entries: the Python work is per heated
 leaf (`_layout` visits only those, reading each one's run from the count

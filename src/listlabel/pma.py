@@ -18,8 +18,8 @@ stored entry is a distinct tuple object (insert and init build fresh ones,
 rebalances move references), so a move is counted by identity as each entry
 is stored at its new offset: a move unless the new slot's index held that
 same object before.  The even spread, `_spread`, does so for `_fill` over a
-fresh box and for every rebalance whose `_layout` is the even one; `_store`
-does so at the offsets of an uneven layout.
+fresh box and for every rebalance whose `_layout` is the even one;
+`_rebalance` does so itself at the offsets of an uneven layout.
 
 Two rows hold the per-leaf state, one value per leaf.  The count row `_cnt`
 holds each leaf's number of entries: an insert adds one to the leaf it lands
@@ -31,14 +31,18 @@ next non-empty leaf's, INF_RAW if there is none, or NEG_INF_RAW if no key
 precedes it (core's markers outside the keys).  One bisect finds the leaf of
 a key's predecessor, an insert lowers at most its own leaf's minimum, and a
 redistribution, which keeps its range's minimum, rewrites the row only
-inside its range.  The even spread sets both rows in closed form; an uneven
-layout rescans its range's leaves (`_rebuild_minima`).
+inside its range.
+
+A redistribution sets both rows from where it placed its entries, never
+from the slots, by one rule: leaf j's run starts at the first entry whose
+offset is at or past j*L, L the leaf size.  The even spread computes it in
+closed form (`_spread`), an uneven layout by bisect over its offsets
+(`_set_rows`).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections.abc import Iterable
+from bisect import bisect_left, bisect_right
 from functools import cache
 from itertools import islice, repeat
 from operator import gt, index
@@ -93,18 +97,6 @@ def geometry(slot_count: int) -> tuple[int, int, int, int, tuple[float, ...]]:
     return leaf, depth, leaf << depth, 1 << depth, cap
 
 
-def _store(seg: list, old: list, offsets: Iterable[int], entries: Iterable) -> int:
-    """Store each entry at its offset in `seg`, which holds only None, reading
-    both in step; returns how many stayed put: old[p] held that same tuple,
-    so only identity, never equality, decides."""
-    stayed = 0
-    for p, entry in zip(offsets, entries):
-        seg[p] = entry
-        if old[p] is entry:
-            stayed += 1
-    return stayed
-
-
 class Pma:
     """The array itself.  Entries are (raw, seq) int pairs; labels are 1-based.
 
@@ -116,12 +108,10 @@ class Pma:
     A variant has two extension points: `_place(t, entry)`, which stores
     every inserted key and returns where it landed, and `_layout(entries,
     lo, size, pending_raw)`, which returns None for the even spread or else
-    an iterable, read once, of a rebalanced range's slots as ascending
-    offsets from lo, while `_cnt` still holds the range's old leaf counts.
-    The even spread sets the range's leaf counts and minima in closed form;
-    an uneven layout is stored by `_store` and its leaves rescanned.  Either
-    way `_cnt` and `_min` (see the module docstring) hold for every leaf
-    after a rebalance.
+    a list of a rebalanced range's slots as ascending offsets from lo,
+    while `_cnt` still holds the range's old leaf counts.  Either way the
+    rows `_cnt` and `_min` are set from the placements, by the module
+    docstring's rule, and hold for every leaf after a rebalance.
 
     Each stored entry is its own tuple object; moves are counted by
     identity while the entries are stored, so a variant must store the
@@ -303,11 +293,11 @@ class Pma:
         lo: int,
         size: int,
         pending_raw: int,
-    ) -> Iterable[int] | None:
+    ) -> list[int] | None:
         """None for the even spread (`_spread`), which is this layout.  A
-        variant may instead return an iterable, read once, of ascending
-        offsets in [0, size) for `entries` in the slots [lo, lo+size):
-        entry i goes to slot lo + offset i.
+        variant may instead return a list of ascending offsets in
+        [0, size) for `entries` in the slots [lo, lo+size): entry i goes to
+        slot lo + offset i, and `_set_rows` reads the list for the rows.
 
         `_cnt` still holds the range's leaf counts from before the
         redistribution; the even layout ignores them, as it ignores
@@ -319,26 +309,29 @@ class Pma:
         """Redistribute the slots [lo, hi), the range of the tree node the
         density walk stopped at; returns how many elements moved.  The walk
         only gets here from a child above its threshold, so the range holds
-        entries.  Each moved unless its new slot held that same tuple,
-        counted by identity."""
+        entries.  Each moved unless its new slot held that same tuple:
+        identity, never equality, decides."""
         old = self.slots[lo:hi]
         entries = list(filter(None, old))
         seg = [None] * (hi - lo)
         offsets = self._layout(entries, lo, hi - lo, pending_raw)
         if offsets is None:
             stayed = self._spread(seg, old, entries, lo)
-            self.slots[lo:hi] = seg
         else:
-            stayed = _store(seg, old, offsets, entries)
-            self.slots[lo:hi] = seg
-            self._rebuild_minima(lo, hi)
+            stayed = 0
+            for p, entry in zip(offsets, entries):
+                seg[p] = entry
+                if old[p] is entry:
+                    stayed += 1
+            self._set_rows(lo, hi, offsets, entries)
+        self.slots[lo:hi] = seg
         return len(entries) - stayed
 
     def _spread(self, seg: list, old: list, entries: list, lo: int) -> int:
         """The even spread: store entry i of the c `entries` at offset
         i*size // c of `seg`, which holds only None, where size = len(old)
         slots are whole leaves from slot lo; returns how many stayed put, by
-        `_store`'s identity test.  Then set those leaves' counts and minima
+        the identity test.  Then set those leaves' counts and minima
         in closed form: over k leaves, entry i lands in leaf j exactly when
         j*c <= i*k < (j+1)*c, so leaf j holds the entries from ceil(j*c/k)
         up to ceil((j+1)*c/k), and its minimum is the first one's key, or
@@ -365,23 +358,27 @@ class Pma:
             s = nxt
         return stayed
 
-    def _rebuild_minima(self, lo: int, hi: int) -> None:
-        """Recount the entries and recompute the leaf minima of the slots
-        [lo, hi), whole leaves: one scan per leaf, carrying the next
-        non-empty leaf's minimum from the right.  Leaves outside keep theirs
-        (a redistribution keeps its range's count and minimum).  A range
-        that holds keys and starts the leading empty run marks its leading
-        empties."""
-        cnt, mins, slots, L = self._cnt, self._min, self.slots, self.leaf_size
+    def _set_rows(self, lo: int, hi: int, offsets: list[int], entries: list) -> None:
+        """Set the counts and minima of the leaves of the slots [lo, hi),
+        whole leaves, from where an uneven layout put the `entries`: entry i
+        at offset i of the ascending `offsets`.  Leaf j's run starts at the
+        first entry whose offset is at or past its own, found by bisect; its
+        minimum is that entry's key, or the carry-in from the right of the
+        range past the last entry.  Leaves outside keep theirs (a
+        redistribution keeps its range's count and minimum).  A range that
+        starts the leading empty run marks the empties before its first
+        entry."""
+        cnt, mins, L = self._cnt, self._min, self.leaf_size
         first, end = lo // L, hi // L
+        c = len(entries)
         carry = mins[end] if end < self.num_leaves else INF_RAW
-        top = end  # the range's first non-empty leaf, end if none
-        for j in range(end - 1, first - 1, -1):
-            hi -= L
-            held = [*filter(None, slots[hi:hi + L])]
-            cnt[j] = len(held)
-            if held:
-                carry, top = held[0][0], j
-            mins[j] = carry
-        if top < end and (first == 0 or mins[first - 1] == NEG_INF_RAW):
+        a = x = 0
+        for j in range(first, end):
+            x += L
+            b = bisect_left(offsets, x, a)
+            cnt[j] = b - a
+            mins[j] = entries[a][0] if a < c else carry
+            a = b
+        if offsets[0] >= L and (first == 0 or mins[first - 1] == NEG_INF_RAW):
+            top = first + offsets[0] // L
             mins[first:top] = repeat(NEG_INF_RAW, top - first)

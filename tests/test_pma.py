@@ -260,11 +260,11 @@ class ReferencePma:
         return cost_l
 
 
-def _assert_leaf_minima(real, tag):
-    """The row of leaf minima, one value per leaf: the smallest key of a
-    non-empty leaf; for an empty leaf the smallest key after it, INF_RAW if
-    there is none; NEG_INF_RAW on the empty leaves before the first key.
-    Returns the row."""
+def _recount_minima(real):
+    """The row of leaf minima, one value per leaf, by a recount of the
+    slots: the smallest key of a non-empty leaf; for an empty leaf the
+    smallest key after it, INF_RAW if there is none; NEG_INF_RAW on the
+    empty leaves before the first key."""
     L = real.leaf_size
     leaf_keys = [[e[0] for e in real.slots[j * L:(j + 1) * L] if e is not None]
                  for j in range(real.num_leaves)]
@@ -275,16 +275,29 @@ def _assert_leaf_minima(real, tag):
     want.reverse()
     lead = next((j for j, keys in enumerate(leaf_keys) if keys), 0)
     want[:lead] = [NEG_INF_RAW] * lead
+    return want
+
+
+def _recount_counts(real):
+    """The count row, one value per leaf: how many entries the leaf holds,
+    by a recount of its slots."""
+    L = real.leaf_size
+    return [sum(e is not None for e in real.slots[j * L:(j + 1) * L])
+            for j in range(real.num_leaves)]
+
+
+def _assert_leaf_minima(real, tag):
+    """The row of leaf minima equals a recount (`_recount_minima`).
+    Returns the row."""
+    want = _recount_minima(real)
     assert real._min == want, tag
     return want
 
 
 def _assert_leaf_counts(real, tag):
-    """The count row, one value per leaf: how many entries the leaf holds,
-    by a recount of its slots.  The row sums to `count`."""
-    L = real.leaf_size
-    assert real._cnt == [sum(e is not None for e in real.slots[j * L:(j + 1) * L])
-                         for j in range(real.num_leaves)], tag
+    """The count row equals a recount (`_recount_counts`) and sums to
+    `count`."""
+    assert real._cnt == _recount_counts(real), tag
     assert sum(real._cnt) == real.count, tag
 
 
@@ -430,29 +443,21 @@ def test_big_rebalances_match_a_positional_recount():
 
 class FloorLayoutPma(Pma):
     """Lays every rebalance out at the floor offsets i*size // c, as a
-    list: the even spread's slots, stored by `_store` and rescanned by
-    `_rebuild_minima` instead of set in closed form."""
+    list: the even spread's slots, with the leaf rows set by `_set_rows`'s
+    bisect over the offsets instead of `_spread`'s closed form."""
 
     def _layout(self, entries, lo, size, pending_raw):
         c = len(entries)
         return [i * size // c for i in range(c)]
 
 
-class FloorGeneratorPma(Pma):
-    """FloorLayoutPma's offsets, read once from a generator."""
-
-    def _layout(self, entries, lo, size, pending_raw):
-        c = len(entries)
-        return (i * size // c for i in range(c))
-
-
 @pytest.mark.parametrize("m", [96, 1536])
 def test_closed_form_spread_matches_the_floor_layout(m):
-    """The even spread's closed form against the floor offsets taken
-    through `_store` and the leaf scan, as a list and as a one-shot
-    generator: the same moves, slots, leaf minima and leaf counts on every
-    insert, under a hammer stream, keys with many duplicates, and one key
-    repeated with every seq 0, until the root is full."""
+    """The even spread's closed form against the floor offsets taken as an
+    uneven layout, two computations of one rule: the same moves, slots,
+    leaf minima and leaf counts on every insert, under a hammer stream,
+    keys with many duplicates, and one key repeated with every seq 0, until
+    the root is full."""
     rng = random.Random(m)
     streams = {
         "hammer": ([m] + list(range(m)), count()),
@@ -460,17 +465,15 @@ def test_closed_form_spread_matches_the_floor_layout(m):
         "one-key": ([7] * m, repeat(0)),
     }
     for order, (raws, seqs) in streams.items():
-        boxes = [RecountingPma(m), FloorLayoutPma(m), FloorGeneratorPma(m)]
+        even, floor = RecountingPma(m), FloorLayoutPma(m)
         with pytest.raises(CapacityError):
             for i, (raw, seq) in enumerate(zip(raws, seqs)):
-                moved = [box.insert(raw, seq) for box in boxes]
-                assert moved[1:] == moved[:1] * 2, (order, i)
-                for box in boxes[1:]:
-                    assert (box.slots, box._min, box._cnt) == (
-                        boxes[0].slots, boxes[0]._min, boxes[0]._cnt), (order, i)
-        assert boxes[0].sizes, order
-        _assert_leaf_counts(boxes[0], order)
-        _assert_leaf_minima(boxes[0], order)
+                assert even.insert(raw, seq) == floor.insert(raw, seq), (order, i)
+                assert (floor.slots, floor._min, floor._cnt) == (
+                    even.slots, even._min, even._cnt), (order, i)
+        assert even.sizes, order
+        _assert_leaf_counts(even, order)
+        _assert_leaf_minima(even, order)
 
 
 @pytest.mark.parametrize("size", [2, 3, 7, 48, 100, 384])
@@ -490,6 +493,53 @@ def test_even_spread_is_the_floor_spread(size):
         assert [*filter(None, box.slots)] == entries and box.count == c, c
         _assert_leaf_counts(box, c)
         _assert_leaf_minima(box, c)
+
+
+# Uneven layouts of a range of `size` slots in leaves of L, as offsets.
+SET_ROWS_LAYOUTS = {
+    "pack-left": lambda size, L: [*range(L + 3)],
+    # leading empty leaves: the first entry sits past the range's first leaf
+    "pack-right": lambda size, L: [*range(size - L - 3, size)],
+    "hole": lambda size, L: [*range(5), *range(size - L - 3, size)],
+    # the left pack ends and the right pack starts in the range's leaf 1
+    "shared-leaf": lambda size, L: [*range(L + 2), *range(2 * L - 2, size)],
+    "one-leaf": lambda size, L: [*range(L + 2, L + 7)],
+    "last-leaf": lambda size, L: [*range(size - L + 3, size - L + 8)],
+}
+
+
+@pytest.mark.parametrize("m", [96, 384])
+@pytest.mark.parametrize("layout", SET_ROWS_LAYOUTS)
+@pytest.mark.parametrize("where", ["start", "mid-key", "mid-empty", "end"])
+def test_set_rows_matches_a_recount(m, layout, where):
+    """`_set_rows` over half a box's leaves, laid out by hand, against a
+    recount of the slots.  The range starts the box ("start"), starts after
+    a leaf that holds a key ("mid-key") or after empty leaves only
+    ("mid-empty"), or ends the box ("end").  Every range but the last has a
+    non-empty leaf to its right, whose minimum is the carry-in.  The rows
+    outside hold a recount, the rows inside garbage."""
+    box = Pma(m)
+    L, n = box.leaf_size, box.num_leaves
+    k = n // 2
+    first = {"start": 0, "mid-key": n // 4, "mid-empty": n // 4, "end": n - k}[where]
+    lo, hi = first * L, (first + k) * L
+    offsets = SET_ROWS_LAYOUTS[layout](hi - lo, L)
+    entries = [(100 + i // 2, i) for i in range(len(offsets))]
+    for p, entry in zip(offsets, entries):
+        box.slots[lo + p] = entry
+    if where in ("mid-key", "end"):
+        box.slots[lo - 2] = (1, 0)
+    if where != "end":
+        box.slots[hi + 1] = (10**6, 0)
+    box.count = sum(e is not None for e in box.slots)
+    box._cnt, box._min = _recount_counts(box), _recount_minima(box)
+    box._cnt[first:first + k] = [-1] * k
+    box._min[first:first + k] = [55] * k
+    box._set_rows(lo, hi, offsets, entries)
+    _assert_leaf_counts(box, (layout, where))
+    row = _assert_leaf_minima(box, (layout, where))
+    assert (row[first] == NEG_INF_RAW) == (
+        where in ("start", "mid-empty") and offsets[0] >= L), (layout, where)
 
 
 # ----------------------------------------------------------------------
@@ -577,7 +627,8 @@ class TestFirstKey:
         assert box._min == [INF_RAW] * box.num_leaves
         with pytest.raises(AssertionError, match="leaf minima out of sync"):
             box._target(0)
-        box._rebuild_minima(0, box.slot_count)
+        occupied = [p for p, e in enumerate(box.slots) if e is not None]
+        box._set_rows(0, box.slot_count, occupied, [box.slots[p] for p in occupied])
         assert box._target(0) == box.slot_count
 
     @pytest.mark.parametrize("cls", [Pma, Apma])
