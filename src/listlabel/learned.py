@@ -42,24 +42,25 @@ read.  The parent's root already holds the min and max of everything it
 gathers, so a merge leaves the trees alone.
 
 An actual that holds one key has no box: the key stays bare, its own
-`(raw, seq)` tuple, at slot 0 of the box it would have had.  Otherwise the
-box is the only per-actual object, and it holds at least two keys.
-The wrapper keeps the height of the owning actual per leaf and, indexed by
-the actual's first leaf, its box or lone key; an actual's ranks and slot
-offset follow from (height, node).  A box is built as
+`(raw, seq)` tuple, at slot 0 of the box it would have had, and every
+reader sees it through `_slots` as that box's one-slot window `(key,)`.
+Otherwise the box is the only per-actual object, and it holds at least two
+keys.  The wrapper keeps the height of the owning actual per leaf and,
+indexed by the actual's first leaf, its box or lone key; an actual's ranks
+and slot offset follow from (height, node).  A box is built as
 `factory(slot_count, None)` by a merge, or for a lone key when its actual
 receives a second key; the lone key is then replayed through the box's
 insert, so the box, its slots and its counts end exactly as if it had held
-the key from the start.  Boxes charge nothing and
-the wrapper does all the accounting: the moves each box insert returns, and
-the relabels of each merge.  `insert` returns their sum, the relabels of
-elements already stored, and charges `ledger` the same, plus the new
-element's placement unless the ledger excludes first placements.  A merge
-fills its box with `_fill`, the even layout whatever the box's kind, and
-takes its relabels from it, so `factory` must build a `Pma` or a subclass
-such as `Apma`.  Inspection (`actuals`, the merge listener) is a snapshot:
-it returns `Actual(height, node, entries)` tuples whose entries are a fresh
-list, and it builds and changes nothing.
+the key from the start.  Boxes charge nothing and the wrapper does all the
+accounting: the moves each box insert returns, and the relabels of each
+merge.  `insert` returns their sum, the relabels of elements already
+stored, and charges `ledger` the same, plus the new element's placement
+unless the ledger excludes first placements.  A merge fills its box with
+`_fill`, the even layout whatever the box's kind, and takes its relabels
+from it, so `factory` must build a `Pma` or a subclass such as `Apma`.
+Inspection (`actuals`, the merge listener) is a snapshot: `_actual` builds
+each `Actual(height, node, entries)`, whose entries are a fresh list, and
+it builds and changes nothing else.
 
 The wrapper keeps no predictions: a prediction only routes its insert, and
 the set of inserted seqs exists only to reject a reused one.
@@ -71,7 +72,7 @@ from __future__ import annotations
 
 from itertools import compress
 from operator import add, index
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .core import INF_RAW, NEG_INF_RAW, CapacityError, MovementLedger, check_raw, clamp
 from .pma import Pma
@@ -95,6 +96,12 @@ def descend(tree: list[int], raw: int, side: int) -> int:
         if tree[v | side] <= raw:
             v |= 1
     return v - n
+
+
+def _slots(held: Pma | tuple[int, int]) -> Sequence[tuple[int, int] | None]:
+    """The slot window of a held actual: a box's `slots`, or a lone key's
+    one-slot window `(key,)`, which is slot 0 of the box it would have had."""
+    return (held,) if held.__class__ is tuple else held.slots
 
 
 class Actual(NamedTuple):
@@ -260,11 +267,11 @@ class LearnedLLA:
         The children are the non-empty entries of `_boxes[first:end]`, each
         at its first leaf; their concatenation in actual order is sorted and
         was checked at insert.  Each child's slot window is written at its
-        own offset of one fresh list, the parent's window as it stands: a
-        box's `slots`, a lone key at slot 0 of its window, and None for every
-        slot of an empty child.  `_fill` spreads those very tuples evenly
-        over a new box and returns how many changed index, which is how many
-        global labels changed; that is the charge.  No child box is changed.
+        own offset of one fresh list, the parent's window as it stands: each
+        non-empty child's `_slots`, and None for every slot of an empty
+        child.  `_fill` spreads those very tuples evenly over a new box and
+        returns how many changed index, which is how many global labels
+        changed; that is the charge.  No child box is changed.
         The parent's root in the min/max trees already covers every key.
         """
         heights, boxes = self._heights, self._boxes
@@ -280,19 +287,16 @@ class LearnedLLA:
         # first leaves of the non-empty children.  Leaf f's window starts at
         # slot 6 * (f - first) of the parent's.
         for leaf in compress(range(first, end), boxes[first:end]):
-            held = boxes[leaf]
+            w = _slots(boxes[leaf])
             off = 6 * (leaf - first)
-            if held.__class__ is tuple:
-                window[off] = held
-            else:
-                window[off:off + held.slot_count] = held.slots
+            window[off:off + len(w)] = w
         moved = box._fill(window)
         self.ledger.record_moves(moved)
         heights[first:end] = [ph] * (end - first)
         boxes[first:end] = [box] + [None] * (end - first - 1)
         self.merges += 1
         if self.merge_listener is not None:
-            self.merge_listener(self, Actual(ph, first >> ph, [*filter(None, box.slots)]))
+            self.merge_listener(self, self._actual(first))
         return first, moved
 
     # ------------------------------------------------------------------
@@ -301,29 +305,25 @@ class LearnedLLA:
     def global_labels(self) -> list[tuple[int, int, int]]:
         """Every element as (raw, seq, global label), in label order.  The
         actual at first leaf f owns the slots after offset 6f, so its slot p
-        (0-based) has global label 6f + p + 1; a lone key sits at slot 0."""
-        boxes = self._boxes
+        (0-based) has global label 6f + p + 1."""
         out: list[tuple[int, int, int]] = []
-        for first in compress(range(self.n), boxes):
-            held = boxes[first]
+        for first in compress(range(self.n), self._boxes):
+            slots = _slots(self._boxes[first])
             off = 6 * first + 1
-            if held.__class__ is tuple:
-                out.append((*held, off))
-            else:
-                slots = held.slots
-                # (raw, seq) + (label,), paired off in C
-                out += map(add, filter(None, slots),
-                           zip(compress(range(off, off + len(slots)), slots)))
+            # (raw, seq) + (label,), paired off in C
+            out += map(add, filter(None, slots),
+                       zip(compress(range(off, off + len(slots)), slots)))
         return out
 
     def actuals(self) -> list[Actual]:
         """Non-empty actuals in rank order (empty ones are implicit), each
-        with a new list of its entries; a lone key is its one entry."""
-        heights, boxes = self._heights, self._boxes
-        return [Actual(heights[first], first >> heights[first],
-                       [held] if (held := boxes[first]).__class__ is tuple
-                       else [*filter(None, held.slots)])
-                for first in compress(range(self.n), boxes)]
+        with a new list of its entries."""
+        return [self._actual(first) for first in compress(range(self.n), self._boxes)]
+
+    def _actual(self, first: int) -> Actual:
+        """The snapshot of the non-empty actual whose first leaf is `first`."""
+        h = self._heights[first]
+        return Actual(h, first >> h, [*filter(None, _slots(self._boxes[first]))])
 
 
 def witness_error_check(merged: Actual, predicted, true_ranks) -> bool:

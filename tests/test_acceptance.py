@@ -176,9 +176,7 @@ def test_criterion_3_log_squared_eta_on_hammer_order():
 def test_criterion_4_worst_case_safety():
     n = 2**14
     raws = random.Random(9).sample(range(1, 10**12), n)
-    true = [0] * n
-    for rank, i in enumerate(sorted(range(n), key=raws.__getitem__), start=1):
-        true[i] = rank
+    true = harness._true_ranks(raws)
     rng = random.Random(4)
     adversaries = {
         "reversed": [n + 1 - r for r in true],
@@ -439,10 +437,7 @@ def _fuzz_one_seed(seed, n, adaptive, key_range=None, noise=None):
     else:
         raws = [rng.randrange(key_range) for _ in range(n)]
     if noise is not None:
-        # equal keys rank in arrival order
-        true = [0] * n
-        for rank, i in enumerate(sorted(range(n), key=raws.__getitem__), start=1):
-            true[i] = rank
+        true = harness._true_ranks(raws)  # equal keys rank in arrival order
     for i, raw in enumerate(raws):
         state["events"].clear()
         merge_diffs.clear()

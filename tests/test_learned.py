@@ -18,6 +18,7 @@ from listlabel.apma import Apma
 from listlabel.core import INF_RAW, MIN_RAW, NEG_INF_RAW, RAW_MAX, CapacityError, MovementLedger, clamp
 from listlabel.learned import LearnedLLA, descend, witness_error_check
 from listlabel.pma import Pma
+from test_acceptance import _check_structure
 
 
 def box_labels(box):
@@ -864,6 +865,9 @@ def test_invariants_and_ledger_match_shadow_diff(stream, cls):
     window at its own offset of the parent's, so the merges seen must
     include one whose first leaf holds nothing (the window starts with empty
     slots) and, on the duplicates, one whose first leaf holds a lone key.
+    So the three readers of a held actual (`merge_parent`, `global_labels`,
+    `actuals`) are compared on lone keys, boxes and empty children, and the
+    merge listener's snapshot must be one that `actuals` lists.
     """
     rng = random.Random(77)
     n = 256
@@ -886,7 +890,14 @@ def test_invariants_and_ledger_match_shadow_diff(stream, cls):
         box._rebalance = spying_rebalance
         return box
 
-    lla = LearnedLLA(n, factory=spied_box, ledger=led)
+    heard = []  # every Actual the merge listener was given
+
+    def listener(lla, rec):
+        # the listener's snapshot is the merged actual as actuals() reads it
+        assert rec in lla.actuals()
+        heard.append(rec)
+
+    lla = LearnedLLA(n, factory=spied_box, ledger=led, merge_listener=listener)
     firsts: list[str] = []  # what each merge's first leaf held
     inner_merge = lla.merge_parent
 
@@ -926,24 +937,18 @@ def test_invariants_and_ledger_match_shadow_diff(stream, cls):
         assert values == sorted(values)
         assert len({label for _, _, label in labels}) == len(labels)
 
+        # The readers agree: actuals() lists global_labels()'s entries in
+        # order, and each label lies in its actual's slot window.
+        recs = lla.actuals()
+        assert [e for rec in recs for e in rec.entries] == [(r, s) for r, s, _ in labels]
+        owners = [rec for rec in recs for _ in rec.entries]
+        for rec, (_, _, label) in zip(owners, labels):
+            assert 6 * (rec.node << rec.height) < label <= 6 * ((rec.node + 1) << rec.height)
+
         if seq % 32 == 31:
-            # every leaf of an actual carries the actual's height, so the
-            # actuals tile the ranks, and a box sits only at a first leaf
-            heights, boxes = lla._heights, lla._boxes
-            leaf = 0
-            while leaf < n:
-                width = 1 << heights[leaf]
-                assert leaf % width == 0
-                assert heights[leaf:leaf + width] == [heights[leaf]] * width
-                assert boxes[leaf + 1:leaf + width] == [None] * (width - 1)
-                leaf += width
-            for first, held in enumerate(boxes):
-                if held is not None:
-                    h = heights[first]
-                    assert actual_of(lla, first + 1) == (h, first >> h)
-                    count = 1 if held.__class__ is tuple else held.count
-                    assert count * 2 <= 6 << h
+            _check_structure(lla)
     assert lla.count == n
+    assert len(heard) == lla.merges > 0
     assert sum(len(rec.entries) for rec in lla.actuals()) == n
     assert "empty" in firsts and "box" in firsts
     assert "lone" in firsts or stream != "noisy-duplicates"
