@@ -29,7 +29,8 @@ A redistribution *consumes* the heat it acted on — the covered histogram
 entries reset to zero — so every insert votes in exactly one layout
 decision; stale votes would aim free slots at gaps the workload has already
 left behind.  The histogram halves every `leaf_size * 4` inserts so heat
-also fades on its own.
+also fades on its own; the halving visits only the leaves that hold heat,
+which `_place` lists as their votes find them cold.
 
 A layout that comes out even — equal weights, or a skew the guard rails
 cannot honor — is returned as None, `Pma._layout`'s even spread.  The split
@@ -38,9 +39,10 @@ sets the range's leaf counts and minima from (see `pma`).
 
 Cost of a layout over k leaves and c entries: the Python work is per heated
 leaf (`_layout` visits only those, reading each one's run from the count
-row), per run of equal weight and per pinned leaf (`_weighted_positions`);
-the work per leaf and per entry runs in C (`compress`, `sum` and `map` over
-slices and ranges).  So a flat range costs the even spread, plus a constant.
+row), and per run of equal weight and per pin round (`_weighted_positions`,
+which pins a run whole); the work per leaf and per entry runs in C
+(`compress`, `sum` and `map` over slices and ranges).  So a flat range costs
+the even spread, plus a constant.
 """
 
 from __future__ import annotations
@@ -61,15 +63,28 @@ class Apma(Pma):
     def __init__(self, slot_count: int, ledger: MovementLedger | None = None):
         super().__init__(slot_count, ledger)
         self.histogram = [0] * self.num_leaves
+        # Lists every leaf that holds heat: a vote lists a cold leaf, and a
+        # decay keeps the leaves still warm.  A layout zeroes leaves without
+        # unlisting them, so a leaf may be listed more than once.
+        self._warm: list[int] = []
         self._since_decay = 0
 
     def _place(self, t: int, entry: tuple[int, int]) -> tuple[int, int]:
         """Place as `Pma` does, then vote for the leaf the key landed in."""
         pos, moved = super()._place(t, entry)
-        self.histogram[pos // self.leaf_size] += 1
+        heat = self.histogram
+        j = pos // self.leaf_size
+        if not heat[j]:
+            self._warm.append(j)
+        heat[j] += 1
         self._since_decay += 1
         if self._since_decay >= self.leaf_size * 4:
-            self.histogram = [h >> 1 for h in self.histogram]
+            warm = []
+            for j in set(self._warm):
+                heat[j] >>= 1
+                if heat[j]:
+                    warm.append(j)
+            self._warm = warm
             self._since_decay = 0
         return pos, moved
 
@@ -131,53 +146,56 @@ class Apma(Pma):
         the even layout too.
 
         Cost: the leaves are handled as maximal runs of equal weight, found
-        by one C-speed scan of `weights`.  The Python work is per pin (one
-        scan of the runs) and per run (one `map`, where a pinned leaf is a
-        run of its own); the work per leaf and per entry is C.
+        by one C-speed scan of `weights`, and a run is pinned whole.  The
+        Python work is per run (one `map` each, pinned or open) and per pin
+        round (one scan of the runs); the work per leaf and per entry is C.
         """
         L = self.leaf_size
         k = size // L
         min_free = L - int(TAU_LEAF * L)
 
-        # The maximal runs of equal weight, as [first open leaf, end, weight].
+        # The maximal runs of equal weight, as [first, end, weight, pin]: pin
+        # is the free slots of each of the run's leaves once it is pinned.
         bounds = [0, *compress(range(1, k), map(ne, islice(weights, 1, None), weights)), k]
-        runs = [[s, e, weights[s]] for s, e in zip(bounds, islice(bounds, 1, None))]
+        if len(bounds) == 2:
+            return None  # one weight over the whole range: the even spread
+        runs = [[s, e, weights[s], None] for s, e in zip(bounds, islice(bounds, 1, None))]
 
-        # Waterfall: pin the lowest open leaf whose proportional share breaks
+        # Waterfall: pin the first open run whose proportional share breaks
         # a guard rail (above the leaf size, or below the free-slot floor),
-        # then re-split the remainder over the open leaves by weight until
-        # the shares stand.  Whether a leaf breaks a rail depends on its
-        # weight alone, and each run's pinned leaves are a prefix of it, so
-        # the lowest breaker is the head of the first open run that breaks one.
-        pins: dict[int, int] = {}
+        # then re-split the remainder over the open runs by weight until the
+        # shares stand.  This is the layout of pinning the lowest breaking
+        # leaf one at a time: pinning a leaf of weight w at a rail keeps
+        # free_rem * w - rail * w_open, so the rest of its run still breaks
+        # that rail and any run that starts to break breaks it too, and
+        # free_rem - open_leaves * min_free never grows, so an infeasible
+        # split stays infeasible.
         free_rem = size - c
         w_open = sum(weights)
+        open_leaves = k
         while True:
-            if w_open == 0 or free_rem < (k - len(pins)) * min_free:
+            if w_open == 0 or free_rem < open_leaves * min_free:
                 return None
             for run in runs:
-                j, e, w = run
-                if j < e and not min_free * w_open <= free_rem * w <= L * w_open:
+                s, e, w, pin = run
+                if pin is None and not min_free * w_open <= free_rem * w <= L * w_open:
                     break
             else:
                 break
-            run[0] += 1
-            pins[j] = fix = L if free_rem * w > L * w_open else min_free
-            free_rem -= fix
-            w_open -= w
-        if not pins and len(runs) == 1:
-            return None  # one weight over the whole range: the even spread
+            run[3] = pin = L if free_rem * w > L * w_open else min_free
+            free_rem -= (e - s) * pin
+            w_open -= (e - s) * w
+            open_leaves -= e - s
 
-        # A run of leaves with equal element share n / w_open of slots (an
-        # open run of one weight, or a pinned leaf) is one even spread: it
-        # takes the entries i with cum <= i * w_open < cum + len * n, at
-        # offset s*L + (i*w_open - cum) * L // n.  One map per run.
-        cuts = sorted({*bounds, *pins, *[j + 1 for j in pins]}) if pins else bounds
+        # Every leaf of a run holds n / w_open entries, so the run, pinned
+        # or open, is one even spread: it takes the entries i with
+        # cum <= i * w_open < cum + (e - s) * n, at offset
+        # s*L + (i*w_open - cum) * L // n.  One map per run.
         positions: list[int] = []
         step = w_open * L
         i = cum = 0
-        for s, e in zip(cuts, islice(cuts, 1, None)):
-            n = (L - pins[s]) * w_open if s in pins else L * w_open - free_rem * weights[s]
+        for s, e, w, pin in runs:
+            n = L * w_open - free_rem * w if pin is None else (L - pin) * w_open
             base = s * L * n - cum * L
             cum += (e - s) * n
             end = -(-cum // w_open)  # first entry of the next run

@@ -109,7 +109,9 @@ class TestWeightedLayout:
         """Slot for slot against the per-entry loop, under weights that pin
         leaves at L free slots (no entries) and at the min_free floor, and
         that pin one weight in two or more separate runs of it, so the
-        waterfall moves on from one run to a later run of the same weight."""
+        waterfall moves on from one run to a later run of the same weight.
+        The reference pins leaf by leaf, yet every maximal run of equal
+        weight comes out pinned whole or not at all."""
         a = Apma(slot_count)
         L = a.leaf_size
         full = int(TAU_LEAF * L)  # entries of a leaf pinned at min_free
@@ -128,6 +130,8 @@ class TestWeightedLayout:
             pinned_empty += 0 in per_leaf
             pinned_full += full in per_leaf and pos != even(c, size)
             run_of = [i for i, (_, run) in enumerate(groupby(weights)) for _ in run]
+            pinned_runs = {run_of[j] for j in pinned}
+            assert pinned == [j for j in range(k) if run_of[j] in pinned_runs], weights
             split_runs += (len({(weights[j], run_of[j]) for j in pinned})
                            > len({weights[j] for j in pinned}))
         assert pinned_empty > 100 and pinned_full > 100 and split_runs > 100, (
@@ -234,6 +238,32 @@ class TestInsertHeat:
                 assert any(h & 1 for h in voted) and max(voted) > 1
                 decays += 1
         assert decays == 3 and a._since_decay == 0
+
+    @pytest.mark.parametrize("stream", ["hammer", "random", "duplicates"])
+    def test_decay_halves_each_warm_leaf_once(self, stream):
+        """Layouts zero leaves that stay listed as warm, and votes warm some
+        of them again before the next decay, so a leaf is listed twice.
+        After every insert the heat equals a model that zeroes each laid-out
+        range and halves every leaf with a list comprehension."""
+        a = Apma(1 << 11)
+        L, period = a.leaf_size, a.leaf_size * 4
+        model = [0] * a.num_leaves
+        layout = a._layout
+
+        def spy(entries, lo, size, pending_raw):
+            model[lo // L:(lo + size) // L] = [0] * (size // L)
+            return layout(entries, lo, size, pending_raw)
+
+        a._layout = spy
+        listed_twice = 0
+        for seq, raw in enumerate(heat_stream(stream, 1 << 10, random.Random(7))):
+            a.insert(raw, seq)
+            model[a.slots.index((raw, seq)) // L] += 1
+            if (seq + 1) % period == 0:
+                model[:] = [h >> 1 for h in model]
+            assert a.histogram == model, seq
+            listed_twice += len(a._warm) > len(set(a._warm))
+        assert listed_twice > 0
 
     def test_rebalance_consumes_covered_heat(self):
         a = Apma(64)  # 8 leaves of 8; slots [0, 16) cover leaves 0..1
