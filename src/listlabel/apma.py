@@ -30,19 +30,21 @@ entries reset to zero — so every insert votes in exactly one layout
 decision; stale votes would aim free slots at gaps the workload has already
 left behind.  The histogram halves every `leaf_size * 4` inserts so heat
 also fades on its own; the halving visits only the leaves that hold heat,
-which `_place` lists as their votes find them cold.
+which `_place` adds to a set as it votes.
 
 A layout that comes out even — equal weights, or a skew the guard rails
 cannot honor — is returned as None, `Pma._layout`'s even spread.  The split
 and the weighted layouts return lists of offsets, which `Pma` stores and
 sets the range's leaf counts and minima from (see `pma`).
 
-Cost of a layout over k leaves and c entries: the Python work is per heated
-leaf (`_layout` visits only those, reading each one's run from the count
-row), and per run of equal weight and per pin round (`_weighted_positions`,
-which pins a run whole); the work per leaf and per entry runs in C
-(`compress`, `sum` and `map` over slices and ranges).  So a flat range costs
-the even spread, plus a constant.
+Cost of a layout over k leaves and c entries: the split is decided by
+C-speed `max`, `sum` and `index` over the heat and count rows.  Only a
+range that does not split pays Python work per heated leaf (`_layout`
+credits only those, reading each one's run from the count row), and per
+run of equal weight and per pin round (`_weighted_positions`, which pins a
+run whole); the work per leaf and per entry runs in C (`compress`, `sum`
+and `map` over slices and ranges).  So a flat range costs the even spread,
+plus a constant.
 """
 
 from __future__ import annotations
@@ -63,10 +65,10 @@ class Apma(Pma):
     def __init__(self, slot_count: int, ledger: MovementLedger | None = None):
         super().__init__(slot_count, ledger)
         self.histogram = [0] * self.num_leaves
-        # Lists every leaf that holds heat: a vote lists a cold leaf, and a
-        # decay keeps the leaves still warm.  A layout zeroes leaves without
-        # unlisting them, so a leaf may be listed more than once.
-        self._warm: list[int] = []
+        # A superset of the leaves that hold heat: a vote adds its leaf, and
+        # a decay keeps the leaves still warm.  A layout zeroes leaves
+        # without removing them, so a member may hold no heat.
+        self._warm: set[int] = set()
         self._since_decay = 0
 
     def _place(self, t: int, entry: tuple[int, int]) -> tuple[int, int]:
@@ -74,17 +76,13 @@ class Apma(Pma):
         pos, moved = super()._place(t, entry)
         heat = self.histogram
         j = pos // self.leaf_size
-        if not heat[j]:
-            self._warm.append(j)
         heat[j] += 1
+        self._warm.add(j)
         self._since_decay += 1
         if self._since_decay >= self.leaf_size * 4:
-            warm = []
-            for j in set(self._warm):
+            for j in self._warm:
                 heat[j] >>= 1
-                if heat[j]:
-                    warm.append(j)
-            self._warm = warm
+            self._warm = {j for j in self._warm if heat[j]}
             self._since_decay = 0
         return pos, moved
 
@@ -100,35 +98,32 @@ class Apma(Pma):
         self.histogram[first_leaf:first_leaf + k] = [0] * k
         cnt = self._cnt[first_leaf:first_leaf + k]
 
-        # The run of entries each heated leaf held, as (first, last, heat):
-        # entries keep their order, so a leaf's run starts after every entry
-        # the leaves before it hold.  Only heated leaves are visited, and
-        # each holds an entry: a key votes for the leaf it lands in, and
-        # entries leave a leaf only in a layout, which zeroes its heat.  The
-        # counts of the leaves between heated leaves are summed in C.
-        runs = []
-        first = prev = 0
-        for j in compress(range(k), heat):
-            first += sum(cnt[prev:j])
-            prev = j + 1
-            held = cnt[j]
-            runs.append((first, first + held - 1, heat[j]))
-            first += held
+        # The hottest leaf, if it holds 3/4 of the heat (then it is the only
+        # one at the maximum), and the run of entries it held: entries keep
+        # their order, so its run starts after every entry of the leaves
+        # before it.
+        dom = max(heat)
+        if dom and dom * 4 >= sum(heat) * 3:
+            j = heat.index(dom)
+            first = sum(cnt[:j])
+            gap = bisect_right(entries, pending_raw, key=itemgetter(0))
+            if first <= gap <= first + cnt[j]:
+                # Split at the hot gap: everything below packs left,
+                # everything above packs right, slack in between.
+                return [*range(gap), *range(size - c + gap, size)]
 
-        if runs:
-            first, last, dom = max(runs, key=itemgetter(2))
-            if dom * 4 >= sum(map(itemgetter(2), runs)) * 3:
-                gap = bisect_right(entries, pending_raw, key=itemgetter(0))
-                if first <= gap <= last + 1:
-                    # Split at the hot gap: everything below packs left,
-                    # everything above packs right, slack in between.
-                    return [*range(gap), *range(size - c + gap, size)]
-
+        # Heat rides with the element the hot gap hugs: credit each heated
+        # leaf's heat to the leaf its run's last element reaches under an
+        # even spread.  Only heated leaves are visited, and each holds an
+        # entry: a key votes for the leaf it lands in, and entries leave a
+        # leaf only in a layout, which zeroes its heat.  The counts of the
+        # leaves between heated leaves are summed in C.
         credit = [1] * k
-        for _, last, h in runs:
-            # Heat rides with the element the hot gap hugs: credit the leaf
-            # the run's last element reaches under an even spread.
-            credit[last * k // c] += h
+        last, prev = -1, 0
+        for j in compress(range(k), heat):
+            last += sum(cnt[prev:j + 1])
+            prev = j + 1
+            credit[last * k // c] += heat[j]
         return self._weighted_positions(c, size, credit)
 
     def _weighted_positions(self, c: int, size: int, weights: list[int]) -> list[int] | None:

@@ -78,7 +78,7 @@ _NUMBER_RE = re.compile(r"^[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)$")
 _INT_DIGITS = len(str(RAW_MAX // SCALE))
 
 
-def fixed_point_parse(text: str, line: int | None = None) -> int:
+def fixed_point_parse(text: str) -> int:
     """Parse a decimal string to a raw fixed-point value (units of 1e-7).
 
     Scientific notation is rejected on purpose: dataset files that contain
@@ -95,14 +95,13 @@ def fixed_point_parse(text: str, line: int | None = None) -> int:
         raw = int(t) * SCALE
         if raw <= RAW_MAX:
             return raw
-    where = f"line {line}: " if line is not None else ""
     if not _NUMBER_RE.match(t):
-        raise ParseError(f"{where}not a plain decimal number: {text!r}")
+        raise ParseError(f"not a plain decimal number: {text!r}")
     sign = -1 if t[0] == "-" else 1
     int_part, _, frac_part = t.lstrip("+-").partition(".")
     int_part = int_part.lstrip("0")
     if len(int_part) > _INT_DIGITS:  # before int(), which caps a string's digits
-        raise ParseError(f"{where}value out of range: {text!r}")
+        raise ParseError(f"value out of range: {text!r}")
     magnitude = int(int_part or "0") * SCALE
     frac = frac_part[:7].ljust(7, "0")
     magnitude += int(frac)
@@ -111,7 +110,7 @@ def fixed_point_parse(text: str, line: int | None = None) -> int:
         magnitude += 1
     raw = sign * magnitude
     if abs(raw) > RAW_MAX:
-        raise ParseError(f"{where}value out of range: {text!r}")
+        raise ParseError(f"value out of range: {text!r}")
     return raw
 
 

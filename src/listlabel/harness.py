@@ -148,9 +148,9 @@ def load_dataset(spec: DatasetSpec) -> SequenceSlice:
                     f"line {lineno}: no column {missing} (row has {len(cells)})"
                 )
             try:
-                raws.append(fixed_point_parse(cells[spec.value_column], line=lineno))
+                raws.append(fixed_point_parse(cells[spec.value_column]))
             except ParseError as exc:
-                raise DataError(str(exc)) from None
+                raise DataError(f"line {lineno}: {exc}") from None
             if spec.timestamp_column is not None:
                 stamps.append(cells[spec.timestamp_column])
                 stamp_lines.append(lineno)

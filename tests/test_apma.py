@@ -241,10 +241,11 @@ class TestInsertHeat:
 
     @pytest.mark.parametrize("stream", ["hammer", "random", "duplicates"])
     def test_decay_halves_each_warm_leaf_once(self, stream):
-        """Layouts zero leaves that stay listed as warm, and votes warm some
-        of them again before the next decay, so a leaf is listed twice.
-        After every insert the heat equals a model that zeroes each laid-out
-        range and halves every leaf with a list comprehension."""
+        """After every insert the heat equals a model that zeroes each
+        laid-out range and halves every leaf with a list comprehension, and
+        `_warm` holds every leaf the model holds warm.  Layouts zero leaves
+        that stay in `_warm`, so it may hold a cold leaf until the next
+        decay drops it; each stream reaches that case."""
         a = Apma(1 << 11)
         L, period = a.leaf_size, a.leaf_size * 4
         model = [0] * a.num_leaves
@@ -255,15 +256,16 @@ class TestInsertHeat:
             return layout(entries, lo, size, pending_raw)
 
         a._layout = spy
-        listed_twice = 0
+        held_cold = 0
         for seq, raw in enumerate(heat_stream(stream, 1 << 10, random.Random(7))):
             a.insert(raw, seq)
             model[a.slots.index((raw, seq)) // L] += 1
             if (seq + 1) % period == 0:
                 model[:] = [h >> 1 for h in model]
             assert a.histogram == model, seq
-            listed_twice += len(a._warm) > len(set(a._warm))
-        assert listed_twice > 0
+            assert {*compress(range(a.num_leaves), model)} <= a._warm, seq
+            held_cold += not all(model[j] for j in a._warm)
+        assert held_cold > 0
 
     def test_rebalance_consumes_covered_heat(self):
         a = Apma(64)  # 8 leaves of 8; slots [0, 16) cover leaves 0..1

@@ -81,7 +81,7 @@ class TestLoadDataset:
     def test_bad_value_reports_line_number(self, tmp_path):
         p = tmp_path / "d.txt"
         p.write_text("1.5\nnope\n", encoding="utf-8")
-        with pytest.raises(DataError, match="line 2"):
+        with pytest.raises(DataError, match="^line 2: not a plain decimal number: 'nope'$"):
             load_dataset(DatasetSpec(p))
 
     def test_missing_column_reports_line_number(self, tmp_path):
