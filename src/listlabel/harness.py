@@ -20,7 +20,7 @@ Each step has one job: every protocol checks all its parameters before it
 loads, generates or runs anything (`structures` among them: a sequence of
 distinct names from STRUCTURES, never a bare str or a set); `_window` cuts
 every (train, test) pair; `_run_config` loads one structure and returns its
-counts; `_rows` runs each structure over one test slice and is the only
+counts; `_row` runs one structure over one test slice and is the only
 builder of a run's row; and `_summary` builds each robustness row from its
 per-seed rows.
 """
@@ -324,23 +324,21 @@ def _window(keys: list[Key], t: int, span: int) -> tuple[SequenceSlice, Sequence
             SequenceSlice(keys[t : 2 * t], start_offset=t))
 
 
-def _rows(structures, dataset, raws, preds, true_ranks, *, train: int,
-          seed: int | None = None, check_witness: bool = False) -> list[ExperimentResult]:
-    """One run and one row per structure over the same raws, the only place a
-    run's row is built: learned rows route by `preds` and carry their largest rank
-    error, baselines route at rank 1 and carry None.  With `check_witness`,
-    every merge is checked against `true_ranks`."""
+def _row(structure: str, dataset, raws, preds, true_ranks, *, train: int,
+         seed: int | None = None, check_witness: bool = False) -> ExperimentResult:
+    """One run of `structure` over the raws and its row, the only place a run's
+    row is built: a learned structure routes by `preds` and carries their
+    largest rank error, a baseline routes at rank 1 and carries None.  With
+    `check_witness`, every merge is checked against `true_ranks`."""
+    if not _learned(structure):
+        preds = None
     eta_max = None
     if preds is not None:
         eta_max = max(map(abs, map(sub, preds, true_ranks)), default=0)
-    truth = true_ranks if check_witness else None
-    rows = []
-    for s in structures:
-        learned = _learned(s)
-        cost, merges = _run_config(s, raws, preds if learned else None, truth)
-        rows.append(ExperimentResult(s, dataset, train, len(raws), cost, merges,
-                                     eta_max if learned else None, seed))
-    return rows
+    cost, merges = _run_config(structure, raws, preds,
+                               true_ranks if check_witness else None)
+    return ExperimentResult(structure, dataset, train, len(raws), cost, merges,
+                            eta_max, seed)
 
 
 def _window_rows(structures, dataset: str, windows) -> list[ExperimentResult]:
@@ -351,8 +349,9 @@ def _window_rows(structures, dataset: str, windows) -> list[ExperimentResult]:
     results = []
     for (train, test), preds in zip(windows, predictions):
         raws = [key.raw for key in test.keys]
-        results += _rows(structures, dataset, raws, preds, _true_ranks(raws),
-                         train=len(train))
+        true_ranks = _true_ranks(raws)
+        results += [_row(s, dataset, raws, preds, true_ranks, train=len(train))
+                    for s in structures]
     return results
 
 
@@ -459,9 +458,10 @@ def run_robustness(
     Learned rows run `repeats` times with corruption seeds base_seed+1 ..
     base_seed+repeats and carry the corruption level in the structure name
     (e.g. learned-pma:t=25); amortized_cost holds the mean, merges the
-    rounded mean, eta_max the worst across seeds.  Each (level, seed) draws
-    one corrupted vector, which every learned structure runs on; a draw equal
-    to the previous seed's (every draw at t=0 or t=100 is) reuses its rows.
+    rounded mean, eta_max the worst across seeds.  The draw is seeded, so
+    every learned structure runs on the same vector at each (level, seed).
+    Every repeat runs, even at t=0 and t=100, whose draws do not depend on
+    the seed: such a level costs `repeats` runs and reports stddev 0.
     Rows come in `structures` order, a learned structure's levels in
     `t_values` order.
     An empty or repeating list of levels, a negative k, a non-integer
@@ -490,23 +490,15 @@ def run_robustness(
     predictions = _predict(structures, train, test)
     raws = [key.raw for key in test.keys]
     true_ranks = _true_ranks(raws)
-    learned = [s for s in structures if _learned(s)]
-    blind = [s for s in structures if not _learned(s)]
-
-    rows = {s: [_summary(s, [row])] for s, row in
-            zip(blind, _rows(blind, label, raws, None, true_ranks, train=len(train)))}
-    rows.update((s, []) for s in learned)
-    for t_pct in t_values if learned else ():
-        runs, drawn = [], None
-        for r in range(1, repeats + 1):
-            ranks = corrupt(predictions, t_pct, base_seed + r)
-            runs.append(runs[-1] if ranks == drawn else
-                        _rows(learned, label, raws, ranks, true_ranks,
-                              train=len(train)))
-            drawn = ranks
-        for s, seeded in zip(learned, zip(*runs)):
-            rows[s].append(_summary(f"{s}:t={t_pct}", seeded))
-    return [row for s in structures for row in rows[s]]
+    results = []
+    for s in structures:
+        if _learned(s):
+            results += [_summary(f"{s}:t={t_pct}", [
+                _row(s, label, raws, corrupt(predictions, t_pct, base_seed + r), true_ranks,
+                     train=size) for r in range(1, repeats + 1)]) for t_pct in t_values]
+        else:
+            results.append(_summary(s, [_row(s, label, raws, None, true_ranks, train=size)]))
+    return results
 
 
 def _synthesize(
@@ -583,8 +575,8 @@ def run_synthetic(
     label = {"noisy-eta": f"synth-noisy-eta:eta={eta}",
              "stochastic": f"synth-stochastic:mu={mu};s={s}"}.get(kind, f"synth-{kind}")
     raws, predictions, true_ranks = _synthesize(kind, n, seed, eta, mu, s)
-    return _rows(structures, label, raws, predictions, true_ranks, train=0,
-                 seed=seed, check_witness=True)
+    return [_row(st, label, raws, predictions, true_ranks, train=0, seed=seed,
+                 check_witness=True) for st in structures]
 
 
 # ----------------------------------------------------------------------

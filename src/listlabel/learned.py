@@ -62,6 +62,10 @@ Inspection (`actuals`, the merge listener) is a snapshot: `_actual` builds
 each `Actual(height, node, entries)`, whose entries are a fresh list, and
 it builds and changes nothing else.
 
+Only a merge raises an actual above height 0, and it leaves a box with at
+least 3 * 2^(h-1) + 1 keys, which inserts only add to: a lone key or an
+empty actual always sits at height 0.
+
 The wrapper keeps no predictions: a prediction only routes its insert, and
 the set of inserted seqs exists only to reject a reused one.
 `witness_error_check` takes the predictions from its caller, who holds them

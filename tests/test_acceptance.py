@@ -151,16 +151,17 @@ def test_criterion_3_log_squared_eta_on_hammer_order():
     in fixing it.  Every merge is checked for its error witness."""
     n = 2**14
     raws, _, true = harness._synthesize("hammer", n, 0, None, None, None)
-    blind = harness._rows(("pma",), "synth-hammer", raws, None, true, train=0)[0].amortized_cost
+    blind = harness._row("pma", "synth-hammer", raws, None, true, train=0).amortized_cost
     pma_medians = []
     for eta in (16, 64, 256, 1024):
         costs = {"learned-pma": [], "learned-apma": []}
         for seed in (4, 5, 6):
             rng = random.Random(seed)
             preds = [clamp(r + rng.randint(-eta, eta), 1, n) for r in true]
-            for row in harness._rows(tuple(costs), "synth-hammer", raws, preds, true,
-                                     train=0, seed=seed, check_witness=True):
-                costs[row.structure].append(row.amortized_cost)
+            for structure, seeded in costs.items():
+                seeded.append(harness._row(structure, "synth-hammer", raws, preds, true,
+                                           train=0, seed=seed,
+                                           check_witness=True).amortized_cost)
         pma, apma = map(statistics.median, costs.values())
         assert pma <= blind / 4, (eta, pma, blind)
         assert apma <= pma, (eta, apma, pma)
@@ -379,6 +380,16 @@ def _check_structure(lla):
     for (h, _node), box in held.items():
         count = 1 if box.__class__ is tuple else box.count
         assert count * 2 <= 6 << h, "density above one half"
+
+    # Only a merge raises an actual above height 0, and it leaves a box with
+    # at least 3 * 2^(h-1) + 1 keys, which inserts only add to: a lone key
+    # or an empty actual sits at height 0.
+    for h, node in parts:
+        if h:
+            box = held.get((h, node))
+            assert box is not None, "empty actual above height 0"
+            assert box.__class__ is not tuple, "lone key above height 0"
+            assert box.count > 3 << (h - 1), "actual above height 0 with too few keys"
 
     # The min/max trees are exact at and above actual roots: a root holds
     # its actual's smallest and largest key (the empty markers for an empty

@@ -232,7 +232,7 @@ def test_scaling_reads_the_dataset_once(monkeypatch):
 def test_scaling_beyond_the_data_rejected_before_any_run(monkeypatch):
     # the sample has rows for k=8 but not for k=9, so no k may run
     runs = []
-    monkeypatch.setattr(harness, "_rows", lambda *a, **kw: runs.append(a))
+    monkeypatch.setattr(harness, "_run_config", lambda *a, **kw: runs.append(a))
     with pytest.raises(ConfigError, match="k=12"):
         run_scaling(ACTIONS, range(8, 13))
     assert runs == []
@@ -242,7 +242,7 @@ def test_scaling_window_too_small_to_select_from_rejected_before_any_run(monkeyp
     # k=1 trains on 2 keys, too few to pick a predictor on, so k=8 may not
     # run first either
     runs = []
-    monkeypatch.setattr(harness, "_rows", lambda *a, **kw: runs.append(a) or [])
+    monkeypatch.setattr(harness, "_run_config", lambda *a, **kw: runs.append(a))
     with pytest.raises(ConfigError, match="training slice of 2"):
         run_scaling(ACTIONS, [8, 1])
     assert runs == []
@@ -364,7 +364,7 @@ class TestLearningCurve:
         # 1% of 256 rows trains on 2 keys, too few to pick a predictor on,
         # so the 100% point may not run first either
         runs = []
-        monkeypatch.setattr(harness, "_rows", lambda *a, **kw: runs.append(a) or [])
+        monkeypatch.setattr(harness, "_run_config", lambda *a, **kw: runs.append(a))
         with pytest.raises(ConfigError, match="training slice of 2"):
             run_learning_curve(ACTIONS, 8, [100, 1])
         assert runs == []
@@ -373,7 +373,7 @@ class TestLearningCurve:
         self, capsys, monkeypatch
     ):
         runs = []
-        monkeypatch.setattr(harness, "_rows", lambda *a, **kw: runs.append(a) or [])
+        monkeypatch.setattr(harness, "_run_config", lambda *a, **kw: runs.append(a))
         code = cli_main(["curve", "--dataset", str(ACTIONS.path), "--value-col", "1",
                          "--ts-col", "3", "--test-k", "8", "--fractions", "100,1"])
         captured = capsys.readouterr()
@@ -409,33 +409,34 @@ class TestBaselinesSkipPrediction:
 
 class TestRobustness:
     def test_one_corruption_per_level_and_repeat(self, monkeypatch):
-        calls = []
-        inner = harness.corrupt
+        """Each learned structure runs each (level, seed) draw once, and both
+        run on equal vectors; a baseline runs once, on no predictions."""
+        draws, runs = [], []
+        corrupt, run_config = harness.corrupt, harness._run_config
 
-        def spy(pred, t, *seed):
-            calls.append((t, *seed))
-            return inner(pred, t, *seed)
+        def corrupt_spy(pred, t, seed):
+            draws.append((t, seed))
+            return corrupt(pred, t, seed)
 
-        monkeypatch.setattr(harness, "corrupt", spy)
+        def run_spy(structure, raws, preds, *rest):
+            runs.append((structure, preds))
+            return run_config(structure, raws, preds, *rest)
+
+        monkeypatch.setattr(harness, "corrupt", corrupt_spy)
+        monkeypatch.setattr(harness, "_run_config", run_spy)
         rows = run_robustness(ACTIONS, 8, [0, 10, 25, 50], repeats=5)
         assert len(rows) == 2 + 2 * 4
-        # every learned structure runs on the same draw
-        assert sorted(calls) == [(t, r) for t in (0, 10, 25, 50) for r in range(1, 6)]
+        assert draws == [(t, r) for t in (0, 10, 25, 50) for r in range(1, 6)] * 2
+        assert [s for s, _ in runs] == ["pma", "apma", *["learned-pma"] * 20,
+                                        *["learned-apma"] * 20]
+        assert runs[0][1] is runs[1][1] is None
+        assert [p for _, p in runs[2:22]] == [p for _, p in runs[22:]]
 
-    def test_equal_draws_run_once(self, monkeypatch):
-        """t=0 corrupts nothing and t=100 every rank, so each repeat draws
-        the previous repeat's vector: one baseline run plus one per level."""
-        calls = []
-        inner = harness._run_config
-
-        def spy(*args, **kw):
-            calls.append(args[0])
-            return inner(*args, **kw)
-
-        monkeypatch.setattr(harness, "_run_config", spy)
+    def test_seed_independent_levels_have_no_spread(self):
+        """t=0 corrupts nothing and t=100 every rank, so every repeat draws
+        the same vector and the level's costs do not spread."""
         rows = run_robustness(ACTIONS, 8, [0, 100], repeats=5,
                               structures=("pma", "learned-pma"))
-        assert calls == ["pma", "learned-pma", "learned-pma"]
         assert [r.stddev for r in rows] == [0.0, 0.0, 0.0]
 
     def test_rows_follow_structures_with_one_structure_values(self):
@@ -845,7 +846,7 @@ class TestCli:
         self, capsys, monkeypatch, flags
     ):
         runs = []
-        monkeypatch.setattr(harness, "_rows", lambda *a, **kw: runs.append(a))
+        monkeypatch.setattr(harness, "_run_config", lambda *a, **kw: runs.append(a))
         code = cli_main(["synth", "--kind", "stochastic", "--n", "64", *flags])
         captured = capsys.readouterr()
         assert code == 2
@@ -866,7 +867,7 @@ class TestCli:
         self, capsys, monkeypatch, flags
     ):
         runs = []
-        monkeypatch.setattr(harness, "_rows", lambda *a, **kw: runs.append(a))
+        monkeypatch.setattr(harness, "_run_config", lambda *a, **kw: runs.append(a))
         code = cli_main(["synth", "--n", "8", *flags])
         captured = capsys.readouterr()
         assert code == 2
@@ -878,7 +879,7 @@ class TestCli:
         # random.Random(-3) draws what random.Random(3) draws, so --seed -3
         # would write the rows of --seed 3 under another seed.
         runs = []
-        monkeypatch.setattr(harness, "_rows", lambda *a, **kw: runs.append(a))
+        monkeypatch.setattr(harness, "_run_config", lambda *a, **kw: runs.append(a))
         code = cli_main(["synth", "--kind", "random", "--n", "1024", "--seed", "-3"])
         captured = capsys.readouterr()
         assert code == 2
@@ -932,7 +933,7 @@ class TestCli:
     @pytest.mark.parametrize("out", ["missing/dir/o.csv", "."])
     def test_unwritable_out_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch, out):
         runs = []
-        monkeypatch.setattr(harness, "_rows", lambda *a, **kw: runs.append(a))
+        monkeypatch.setattr(harness, "_run_config", lambda *a, **kw: runs.append(a))
         code = cli_main(["synth", "--kind", "random", "--n", "1024",
                          "--out", str(tmp_path / out)])
         captured = capsys.readouterr()
